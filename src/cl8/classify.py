@@ -42,7 +42,6 @@ class AlgebraClass:
     matrix_rank: int
 
 
-@lru_cache(maxsize=None)
 def algebra_type(p: int, q: int) -> AlgebraClass:
     """Classification record for Cl(p, q) from the mod-8 type."""
     if p < 0 or q < 0:

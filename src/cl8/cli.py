@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto library operations; nothing mathematical
-lives here. Output is deterministic for a fixed seed so reports can be
+Subcommands map one-to-one onto library operations; this module only parses
+arguments and formats what the library returns. `verify` takes its suite
+names from the registry `suites.SUITES`. `--seed` exists only on the sampled
+commands (`verify`, `spinor`, `qubit`) and `--samples` only on `spinor` and
+`qubit`. Output is deterministic for a fixed seed so reports can be
 snapshot-compared byte for byte. Exit codes: 0 success, 1 a verification
-suite found a counterexample, 2 usage error.
+suite found a counterexample, 2 a usage, input or I/O error.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import pauli, reps, suites
 from .classify import algebra_type, primitive_idempotent
@@ -38,28 +39,14 @@ _CONFIG_TYPES = {
     "output": str,
 }
 
-_VERIFY_SUITES = {
-    "classification": lambda a: suites.classification_suite(),
-    "radon": lambda a: suites.radon_suite(),
-    "theorem3": lambda a: suites.theorem3_suite(qmax=a.qmax),
-    "cycles": lambda a: suites.cycles_suite(),
-    "chevalley": lambda a: suites.chevalley_suite(),
-    "karoubi": lambda a: suites.karoubi_suite(),
-    "even": lambda a: suites.even_iso_suite(),
-    "phipsi": lambda a: suites.phi_psi_suite(),
-    "block": lambda a: suites.block_suite(seed=a.seed),
-    "chain24": lambda a: suites.chain24_suite(),
-    "reps": lambda a: suites.reps_suite(),
-    "numeric": lambda a: suites.numeric_suite(seed=a.seed),
-}
-
-
-def _add_common(sp, *, formats=("text", "json")):
+def _add_common(sp, *, formats=("text", "json"), seed=False, samples=False):
     sp.add_argument("--format", choices=formats, default=None)
     sp.add_argument("--output", default=None, help="write to this file instead of stdout")
     sp.add_argument("--config", default=None, help="key=value defaults file; flags win")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None)
+    if seed:
+        sp.add_argument("--seed", type=int, default=None)
+    if samples:
+        sp.add_argument("--samples", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cycle)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=sorted(_VERIFY_SUITES) + ["all"])
+    p_verify.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
     p_verify.add_argument("--qmax", type=int, default=None)
-    _add_common(p_verify)
+    _add_common(p_verify, seed=True)
 
     p_rep = sub.add_parser("rep", help="label data for tau_{k/2, r/2}")
     p_rep.add_argument("k", type=int)
@@ -108,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_block)
 
     p_spinor = sub.add_parser("spinor", help="sampled null-vector checks")
-    _add_common(p_spinor)
+    _add_common(p_spinor, seed=True, samples=True)
 
     p_twistor = sub.add_parser("twistor", help="incidence at a point")
     p_twistor.add_argument("--x", default=None, help="four comma-separated reals")
@@ -116,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_twistor)
 
     p_qubit = sub.add_parser("qubit", help="sampled Bloch round-trip checks")
-    _add_common(p_qubit)
+    _add_common(p_qubit, seed=True, samples=True)
 
     return parser
 
@@ -279,14 +266,12 @@ def _cmd_cycle(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     fmt = args.format or "text"
-    if args.qmax is None:
-        args.qmax = 24
-    if args.seed is None:
-        args.seed = 0
+    qmax = 24 if args.qmax is None else args.qmax
+    seed = 0 if args.seed is None else args.seed
     if args.suite == "all":
-        results = suites.run_all(seed=args.seed)
+        results = suites.run_all(seed=seed, qmax=qmax)
     else:
-        results = [_VERIFY_SUITES[args.suite](args)]
+        results = [suites.SUITES[args.suite](seed, qmax)]
     if fmt == "json":
         _emit(args, _dumps(results))
     else:
@@ -338,14 +323,7 @@ def _cmd_spinor(args, parser) -> int:
     fmt = args.format or "text"
     seed = 0 if args.seed is None else args.seed
     samples = 100 if args.samples is None else args.samples
-    rng = np.random.default_rng(seed)
-    max_null = 0.0
-    max_imag = 0.0
-    for _ in range(samples):
-        xi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        x = pauli.spinor_outer(xi, xi.conj())
-        max_imag = max(max_imag, float(np.max(np.abs(x.imag))))
-        max_null = max(max_null, abs(pauli.lorentz_norm(x.real)))
+    max_null, max_imag = pauli.null_outer_defects(seed, samples)
     rec = {
         "passed": max_null < 1e-9 and max_imag < 1e-9,
         "checked": samples,
@@ -363,9 +341,12 @@ def _cmd_spinor(args, parser) -> int:
 
 def _floats(text: str, parser, flag: str) -> list:
     try:
-        return [float(t) for t in text.split(",")]
+        values = [float(t) for t in text.split(",")]
     except ValueError:
         parser.error(f"{flag} expects comma-separated numbers")
+    if not all(math.isfinite(v) for v in values):
+        parser.error(f"{flag} expects finite numbers")
+    return values
 
 
 def _cmd_twistor(args, parser) -> int:
@@ -376,8 +357,8 @@ def _cmd_twistor(args, parser) -> int:
         parser.error("--x expects exactly four components")
     if len(raw_pi) != 4:
         parser.error("--pi expects re0,im0,re1,im1")
-    pi = np.array([complex(raw_pi[0], raw_pi[1]), complex(raw_pi[2], raw_pi[3])])
-    omega = pauli.twistor_incidence(np.array(x), pi)
+    pi = [complex(raw_pi[0], raw_pi[1]), complex(raw_pi[2], raw_pi[3])]
+    omega = pauli.twistor_incidence(x, pi)
     rec = {
         "x": x,
         "pi": [[pi[0].real, pi[0].imag], [pi[1].real, pi[1].imag]],
@@ -400,29 +381,13 @@ def _cmd_qubit(args, parser) -> int:
     fmt = args.format or "text"
     seed = 0 if args.seed is None else args.seed
     samples = 100 if args.samples is None else args.samples
-    rng = np.random.default_rng(seed)
-    max_round = 0.0
-    max_purity = 0.0
-    for _ in range(samples):
-        v = rng.normal(size=4)
-        a, b = complex(v[0], v[1]), complex(v[2], v[3])
-        s = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        rho = pauli.qubit_density(a / s, b / s)
-        P = pauli.bloch_vector(rho)
-        max_round = max(max_round, float(np.max(np.abs(pauli.density_from_bloch(P) - rho))))
-        max_purity = max(max_purity, abs(pauli.purity(rho) - 1.0))
-    rec = {
-        "passed": max_round < 1e-9 and max_purity < 1e-9,
-        "checked": samples,
-        "max_roundtrip_defect": max_round,
-        "max_purity_defect": max_purity,
-    }
+    rec = pauli.bloch_roundtrip_check(samples=samples, seed=seed)
     if fmt == "json":
         _emit(args, _dumps(rec))
     else:
         verdict = "PASS" if rec["passed"] else "FAIL"
         _emit(args, f"{verdict} {samples} pure states round-trip through the Bloch map "
-                    f"(max defect = {max_round:.3e})")
+                    f"(max defect = {rec['max_roundtrip_defect']:.3e})")
     return 0 if rec["passed"] else 1
 
 
@@ -448,7 +413,7 @@ def main(argv=None) -> int:
     _apply_config(args, parser)
     try:
         return _DISPATCH[args.command](args, parser)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,8 @@ to the Hermitian-matrix encoding, and we reproduce it verbatim).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 SIGMA = np.array([
@@ -75,6 +77,26 @@ def spinor_outer(xi, xi_dot) -> np.ndarray:
     ])
 
 
+def null_outer_defects(rng, samples: int) -> tuple:
+    """(max |S^2|, max imaginary part) over sampled conjugate outer products.
+
+    Each sample draws xi from rng (a numpy Generator, advanced in place, or
+    a seed) and maps xi, conj(xi) through spinor_outer; both maxima vanish
+    up to rounding.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    rng = np.random.default_rng(rng)
+    max_null = 0.0
+    max_imag = 0.0
+    for _ in range(samples):
+        xi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        x = spinor_outer(xi, xi.conj())
+        max_imag = max(max_imag, float(np.max(np.abs(x.imag))))
+        max_null = max(max_null, abs(lorentz_norm(x.real)))
+    return max_null, max_imag
+
+
 def twistor_incidence(x, pi) -> np.ndarray:
     """omega = (i/sqrt(2)) K(x) pi with both off-diagonals of K carrying +i x2."""
     x = np.asarray(x, dtype=float)
@@ -124,6 +146,29 @@ def density_from_bloch(P) -> np.ndarray:
 def purity(rho) -> float:
     rho = np.asarray(rho, dtype=complex)
     return float(np.trace(rho @ rho).real)
+
+
+def bloch_roundtrip_check(samples: int = 100, seed: int = 0) -> dict:
+    """Sample pure states: rho -> Bloch vector -> rho, and tr rho^2 = 1, at 1e-9."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    max_round = 0.0
+    max_purity = 0.0
+    for _ in range(samples):
+        v = rng.normal(size=4)
+        a, b = complex(v[0], v[1]), complex(v[2], v[3])
+        s = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        rho = qubit_density(a / s, b / s)
+        P = bloch_vector(rho)
+        max_round = max(max_round, float(np.max(np.abs(density_from_bloch(P) - rho))))
+        max_purity = max(max_purity, abs(purity(rho) - 1.0))
+    return {
+        "passed": max_round < 1e-9 and max_purity < 1e-9,
+        "checked": samples,
+        "max_roundtrip_defect": max_round,
+        "max_purity_defect": max_purity,
+    }
 
 
 def sl2c_double_cover_check(samples: int = 100, seed: int = 0) -> dict:

@@ -65,32 +65,19 @@ def bw_cycle(r: int) -> list:
 class Chessboard:
     """Square board of side 8^order indexed by (p, q).
 
-    Cells hold classification records, never algebra elements. Boards up to
-    order 3 materialize their records eagerly; larger boards answer cell
-    queries on demand, since only the mod-8 difference matters.
+    Cells hold classification records, never algebra elements. Every cell
+    query is answered on demand, since only the mod-8 difference matters.
     """
-
-    MATERIALIZE_MAX_ORDER = 3
 
     def __init__(self, order: int):
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
         self.size = 8 ** order
-        if order <= self.MATERIALIZE_MAX_ORDER:
-            self.cells = {
-                (p, q): algebra_type(p, q)
-                for p in range(self.size)
-                for q in range(self.size)
-            }
-        else:
-            self.cells = None
 
     def record(self, p: int, q: int):
         if not (0 <= p < self.size and 0 <= q < self.size):
             raise ValueError(f"cell ({p}, {q}) outside board of size {self.size}")
-        if self.cells is not None:
-            return self.cells[(p, q)]
         return algebra_type(p, q)
 
     def cell(self, p: int, q: int) -> str:
@@ -132,13 +119,13 @@ def board_text(board: Chessboard) -> str:
 
 
 def board_json(board: Chessboard) -> str:
-    """Full cell listing as JSON; limited to materialized boards."""
-    if board.cells is None:
+    """Full cell listing as JSON; limited to boards of order <= 3."""
+    if board.order > 3:
         raise ValueError("JSON export needs a materialized board (order <= 3)")
     cells = []
     for p in range(board.size):
         for q in range(board.size):
-            info = board.cells[(p, q)]
+            info = algebra_type(p, q)
             cells.append({
                 "p": p,
                 "q": q,
@@ -149,23 +136,40 @@ def board_json(board: Chessboard) -> str:
     return json.dumps({"order": board.order, "size": board.size, "cells": cells})
 
 
-_CLOCK_OCTET = ("R", "C", "H", "H+H", "H", "C", "R", "R+R", "R")
+CLOCK_OCTET = ("R", "C", "H", "H+H", "H", "C", "R", "R+R", "R")
 
 
 def clock_text() -> str:
     lines = ["ring clock, one eight-hour cycle of q -> q+1:"]
     for h in range(1, 9):
-        lines.append(f"  h{h}: {_CLOCK_OCTET[h - 1]:>3} -> {_CLOCK_OCTET[h]}")
+        lines.append(f"  h{h}: {CLOCK_OCTET[h - 1]:>3} -> {CLOCK_OCTET[h]}")
     lines.append("after eight hours the ring returns to R and k has grown by 4")
     return "\n".join(lines)
 
 
 def clock_json() -> str:
     hours = [
-        {"h": h, "from": _CLOCK_OCTET[h - 1], "to": _CLOCK_OCTET[h]}
+        {"h": h, "from": CLOCK_OCTET[h - 1], "to": CLOCK_OCTET[h]}
         for h in range(1, 9)
     ]
     return json.dumps({"hours": hours})
+
+
+def k(q: int) -> int:
+    """The idempotent exponent k(0, q) = q - r_q."""
+    return q - radon_hurwitz(q)
+
+
+def k_sequences(q_max: int) -> list:
+    """k over q = 0..8, then over each further full cycle 8r+1..8r+8 <= q_max."""
+    if q_max < 8:
+        raise ValueError("q_max must be >= 8 to cover the first cycle")
+    sequences = [tuple(k(q) for q in range(0, 9))]
+    r = 1
+    while 8 * r + 8 <= q_max:
+        sequences.append(tuple(k(q) for q in range(8 * r + 1, 8 * r + 9)))
+        r += 1
+    return sequences
 
 
 def verify_theorem3(q_max: int = 24) -> dict:
@@ -176,15 +180,7 @@ def verify_theorem3(q_max: int = 24) -> dict:
     """
     if q_max < 24:
         raise ValueError("q_max must be >= 24 to cover three full cycles")
-
-    def k(q: int) -> int:
-        return q - radon_hurwitz(q)
-
-    sequences = [tuple(k(q) for q in range(0, 9))]
-    r = 1
-    while 8 * r + 8 <= q_max:
-        sequences.append(tuple(k(q) for q in range(8 * r + 1, 8 * r + 9)))
-        r += 1
+    sequences = k_sequences(q_max)
     shift_ok = all(k(q + 8) == k(q) + 4 for q in range(q_max - 8 + 1))
     brute_max = min(q_max, 9)
     brute_ok = all(

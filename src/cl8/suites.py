@@ -17,24 +17,30 @@ from .classify import algebra_type, division_ring_of, primitive_idempotent, rado
 from .pauli import (
     bloch_vector,
     density_from_bloch,
-    lorentz_norm,
+    null_outer_defects,
     purity,
     qubit_density,
     sl2c_double_cover_check,
-    spinor_outer,
 )
-from .periodicity import bw_cycle, chessboard, fractal_dimension, verify_theorem3
+from .periodicity import (
+    CLOCK_OCTET,
+    bw_cycle,
+    chessboard,
+    fractal_dimension,
+    k,
+    k_sequences,
+    verify_theorem3,
+)
 from .reps import bw_rep_walk, quotient_structure, rep_field, rep_label
 from .tensoriso import (
     block_matrix_form,
     even_iso_check,
+    even_iso_target,
     graded_tensor_check,
     karoubi_check,
     phi_psi_factorization,
     spin24_chain,
 )
-
-RING_OCTET = ["R", "C", "H", "H+H", "H", "C", "R", "R+R", "R"]
 
 
 def _line(ok: bool, text: str) -> str:
@@ -69,28 +75,17 @@ def radon_suite() -> dict:
 
 
 def theorem3_suite(qmax: int = 24) -> dict:
-    def k(q):
-        return q - radon_hurwitz(q)
-
     checks = []
-    rows = []
-    if qmax >= 8:
-        rows.append((1, [k(q) for q in range(9)]))
-    r = 1
-    while 8 * r + 8 <= qmax:
-        rows.append((r + 1, [k(q) for q in range(8 * r + 1, 8 * r + 9)]))
-        r += 1
     prev = None
-    for cycle, seq in rows:
+    for cycle, seq in enumerate(k_sequences(qmax), 1):
         ok = all(seq[i] <= seq[i + 1] for i in range(len(seq) - 1))
         if prev is not None:
             tail = prev[-len(seq):]
             ok = ok and all(a == b + 4 for a, b in zip(seq, tail))
         checks.append((ok, f"k-sequence cycle {cycle}: {','.join(map(str, seq))}"))
         prev = seq
-    if qmax >= 8:
-        shift = all(k(q + 8) == k(q) + 4 for q in range(qmax - 8 + 1))
-        checks.append((shift, f"shift law k(0,q+8) = k(0,q) + 4 for 0 <= q <= {qmax - 8}"))
+    shift = all(k(q + 8) == k(q) + 4 for q in range(qmax - 8 + 1))
+    checks.append((shift, f"shift law k(0,q+8) = k(0,q) + 4 for 0 <= q <= {qmax - 8}"))
     bmax = min(qmax, 9)
     brute = all(primitive_idempotent(0, q).k == k(q) for q in range(bmax + 1))
     checks.append((brute, f"idempotent search matches arithmetic k for q <= {bmax}"))
@@ -105,7 +100,7 @@ def cycles_suite() -> dict:
     for r in range(8):
         cyc = bw_cycle(r)
         rings = [cyc[0].ring_from] + [t.ring_to for t in cyc]
-        checks.append((rings == RING_OCTET, f"cycle r={r}: {' -> '.join(rings)}"))
+        checks.append((tuple(rings) == CLOCK_OCTET, f"cycle r={r}: {' -> '.join(rings)}"))
     fd = fractal_dimension()
     checks.append((abs(fd - math.log(63) / math.log(8)) < 1e-15,
                    f"fractal dimension = {fd:.6f}"))
@@ -164,8 +159,7 @@ def even_iso_suite(max_n: int = 6) -> dict:
                 continue
             count += 1
             rep = even_iso_check(p, q)
-            want = (q, p - 1) if (p >= 1 and p != q) else (p, q - 1)
-            if not (rep.certified and rep.target_sig == want):
+            if not (rep.certified and rep.target_sig == even_iso_target(p, q)):
                 bad.append((p, q))
     checks.append((not bad, f"sweep of {count} even-subalgebra witnesses for p+q <= {max_n}"))
     return _suite("even_subalgebra", checks)
@@ -249,11 +243,7 @@ def numeric_suite(seed: int = 0) -> dict:
     checks.append((cover["passed"],
                    f"double cover on 100 samples, max drift {cover['max_norm_drift']:.3e}"))
     rng = np.random.default_rng(seed + 1)
-    max_null = 0.0
-    for _ in range(200):
-        xi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        x = spinor_outer(xi, xi.conj())
-        max_null = max(max_null, abs(lorentz_norm(x.real)))
+    max_null, _ = null_outer_defects(rng, 200)
     checks.append((max_null < 1e-9, f"null outer products, max |S^2| = {max_null:.3e}"))
     max_round = 0.0
     for _ in range(200):
@@ -268,24 +258,27 @@ def numeric_suite(seed: int = 0) -> dict:
     return _suite("numeric_layer", checks)
 
 
-SUITE_BUILDERS = [
-    ("classification", lambda seed: classification_suite()),
-    ("radon_hurwitz", lambda seed: radon_suite()),
-    ("theorem3", lambda seed: theorem3_suite()),
-    ("brauer_wall_cycles", lambda seed: cycles_suite()),
-    ("chevalley", lambda seed: chevalley_suite()),
-    ("karoubi", lambda seed: karoubi_suite()),
-    ("even_subalgebra", lambda seed: even_iso_suite()),
-    ("phi_psi", lambda seed: phi_psi_suite()),
-    ("block_matrices", lambda seed: block_suite(seed=seed)),
-    ("spin24_chain", lambda seed: chain24_suite()),
-    ("representations", lambda seed: reps_suite()),
-    ("numeric_layer", lambda seed: numeric_suite(seed=seed)),
-]
+# CLI suite name -> builder(seed, qmax), in report order. The builders look
+# the suite functions up by name at call time, so rebinding a module-level
+# suite function (to trace or stub it) takes effect here too.
+SUITES = {
+    "classification": lambda seed, qmax: classification_suite(),
+    "radon": lambda seed, qmax: radon_suite(),
+    "theorem3": lambda seed, qmax: theorem3_suite(qmax=qmax),
+    "cycles": lambda seed, qmax: cycles_suite(),
+    "chevalley": lambda seed, qmax: chevalley_suite(),
+    "karoubi": lambda seed, qmax: karoubi_suite(),
+    "even": lambda seed, qmax: even_iso_suite(),
+    "phipsi": lambda seed, qmax: phi_psi_suite(),
+    "block": lambda seed, qmax: block_suite(seed=seed),
+    "chain24": lambda seed, qmax: chain24_suite(),
+    "reps": lambda seed, qmax: reps_suite(),
+    "numeric": lambda seed, qmax: numeric_suite(seed=seed),
+}
 
 
-def run_all(seed: int = 0) -> list:
-    return [build(seed) for _, build in SUITE_BUILDERS]
+def run_all(seed: int = 0, qmax: int = 24) -> list:
+    return [build(seed, qmax) for build in SUITES.values()]
 
 
 def render_report(results) -> str:

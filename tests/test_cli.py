@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cl8.cli import main
+from cl8.cli import build_parser, main
+from cl8.suites import SUITES, render_report, run_all
 
 from figdata import FIG8
 
@@ -176,6 +177,9 @@ def test_verify_run_is_byte_identical(capsys):
     _, out2, _ = run(capsys, ["verify", "cycles", "--seed", "5"])
     assert out1 == out2
     assert "PASS" in out1
+    code, out, _ = run(capsys, ["verify", "all", "--seed", "7"])
+    assert code == 0
+    assert out == render_report(run_all(seed=7)) + "\n"
 
 
 def test_output_flag_writes_file(tmp_path, capsys):
@@ -200,3 +204,62 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert code == 0
     assert "0,0,0,1,1,2,3,4,4" in out
     assert "8,8,9,9,10,11,12,12" not in out
+
+
+def test_verify_choices_are_the_suite_registry():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert sorted(suite.choices) == sorted(list(SUITES) + ["all"])
+
+
+def test_verify_all_passes_qmax_to_theorem3(capsys):
+    code, out, _ = run(capsys, ["verify", "all", "--qmax", "8"])
+    assert code == 0
+    assert len([l for l in out.splitlines() if "k-sequence" in l]) == 1
+    assert "0 <= q <= 0" in out
+
+
+def test_output_io_error_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, ["classify", "1", "3", "--output", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["spinor", "--samples", "-3"],
+    ["qubit", "--samples", "0"],
+    ["verify", "theorem3", "--qmax", "3"],
+])
+def test_nothing_checked_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert "PASS" not in out
+    assert err.startswith("error: ")
+
+
+def test_config_samples_are_validated(tmp_path, capsys):
+    cfg = tmp_path / "cl8.cfg"
+    cfg.write_text("samples=0\n")
+    code, out, err = run(capsys, ["qubit", "--config", str(cfg)])
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_twistor_rejects_non_finite_input():
+    with pytest.raises(SystemExit) as exc:
+        main(["twistor", "--x", "nan,0,0,0", "--format", "json"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "1", "3", "--seed", "5"],
+    ["chessboard", "--samples", "3"],
+    ["verify", "cycles", "--samples", "3"],
+])
+def test_seed_and_samples_only_on_sampled_commands(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -5,10 +5,12 @@ import pytest
 
 from cl8.pauli import (
     SIGMA,
+    bloch_roundtrip_check,
     bloch_vector,
     density_from_bloch,
     herm_to_vector,
     lorentz_norm,
+    null_outer_defects,
     purity,
     qubit_density,
     random_sl2,
@@ -211,3 +213,28 @@ def test_double_cover_report():
     assert report["passed"] is True
     assert report["checked"] == 50
     assert report["max_norm_drift"] < 1e-9
+
+
+def test_null_outer_defects_take_a_seed_or_a_generator():
+    first = null_outer_defects(4, 10)
+    assert first[0] < 1e-12 and first[1] < 1e-12
+    rng = np.random.default_rng(4)
+    assert null_outer_defects(rng, 10) == first
+    # the generator is advanced in place, so a second call draws new samples
+    assert null_outer_defects(rng, 10) != first
+
+
+def test_bloch_roundtrip_report():
+    report = bloch_roundtrip_check(samples=20, seed=9)
+    assert report["passed"] is True
+    assert report["checked"] == 20
+    assert report["max_roundtrip_defect"] < 1e-12
+    assert report["max_purity_defect"] < 1e-12
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_checks_refuse_empty_samples(samples):
+    with pytest.raises(ValueError):
+        null_outer_defects(0, samples)
+    with pytest.raises(ValueError):
+        bloch_roundtrip_check(samples=samples)

@@ -17,6 +17,7 @@ from cl8.periodicity import (
     clock_json,
     clock_text,
     fractal_dimension,
+    k_sequences,
     verify_theorem3,
 )
 
@@ -130,6 +131,13 @@ def test_theorem3_k_sequences_frozen():
         assert primitive_idempotent(0, q).k == q - radon_hurwitz(q)
 
 
+def test_k_sequences_need_a_full_cycle():
+    assert k_sequences(8) == [K_SEQUENCES[0][2]]
+    assert k_sequences(23) == [seq for _, _, seq in K_SEQUENCES[:2]]
+    with pytest.raises(ValueError):
+        k_sequences(7)
+
+
 def test_theorem3_shift_law():
     report = verify_theorem3(64)
     assert report["passed"] is True
@@ -174,6 +182,8 @@ def test_board_json_round_trip():
     assert by_pq[(1, 0)]["simple"] is False
     # stable key order inside each record
     assert list(cells[0].keys()) == ["p", "q", "type", "ring", "simple"]
+    with pytest.raises(ValueError, match="order <= 3"):
+        board_json(chessboard(4))
 
 
 def test_clock_renders():
