@@ -5,13 +5,20 @@ stands for the generator e_{i+1}. Generators e_1 .. e_p square to +1 and
 e_{p+1} .. e_{p+q} square to -1. Coefficients are Fractions for a real
 signature and GaussianRationals (pairs of Fractions) once the algebra is
 complexified, so every product in this module is exact.
+
+One sign rule serves every algebra in the package: e_a e_b equals
+(-1)^popcount(a & F(b)) e_(a^b), where bit i of F(b) is the parity of the
+generators of b below generator i, XORed with whether b holds generator i
+and it squares to -1. A descriptor with a nonzero `cuts` mask (a tensor
+product, see `cl8.tensoriso.ProductAlgebra`) counts that parity only inside
+the block of i, so generators in different blocks commute. F(b) is
+recomputed per product; there is no sign cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 
 class GaussianRational:
@@ -120,9 +127,12 @@ class Signature:
     q: int
     complexified: bool = False
 
+    cuts = 0  # one block: every pair of distinct generators anticommutes
+
     def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise ValueError(f"invalid signature ({self.p}, {self.q})")
+        for v in (self.p, self.q):
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise ValueError(f"invalid signature ({self.p!r}, {self.q!r})")
 
     @property
     def n(self) -> int:
@@ -133,17 +143,19 @@ class Signature:
         return ((1 << self.q) - 1) << self.p
 
 
-@lru_cache(maxsize=None)
-def _product_sign(a: int, b: int, minus_mask: int) -> int:
-    # count the transpositions needed to interleave the two index lists,
-    # then the metric signs from the squared common generators
-    swaps = 0
-    x = a >> 1
-    while x:
-        swaps += (x & b).bit_count()
-        x >>= 1
-    swaps += (a & b & minus_mask).bit_count()
-    return -1 if swaps & 1 else 1
+def _sign_flips(b: int, sig) -> int:
+    """F(b): e_a e_b has sign (-1)^popcount(a & F(b)).
+
+    A prefix parity of b << 1 by doubling shifts, restarted at each cut,
+    XORed with b's generators that square to -1."""
+    cuts = sig.cuts
+    x = (b << 1) & ~cuts
+    shift = 1
+    while shift < sig.n:
+        x ^= (x << shift) & ~cuts
+        cuts |= cuts << shift
+        shift <<= 1
+    return x ^ (b & sig.minus_mask)
 
 
 def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
@@ -151,7 +163,7 @@ def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
     top = 1 << sig.n
     if not (0 <= a < top and 0 <= b < top):
         raise ValueError(f"blade mask out of range for Cl({sig.p},{sig.q})")
-    return _product_sign(a, b, sig.minus_mask), a ^ b
+    return (-1 if (a & _sign_flips(b, sig)).bit_count() & 1 else 1), a ^ b
 
 
 def _coerce_coeff(sig: Signature, value):
@@ -171,7 +183,10 @@ def _coerce_coeff(sig: Signature, value):
 
 
 class MV:
-    """Sparse multivector: dict from blade bitmask to exact coefficient."""
+    """Sparse multivector: dict from blade bitmask to exact coefficient.
+
+    `sig` is a Signature or any descriptor with the same `n`,
+    `minus_mask`, `cuts` and `complexified` fields."""
 
     __slots__ = ("sig", "terms")
 
@@ -229,7 +244,7 @@ class MV:
                 out[mask] = nv
             else:
                 out.pop(mask, None)
-        return MV(self.sig, out)
+        return type(self)(self.sig, out)
 
     def __sub__(self, other):
         if not isinstance(other, MV):
@@ -237,19 +252,19 @@ class MV:
         return self + (-other)
 
     def __neg__(self):
-        return MV(self.sig, {m: -c for m, c in self.terms.items()})
+        return type(self)(self.sig, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, MV):
             self._check_sig(other)
             out = {}
-            minus = self.sig.minus_mask
+            sig = self.sig
+            right = [(b, cb, _sign_flips(b, sig)) for b, cb in other.terms.items()]
             for a, ca in self.terms.items():
-                for b, cb in other.terms.items():
-                    sign = _product_sign(a, b, minus)
+                for b, cb, flips in right:
                     mask = a ^ b
                     c = ca * cb
-                    if sign < 0:
+                    if (a & flips).bit_count() & 1:
                         c = -c
                     cur = out.get(mask)
                     nv = c if cur is None else cur + c
@@ -257,16 +272,16 @@ class MV:
                         out[mask] = nv
                     else:
                         out.pop(mask, None)
-            return MV(self.sig, out)
+            return type(self)(sig, out)
         if isinstance(other, (int, Fraction, GaussianRational)):
             c0 = _coerce_coeff(self.sig, other)
-            return MV(self.sig, {m: c * c0 for m, c in self.terms.items()})
+            return type(self)(self.sig, {m: c * c0 for m, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             c0 = _coerce_coeff(self.sig, other)
-            return MV(self.sig, {m: c0 * c for m, c in self.terms.items()})
+            return type(self)(self.sig, {m: c0 * c for m, c in self.terms.items()})
         return NotImplemented
 
     def __eq__(self, other):

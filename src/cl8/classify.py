@@ -44,8 +44,7 @@ class AlgebraClass:
 
 def algebra_type(p: int, q: int) -> AlgebraClass:
     """Classification record for Cl(p, q) from the mod-8 type."""
-    if p < 0 or q < 0:
-        raise ValueError(f"invalid signature ({p}, {q})")
+    Signature(p, q)  # rejects negative, non-int and bool fields
     n = p + q
     t = (p - q) % 8
     ring = _RING_OF_TYPE[t]

@@ -1,7 +1,7 @@
 """Exact linear algebra over Q or Q(i) for sparse vectors keyed by hashable labels.
 
-Vectors are plain dicts mapping a key (blade mask, tuple of masks, or any
-orderable label) to a Fraction or GaussianRational coefficient. Rank and
+Vectors are plain dicts mapping a key (a blade mask or any orderable
+label) to a Fraction or GaussianRational coefficient. Rank and
 coordinate solves run by incremental Gaussian elimination with no floating
 point anywhere.
 """

@@ -12,13 +12,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import (
     MV,
     GaussianRational,
     Signature,
-    blade_product,
     omega_square,
     volume_element,
 )
@@ -31,7 +29,15 @@ from .linalg import rank_of
 
 
 class ProductAlgebra:
-    """Tensor product of Clifford algebras; graded=True applies the Koszul sign."""
+    """Tensor product of Clifford algebras, as the descriptor an `MV` takes.
+
+    A tensor blade is one int mask: factor i's mask shifted left by the
+    generator count of the factors before it. graded=True is then exactly
+    the Clifford algebra on the concatenated generators (the Koszul sign
+    is the cost of moving a generator past the later factors); with
+    graded=False a cut at each later factor's offset makes generators in
+    different factors commute.
+    """
 
     def __init__(self, sigs, graded: bool = False):
         self.sigs = tuple(sigs)
@@ -39,6 +45,16 @@ class ProductAlgebra:
             raise ValueError("need at least one factor")
         self.graded = bool(graded)
         self.complexified = any(s.complexified for s in self.sigs)
+        offsets = []
+        n = minus = cuts = 0
+        for s in self.sigs:
+            offsets.append(n)
+            if n and not self.graded:
+                cuts |= 1 << n
+            minus |= s.minus_mask << n
+            n += s.n
+        self.offsets = tuple(offsets)
+        self.n, self.minus_mask, self.cuts = n, minus, cuts
 
     def __eq__(self, other):
         if not isinstance(other, ProductAlgebra):
@@ -48,133 +64,34 @@ class ProductAlgebra:
     def __hash__(self):
         return hash((self.sigs, self.graded))
 
-    def _coerce(self, value):
-        if self.complexified:
-            if isinstance(value, GaussianRational):
-                return value
-            return GaussianRational(value, 0)
-        if isinstance(value, GaussianRational):
-            if value.im != 0:
-                raise ValueError("imaginary coefficient in a real tensor product")
-            return value.re
-        return Fraction(value)
-
-    def zero(self) -> "TensorMV":
-        return TensorMV(self, {})
-
     def scalar(self, value) -> "TensorMV":
-        return TensorMV(self, {(0,) * len(self.sigs): value})
+        return TensorMV(self, {0: value})
 
     def blade(self, masks, coeff=1) -> "TensorMV":
         masks = tuple(masks)
         if len(masks) != len(self.sigs):
             raise ValueError(f"expected {len(self.sigs)} masks, got {len(masks)}")
-        for m, s in zip(masks, self.sigs):
+        mask = 0
+        for m, s, off in zip(masks, self.sigs, self.offsets):
             if not 0 <= m < (1 << s.n):
                 raise ValueError(f"mask {m:#x} out of range for factor Cl({s.p},{s.q})")
-        return TensorMV(self, {masks: coeff})
+            mask |= m << off
+        return TensorMV(self, {mask: coeff})
+
+    def split(self, mask: int) -> tuple:
+        """The per-factor masks of a concatenated blade mask."""
+        return tuple(mask >> off & ((1 << s.n) - 1) for s, off in zip(self.sigs, self.offsets))
 
 
-class TensorMV:
-    """Element of a ProductAlgebra: dict from mask tuples to coefficients."""
+class TensorMV(MV):
+    """Element of a ProductAlgebra: an MV over concatenated blade masks.
 
-    __slots__ = ("pa", "terms")
+    It adds nothing to MV; the separate class keeps tensor products
+    distinguishable for span tracing (`perfbench/spans.py` wraps its
+    `__mul__` as `tensoriso.tensor_mul`).
+    """
 
-    def __init__(self, pa: ProductAlgebra, terms=None):
-        object.__setattr__(self, "pa", pa)
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                cc = pa._coerce(c)
-                if cc:
-                    clean[key] = cc
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorMV is immutable")
-
-    def _check(self, other):
-        if self.pa != other.pa:
-            raise ValueError("tensor algebra mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, TensorMV):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            cur = out.get(key)
-            nv = c if cur is None else cur + c
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-        return TensorMV(self.pa, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorMV):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorMV(self.pa, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, TensorMV):
-            self._check(other)
-            pa = self.pa
-            sigs = pa.sigs
-            width = len(sigs)
-            out = {}
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    sign = 1
-                    if pa.graded:
-                        # Koszul: each factor of b hops over the later factors of a
-                        swaps = 0
-                        for i in range(width - 1):
-                            if kb[i].bit_count() % 2:
-                                for j in range(i + 1, width):
-                                    swaps += ka[j].bit_count()
-                        if swaps % 2:
-                            sign = -sign
-                    key = []
-                    for s, a, b in zip(sigs, ka, kb):
-                        s2, m = blade_product(a, b, s)
-                        sign *= s2
-                        key.append(m)
-                    key = tuple(key)
-                    c = ca * cb
-                    if sign < 0:
-                        c = -c
-                    cur = out.get(key)
-                    nv = c if cur is None else cur + c
-                    if nv:
-                        out[key] = nv
-                    else:
-                        out.pop(key, None)
-            return TensorMV(pa, out)
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c0 = self.pa._coerce(other)
-            return TensorMV(self.pa, {k: c * c0 for k, c in self.terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c0 = self.pa._coerce(other)
-            return TensorMV(self.pa, {k: c0 * c for k, c in self.terms.items()})
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorMV):
-            return NotImplemented
-        return self.pa == other.pa and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"TensorMV({len(self.terms)} terms)"
+    __slots__ = ()
 
 
 # --------------------------------------------------------------------------
@@ -193,12 +110,6 @@ class GeneratorMap:
     rank: int
     certified: bool
     construction: str | None = None
-
-
-def _one_like(x):
-    if isinstance(x, TensorMV):
-        return x.pa.scalar(1)
-    return MV.scalar(x.sig, 1)
 
 
 def _square_sign(img, one):
@@ -232,7 +143,7 @@ def _subset_product_rank(images, one) -> int:
 def _certify(images, expected_squares, expected_rank):
     if not images:
         return [], expected_rank == 1, 1
-    one = _one_like(images[0])
+    one = type(images[0])(images[0].sig, {0: 1})
     squares = [_square_sign(img, one) for img in images]
     ok = (
         squares == list(expected_squares)
@@ -251,12 +162,21 @@ def _signature_pattern(p, q):
 # --------------------------------------------------------------------------
 
 
+# the largest total generator count a tensor certificate will rank: the
+# subset-product rank eliminates 2^n vectors of up to 2^n terms
+MAX_TENSOR_N = 10
+
+
+def _check_tensor_size(pq_a, pq_b):
+    if sum(pq_a) + sum(pq_b) > MAX_TENSOR_N:
+        raise ValueError("total dimension too large for exact rank certification")
+
+
 def graded_tensor_check(pq_a, pq_b) -> GeneratorMap:
     """Cl(p,q) graded-tensor Cl(p',q') realizes Cl(p+p', q+q')."""
     pa_, qa = pq_a
     pb, qb = pq_b
-    if pa_ + qa + pb + qb > 10:
-        raise ValueError("total dimension too large for exact rank certification")
+    _check_tensor_size(pq_a, pq_b)
     sig_a, sig_b = Signature(pa_, qa), Signature(pb, qb)
     pa = ProductAlgebra((sig_a, sig_b), graded=True)
     plus_images = [pa.blade((1 << i, 0)) for i in range(pa_)]
@@ -287,6 +207,7 @@ def karoubi_check(pq_a, pq_b) -> GeneratorMap:
     """
     pa_, qa = pq_a
     pb, qb = pq_b
+    _check_tensor_size(pq_a, pq_b)
     sig_a, sig_b = Signature(pa_, qa), Signature(pb, qb)
     if sig_a.n % 2 != 0:
         raise ValueError("first factor must have an even number of generators")
@@ -696,12 +617,12 @@ def generator_map_json(rep: GeneratorMap) -> str:
     """Sparse JSON dump of a witness for external audit."""
     images = []
     for img in rep.images:
-        terms = img.terms
-        if isinstance(img, TensorMV):
-            entries = [[list(k), _coeff_json(c)] for k, c in sorted(terms.items())]
+        if isinstance(img.sig, ProductAlgebra):
+            # the per-factor mask tuples, in tuple order
+            terms = sorted((list(img.sig.split(k)), c) for k, c in img.terms.items())
         else:
-            entries = [[k, _coeff_json(c)] for k, c in sorted(terms.items())]
-        images.append(entries)
+            terms = sorted(img.terms.items())
+        images.append([[k, _coeff_json(c)] for k, c in terms])
     return json.dumps({
         "target_sig": list(rep.target_sig),
         "construction": rep.construction,

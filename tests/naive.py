@@ -154,3 +154,32 @@ def naive_multivector_mul(x, y, p):
             s, r = naive_blade_product(a, b, p)
             out[r] = out.get(r, Fraction(0)) + s * ca * cb
     return {k: v for k, v in out.items() if v != 0}
+
+
+def naive_tensor_product(x, y, factors, graded):
+    """Multiply two tensor elements given as {(indices_1, ..., indices_k): coeff}.
+
+    factors lists each factor's (p, q). Each factor multiplies on its own
+    with naive_blade_product. When graded, every generator of y's factor i
+    also hops over each generator of x in a later factor j > i, one sign
+    flip per hop, counted over explicit (factor, generator) lists.
+    """
+    out = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            sign = 1
+            key = []
+            for (p, _), ai, bi in zip(factors, a, b):
+                s, r = naive_blade_product(ai, bi, p)
+                sign *= s
+                key.append(r)
+            if graded:
+                a_gens = [(j, g) for j, blade in enumerate(a) for g in blade]
+                b_gens = [(i, g) for i, blade in enumerate(b) for g in blade]
+                for i, _ in b_gens:
+                    for j, _ in a_gens:
+                        if j > i:
+                            sign = -sign
+            key = tuple(key)
+            out[key] = out.get(key, 0) + sign * ca * cb
+    return {k: v for k, v in out.items() if v != 0}

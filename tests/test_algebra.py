@@ -210,6 +210,12 @@ def test_real_signature_rejects_imaginary_coefficients():
         MV.blade(sig, 0b01, GaussianRational(0, 1))
 
 
+@pytest.mark.parametrize("p,q", [(1.5, 2), (2, 1.0), (True, 2), (1, False), ("1", 2), (-1, 0)])
+def test_signature_fields_are_nonnegative_ints(p, q):
+    with pytest.raises(ValueError):
+        Signature(p, q)
+
+
 def test_grade_parts():
     sig = Signature(2, 0)
     x = MV.scalar(sig, 3) + MV.generator(sig, 1) + MV.blade(sig, 0b11, 7)

@@ -58,6 +58,12 @@ def test_algebra_type_rings(pq, ring):
     assert info.simple == (info.type_mod8 not in (1, 5))
 
 
+@pytest.mark.parametrize("p,q", [(True, 2), (2, False), (1.5, 2), (2, 2.0), (-1, 3)])
+def test_algebra_type_rejects_non_int_fields(p, q):
+    with pytest.raises(ValueError):
+        algebra_type(p, q)
+
+
 RANK_TABLE = [
     ((1, 3), 2), ((3, 1), 4), ((4, 1), 4), ((2, 4), 4),
     ((0, 7), 8), ((2, 0), 2), ((0, 2), 1), ((9, 0), 16),

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cl8.algebra import MV, Signature
+from cl8.algebra import MV, GaussianRational, Signature
 from cl8.tensoriso import (
+    MAX_TENSOR_N,
     ProductAlgebra,
     block_matrix_form,
     complex_tensor_check,
@@ -15,6 +17,8 @@ from cl8.tensoriso import (
     phi_psi_factorization,
     spin24_chain,
 )
+
+from naive import naive_tensor_product
 
 
 def test_graded_product_koszul_sign():
@@ -30,6 +34,76 @@ def test_ungraded_product_has_no_koszul_sign():
     x = pa.blade((0b1, 0b0))
     y = pa.blade((0b0, 0b1))
     assert x * y == y * x
+
+
+def test_tensor_coefficients_are_exact():
+    pa = ProductAlgebra((Signature(1, 0), Signature(0, 1)))
+    for bad in (0.1, "1/3"):
+        with pytest.raises(TypeError):
+            pa.blade((1, 0), bad)
+        with pytest.raises(TypeError):
+            pa.scalar(bad)
+        with pytest.raises(TypeError):
+            pa.blade((1, 0)) * bad
+    assert pa.blade((1, 0), Fraction(1, 3)).terms == {0b01: Fraction(1, 3)}
+    cpa = ProductAlgebra((Signature(1, 0, complexified=True), Signature(0, 1)))
+    with pytest.raises(TypeError):
+        cpa.blade((1, 0), 0.5)
+
+
+def test_tensor_blades_concatenate_factor_masks():
+    pa = ProductAlgebra((Signature(1, 1), Signature(2, 0), Signature(0, 1)))
+    assert (pa.n, pa.minus_mask, pa.cuts) == (5, 0b10010, 0b10100)
+    x = pa.blade((0b10, 0b01, 0b1), 3)
+    assert x.terms == {0b10110: 3}
+    assert pa.split(0b10110) == (0b10, 0b01, 0b1)
+    assert ProductAlgebra(pa.sigs, graded=True).cuts == 0
+    with pytest.raises(ValueError):
+        pa.blade((0b100, 0, 0))
+    with pytest.raises(ValueError):
+        pa.blade((0, 0))
+
+
+FACTOR_SIGS = [(p, q) for p in range(3) for q in range(3) if p + q <= 2]
+
+
+@st.composite
+def tensor_operands(draw):
+    factors = draw(st.lists(st.sampled_from(FACTOR_SIGS), min_size=2, max_size=3))
+    complexified = draw(st.booleans())
+    graded = draw(st.booleans())
+    coeff = st.integers(-3, 3)
+    if complexified:
+        coeff = st.builds(GaussianRational, coeff, coeff)
+    blade = st.tuples(*(st.integers(0, (1 << (p + q)) - 1) for p, q in factors))
+    terms = st.lists(st.tuples(blade, coeff), max_size=4)
+    return factors, complexified, graded, draw(terms), draw(terms)
+
+
+def _indices(mask):
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tensor_operands())
+def test_tensor_product_matches_naive(case):
+    factors, complexified, graded, ta, tb = case
+    sigs = [Signature(p, q, complexified) for p, q in factors]
+    pa = ProductAlgebra(sigs, graded=graded)
+    x, y = pa.scalar(0), pa.scalar(0)
+    naive_x, naive_y = {}, {}
+    for masks, c in ta:
+        x = x + pa.blade(masks, c)
+        key = tuple(_indices(m) for m in masks)
+        naive_x[key] = naive_x.get(key, 0) + c
+    for masks, c in tb:
+        y = y + pa.blade(masks, c)
+        key = tuple(_indices(m) for m in masks)
+        naive_y[key] = naive_y.get(key, 0) + c
+    got = x * y
+    assert type(got) is type(x)
+    got_dict = {tuple(_indices(m) for m in pa.split(k)): c for k, c in got.terms.items()}
+    assert got_dict == naive_tensor_product(naive_x, naive_y, factors, graded)
 
 
 def test_graded_tensor_check_basic():
@@ -72,6 +146,16 @@ def test_karoubi_negative_case_flips_second_signature():
 def test_karoubi_requires_even_first_factor():
     with pytest.raises(ValueError):
         karoubi_check((1, 0), (1, 1))
+
+
+def test_tensor_checks_share_one_size_bound():
+    # (6, 6) x (0, 1) has 13 generators: refused before any product is formed
+    with pytest.raises(ValueError, match="too large"):
+        karoubi_check((6, 6), (0, 1))
+    with pytest.raises(ValueError, match="too large"):
+        graded_tensor_check((6, 4), (0, 1))
+    assert MAX_TENSOR_N == 10
+    assert karoubi_check((4, 4), (2, 0)).rank == 1 << MAX_TENSOR_N
 
 
 @pytest.mark.parametrize("m,rank", [(1, 4), (2, 16), (3, 64)])
