@@ -95,11 +95,18 @@ def _blades_commute(a: int, b: int) -> bool:
     return ((a.bit_count() * b.bit_count()) - (a & b).bit_count()) % 2 == 0
 
 
-def _gf2_independent(mask: int, reduced: list) -> bool:
-    x = mask
-    for r in reduced:
-        x = min(x, x ^ r)
-    return x != 0
+def _blade_order(n: int) -> list:
+    """Every blade mask of an n-generator algebra, in (grade, mask) order."""
+    return sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+
+
+def _gf2_span(masks) -> list:
+    """The XOR of each of the 2^len(masks) subsets of masks: the GF(2) span,
+    without repeats when the masks are independent."""
+    span = [0]
+    for m in masks:
+        span += [s ^ m for s in span]
+    return span
 
 
 def _group_closure_order(generators: list, sig: Signature) -> int:
@@ -118,39 +125,41 @@ def _group_closure_order(generators: list, sig: Signature) -> int:
     return len(elems)
 
 
-@lru_cache(maxsize=None)
+#: Largest p + q accepted by primitive_idempotent, and so by
+#: division_ring_of and minimal_left_ideal: their scans walk all 2^(p+q)
+#: blade masks. 16 admits the full mod-8 period p + q <= 15.
+MAX_IDEMPOTENT_N = 16
+
+
+@lru_cache(maxsize=128)
 def primitive_idempotent(p: int, q: int) -> IdempotentData:
     """Greedy construction of f = prod (1 + e_T)/2 over k commuting blades.
 
     k = q - r_{q-p}. The scan walks every blade mask in (grade, mask) order
     and keeps those that square to +1, commute with everything already kept,
     and are independent over GF(2), so the 2^k subset products are distinct.
-    Practical for p + q up to a dozen or so; the big-q periodicity claims are
-    arithmetic and never call this.
+    p + q is refused above MAX_IDEMPOTENT_N before anything is allocated;
+    the big-q periodicity claims are arithmetic and never call this.
     """
     sig = Signature(p, q)
-    k = q - radon_hurwitz(q - p)
     n = p + q
+    if n > MAX_IDEMPOTENT_N:
+        raise ValueError(f"p + q = {n} exceeds MAX_IDEMPOTENT_N = {MAX_IDEMPOTENT_N}")
+    k = q - radon_hurwitz(q - p)
     kept = []
-    reduced = []
+    span = {0}
     if k > 0:
-        order = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
-        for mask in order:
+        for mask in _blade_order(n)[1:]:
             if len(kept) == k:
                 break
             if _blade_square_sign(mask, sig) != 1:
                 continue
             if not all(_blades_commute(mask, g) for g in kept):
                 continue
-            if not _gf2_independent(mask, reduced):
+            if mask in span:
                 continue
             kept.append(mask)
-            # keep the reduction list in echelon form
-            x = mask
-            for r in reduced:
-                x = min(x, x ^ r)
-            reduced.append(x)
-            reduced.sort(reverse=True)
+            span = set(_gf2_span(kept))
         if len(kept) != k:
             raise RuntimeError(
                 f"no commuting square-+1 blade set of size {k} in Cl({p},{q})"
@@ -172,13 +181,39 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
 # --------------------------------------------------------------------------
 
 
-def _span_of_corner(f: MV, sig: Signature):
-    """Representative multivectors spanning f * Cl(p,q) * f."""
+def _coset_transversal(data: IdempotentData):
+    """The first blade mask of each coset of the generators' GF(2) span,
+    in (grade, mask) order.
+
+    e_T f = f for every generator T, and e_A e_T = +-e_(A^T), so e_A f is
+    the same up to sign for every A in one coset.
+    """
+    span = _gf2_span(data.generators)
+    covered = set()
+    for mask in _blade_order(data.sig.n):
+        if mask not in covered:
+            covered.update(mask ^ s for s in span)
+            yield mask
+
+
+def _span_of_corner(data: IdempotentData):
+    """Representative multivectors spanning f * Cl(p,q) * f.
+
+    If e_A anticommutes with a generator e_T of f, then
+    (1 + e_T) e_A (1 + e_T) = e_A (1 - e_T)(1 + e_T) = 0, so f e_A f = 0.
+    If e_A commutes with every generator, f e_A f = e_A f f = e_A f.
+    Commuting with the generators holds for a whole coset or for none of
+    it, so one product e_A f per commuting coset gives the same reps, in
+    the same order, as f e_A f over all 2^n blades.
+    """
+    f, sig = data.f, data.sig
     basis = SpanBasis()
     reps = []
-    for mask in sorted(range(1 << sig.n), key=lambda m: (m.bit_count(), m)):
-        x = f * MV.blade(sig, mask) * f
-        if x and basis.add(x.terms):
+    for mask in _coset_transversal(data):
+        if not all(_blades_commute(mask, g) for g in data.generators):
+            continue
+        x = MV.blade(sig, mask) * f
+        if basis.add(x.terms):
             reps.append(x)
         if basis.rank > 4:
             raise RuntimeError(
@@ -231,7 +266,7 @@ def _certify_corner(reps, f: MV):
     raise RuntimeError(f"corner algebra dimension {dim} is not 1, 2, or 4")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def division_ring_of(p: int, q: int) -> tuple:
     """(dim of f*A*f, ring label), certified by exact computation.
 
@@ -242,8 +277,9 @@ def division_ring_of(p: int, q: int) -> tuple:
     """
     sig = Signature(p, q)
     info = algebra_type(p, q)
-    f = primitive_idempotent(p, q).f
-    reps = _span_of_corner(f, sig)
+    data = primitive_idempotent(p, q)
+    f = data.f
+    reps = _span_of_corner(data)
     dim, ring = _certify_corner(reps, f)
     if info.simple:
         return dim, ring
@@ -277,14 +313,20 @@ def division_ring_of(p: int, q: int) -> tuple:
 
 
 def minimal_left_ideal(p: int, q: int):
-    """Spanning set for Cl(p,q) * f and its dimension 2^n / 2^k."""
+    """Spanning set for Cl(p,q) * f and its dimension 2^n / 2^k.
+
+    e_A f is the same up to sign across a coset of the generators' GF(2)
+    span, so one product per coset (the first blade of each in (grade, mask)
+    order) gives the same reps as e_A f over all 2^n blades. The SpanBasis
+    still checks that the 2^(n-k) products are independent.
+    """
     sig = Signature(p, q)
     data = primitive_idempotent(p, q)
     basis = SpanBasis()
     reps = []
-    for mask in sorted(range(1 << sig.n), key=lambda m: (m.bit_count(), m)):
+    for mask in _coset_transversal(data):
         x = MV.blade(sig, mask) * data.f
-        if x and basis.add(x.terms):
+        if basis.add(x.terms):
             reps.append(x)
     expected = (1 << (p + q)) >> data.k
     if len(reps) != expected:

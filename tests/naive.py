@@ -2,11 +2,17 @@
 
 Everything in here is deliberately written the slow, obvious way (index
 lists, bubble sorts, exhaustive searches) so that it shares no code and
-no clever tricks with the package under test.
+no clever tricks with the package under test. The one exception is the
+pair of full 2^n blade scans for the corner f*Cl*f and the ideal Cl*f:
+they use the package's MV product and SpanBasis, and stand in for the
+commutant and coset shortcuts that cl8.classify takes.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+
+from cl8.algebra import MV
+from cl8.linalg import SpanBasis
 
 
 def naive_blade_product(a, b, p):
@@ -119,6 +125,27 @@ def naive_idempotent_generators(p, q, k):
         kept.append(idx)
         kept_masks.append(m)
     return kept if len(kept) == k else None
+
+
+def _masks_by_grade(n):
+    return sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
+
+
+def _new_to_span(products):
+    basis = SpanBasis()
+    return [x for x in products if x and basis.add(x.terms)]
+
+
+def naive_corner_reps(f, sig):
+    """The spanning set of f * Cl * f from f * e_A * f over all 2^n blades,
+    in (grade, mask) order, keeping each product that is new to the span."""
+    return _new_to_span(f * MV.blade(sig, m) * f for m in _masks_by_grade(sig.n))
+
+
+def naive_left_ideal_reps(f, sig):
+    """The spanning set of Cl * f from e_A * f over all 2^n blades, in
+    (grade, mask) order, keeping each product that is new to the span."""
+    return _new_to_span(MV.blade(sig, m) * f for m in _masks_by_grade(sig.n))
 
 
 def stars_and_bars_degree(k, r):

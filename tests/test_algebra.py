@@ -193,6 +193,12 @@ def test_gaussian_rational_arithmetic():
     assert w.conjugate() == GaussianRational(2, 1)
 
 
+@pytest.mark.parametrize("re,im", [(0.1, 0), (0, 0.5), ("1/3", 0), (0, "1"), (None, 0)])
+def test_gaussian_rational_parts_are_exact(re, im):
+    with pytest.raises(TypeError):
+        GaussianRational(re, im)
+
+
 def test_complexified_signature_multivectors():
     sig = Signature(1, 3, complexified=True)
     i = GaussianRational(0, 1)

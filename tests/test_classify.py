@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from cl8.algebra import MV, GaussianRational, Signature, involute
 from cl8.classify import (
+    MAX_IDEMPOTENT_N,
+    _blades_commute,
+    _span_of_corner,
     algebra_type,
     formal_dimension_identity,
     dirac_from_hestenes,
@@ -17,7 +20,13 @@ from cl8.classify import (
     radon_hurwitz,
 )
 
-from naive import naive_idempotent_generators, radon_hurwitz_reference, ring_from_type
+from naive import (
+    naive_corner_reps,
+    naive_idempotent_generators,
+    naive_left_ideal_reps,
+    radon_hurwitz_reference,
+    ring_from_type,
+)
 
 
 RH_BASE = [0, 1, 2, 2, 3, 3, 3, 3]
@@ -117,8 +126,6 @@ def test_idempotent_generator_masks(pq, gens):
 @pytest.mark.parametrize("p", range(8))
 @pytest.mark.parametrize("q", range(8))
 def test_idempotent_is_idempotent(p, q):
-    if p + q > 7:
-        pytest.skip("covered by the acceptance sweep")
     sig = Signature(p, q)
     data = primitive_idempotent(p, q)
     f = data.f
@@ -153,11 +160,54 @@ def test_division_ring_frozen(pq, expected):
 @pytest.mark.parametrize("p", range(7))
 @pytest.mark.parametrize("q", range(7))
 def test_division_ring_consistent_with_type(p, q):
-    if p + q > 6:
-        pytest.skip("covered by the acceptance sweep")
     dim, ring = division_ring_of(p, q)
     assert ring == algebra_type(p, q).ring
     assert dim == {"R": 1, "C": 2, "H": 4, "R+R": 1, "H+H": 4}[ring]
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_division_ring_past_nine_generators(n):
+    for p in range(n + 1):
+        q = n - p
+        dim, ring = division_ring_of(p, q)
+        assert ring == ring_from_type((p - q) % 8), (p, q)
+        assert dim == {"R": 1, "C": 2, "H": 4, "R+R": 1, "H+H": 4}[ring]
+
+
+SIGS_TO_7 = [(p, n - p) for n in range(8) for p in range(n + 1)]
+
+
+@pytest.mark.parametrize("p,q", SIGS_TO_7)
+def test_corner_and_ideal_reps_match_full_scan(p, q):
+    data = primitive_idempotent(p, q)
+    sig = Signature(p, q)
+    assert _span_of_corner(data) == naive_corner_reps(data.f, sig)
+    assert minimal_left_ideal(p, q)[0] == naive_left_ideal_reps(data.f, sig)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_corner_of_a_blade_is_zero_or_blade_times_f(data):
+    n = data.draw(st.integers(min_value=0, max_value=6))
+    p = data.draw(st.integers(min_value=0, max_value=n))
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    idem = primitive_idempotent(p, n - p)
+    f, e = idem.f, MV.blade(idem.sig, mask)
+    if all(_blades_commute(mask, g) for g in idem.generators):
+        assert f * e * f == e * f
+    else:
+        assert not f * e * f
+
+
+def test_idempotent_size_and_caches_are_bounded():
+    with pytest.raises(ValueError, match="MAX_IDEMPOTENT_N"):
+        primitive_idempotent(0, MAX_IDEMPOTENT_N + 1)
+    with pytest.raises(ValueError, match="MAX_IDEMPOTENT_N"):
+        division_ring_of(MAX_IDEMPOTENT_N + 1, 0)
+    with pytest.raises(ValueError, match="MAX_IDEMPOTENT_N"):
+        minimal_left_ideal(9, 9)
+    assert primitive_idempotent.cache_info().maxsize == 128
+    assert division_ring_of.cache_info().maxsize == 128
 
 
 IDEAL_DIMS = [((1, 3), 8), ((0, 2), 4), ((4, 1), 8), ((2, 0), 2), ((3, 1), 4)]

@@ -228,6 +228,14 @@ def test_output_io_error_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_idempotent_size_is_bounded(capsys):
+    code, out, err = run(capsys, ["idempotent", "0", "17"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "MAX_IDEMPOTENT_N" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["spinor", "--samples", "-3"],
     ["qubit", "--samples", "0"],
