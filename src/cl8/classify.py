@@ -29,6 +29,8 @@ def radon_hurwitz(i: int) -> int:
 
 
 _RING_OF_TYPE = {0: "R", 1: "R+R", 2: "R", 3: "C", 4: "H", 5: "H+H", 6: "H", 7: "C"}
+# generators the ring and the center use up: matrix rank = 2^((n - drop) / 2)
+_RANK_DROP = {0: 0, 1: 1, 2: 0, 3: 1, 4: 2, 5: 3, 6: 2, 7: 1}
 _DIM_K = {"R": 1, "C": 2, "H": 4, "R+R": 1, "H+H": 4}
 
 
@@ -49,16 +51,7 @@ def algebra_type(p: int, q: int) -> AlgebraClass:
     t = (p - q) % 8
     ring = _RING_OF_TYPE[t]
     simple = t not in (1, 5)
-    if t in (0, 2):
-        rank = 1 << (n // 2)
-    elif t in (4, 6):
-        rank = 1 << ((n - 2) // 2)
-    elif t in (3, 7):
-        rank = 1 << ((n - 1) // 2)
-    elif t == 1:
-        rank = 1 << ((n - 1) // 2)
-    else:  # t == 5
-        rank = 1 << ((n - 3) // 2)
+    rank = 1 << ((n - _RANK_DROP[t]) // 2)
     return AlgebraClass(p=p, q=q, type_mod8=t, ring=ring, simple=simple, matrix_rank=rank)
 
 
@@ -173,7 +166,7 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
     order = _group_closure_order(kept, sig)
     if order != 1 << (k + 1):
         raise RuntimeError(f"idempotent group order {order} != 2^{k + 1} in Cl({p},{q})")
-    return IdempotentData(f=f, generators=list(kept), k=k, group_order=order)
+    return IdempotentData(f=f, generators=tuple(kept), k=k, group_order=order)
 
 
 # --------------------------------------------------------------------------

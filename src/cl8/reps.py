@@ -8,7 +8,7 @@ chains, and the block grids. No representation matrices are constructed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import MV, GaussianRational, Signature, volume_element
@@ -90,17 +90,7 @@ def bw_rep_walk(cycles: int) -> list:
         if q % 2 == 0:
             walk.append(rep_label(0, q // 2, quotient=False, q=q))
         else:
-            prev = walk[-1]
-            walk.append(RepLabel(
-                l=prev.l,
-                l_dot=prev.l_dot,
-                field=prev.field,
-                quotient=True,
-                spin=prev.spin,
-                degree=prev.degree,
-                spinspace_dim=prev.spinspace_dim,
-                q=q,
-            ))
+            walk.append(replace(walk[-1], quotient=True, q=q))
     return walk
 
 

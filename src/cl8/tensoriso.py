@@ -4,14 +4,17 @@ A certificate is always the same shape: candidate images for the target
 generators, exact verification that they square correctly and pairwise
 anticommute, and an exact rank check that their subset products span the
 whole algebra. Those three facts together pin the isomorphism down, so no
-explicit basis-to-basis map is ever built.
+explicit basis-to-basis map is ever built. Every generator-map witness is
+built by one routine, `_witness`; the phi/psi split and the chain's matrix
+link, which are not generator maps, rank their spans with the same
+`_subset_product_rank`.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .algebra import (
     MV,
@@ -140,21 +143,34 @@ def _subset_product_rank(images, one) -> int:
     return rank_of(p.terms for p in prods)
 
 
-def _certify(images, expected_squares, expected_rank):
-    if not images:
-        return [], expected_rank == 1, 1
-    one = type(images[0])(images[0].sig, {0: 1})
-    squares = [_square_sign(img, one) for img in images]
-    ok = (
-        squares == list(expected_squares)
-        and _pairwise_anticommute(images)
-    )
+def _witness(raw, one, target, construction, source=None) -> GeneratorMap:
+    """Certify raw images as generators of Cl(target).
+
+    The images that square to +1 go first (a stable partition), to line up
+    with the target convention. Certified means the squares read
+    [1]*p + [-1]*q, the images pairwise anticommute, and their subset
+    products span rank 2^(p+q). source defaults to the target.
+    """
+    signed = [(img, _square_sign(img, one)) for img in raw]
+    signed = [x for x in signed if x[1] == 1] + [x for x in signed if x[1] != 1]
+    images = [img for img, _ in signed]
+    squares = [sq for _, sq in signed]
+    p, q = target
     rank = _subset_product_rank(images, one)
-    return squares, ok and rank == expected_rank, rank
-
-
-def _signature_pattern(p, q):
-    return [1] * p + [-1] * q
+    certified = (
+        squares == [1] * p + [-1] * q
+        and _pairwise_anticommute(images)
+        and rank == 1 << (p + q)
+    )
+    return GeneratorMap(
+        source_sig=target if source is None else source,
+        target_sig=target,
+        images=images,
+        squares=squares,
+        rank=rank,
+        certified=certified,
+        construction=construction,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -179,23 +195,9 @@ def graded_tensor_check(pq_a, pq_b) -> GeneratorMap:
     _check_tensor_size(pq_a, pq_b)
     sig_a, sig_b = Signature(pa_, qa), Signature(pb, qb)
     pa = ProductAlgebra((sig_a, sig_b), graded=True)
-    plus_images = [pa.blade((1 << i, 0)) for i in range(pa_)]
-    plus_images += [pa.blade((0, 1 << j)) for j in range(pb)]
-    minus_images = [pa.blade((1 << (pa_ + i), 0)) for i in range(qa)]
-    minus_images += [pa.blade((0, 1 << (pb + j))) for j in range(qb)]
-    images = plus_images + minus_images
-    target = (pa_ + pb, qa + qb)
-    n = sum(target)
-    squares, certified, rank = _certify(images, _signature_pattern(*target), 1 << n)
-    return GeneratorMap(
-        source_sig=target,
-        target_sig=target,
-        images=images,
-        squares=squares,
-        rank=rank,
-        certified=certified,
-        construction="graded",
-    )
+    images = [pa.blade((1 << i, 0)) for i in range(sig_a.n)]
+    images += [pa.blade((0, 1 << j)) for j in range(sig_b.n)]
+    return _witness(images, pa.scalar(1), (pa_ + pb, qa + qb), "graded")
 
 
 def karoubi_check(pq_a, pq_b) -> GeneratorMap:
@@ -218,21 +220,7 @@ def karoubi_check(pq_a, pq_b) -> GeneratorMap:
     omega_mask = (1 << sig_a.n) - 1
     raw = [pa.blade((1 << i, 0)) for i in range(sig_a.n)]
     raw += [pa.blade((omega_mask, 1 << j)) for j in range(sig_b.n)]
-    one = pa.scalar(1)
-    # reorder plus-squaring images first to line up with the target convention
-    signed = [(img, _square_sign(img, one)) for img in raw]
-    images = [img for img, s in signed if s == 1] + [img for img, s in signed if s != 1]
-    n = sum(target)
-    squares, certified, rank = _certify(images, _signature_pattern(*target), 1 << n)
-    return GeneratorMap(
-        source_sig=target,
-        target_sig=target,
-        images=images,
-        squares=squares,
-        rank=rank,
-        certified=certified,
-        construction=construction,
-    )
+    return _witness(raw, pa.scalar(1), target, construction)
 
 
 def complex_tensor_check(m: int) -> GeneratorMap:
@@ -245,26 +233,14 @@ def complex_tensor_check(m: int) -> GeneratorMap:
         raise ValueError("m must be between 1 and 4")
     factors = tuple(Signature(2, 0, complexified=True) for _ in range(m))
     pa = ProductAlgebra(factors, graded=False)
-    i_unit = GaussianRational(0, 1)
+    i_powers = (1, GaussianRational(0, 1), -1, GaussianRational(0, -1))
     images = []
     for j in range(m):
         lead = (0b11,) * j
         tail = (0,) * (m - 1 - j)
-        coeff = 1
-        for _ in range(j):
-            coeff = coeff * i_unit if isinstance(coeff, GaussianRational) else i_unit
         for g in (0b01, 0b10):
-            images.append(pa.blade(lead + (g,) + tail, coeff))
-    squares, certified, rank = _certify(images, [1] * (2 * m), 1 << (2 * m))
-    return GeneratorMap(
-        source_sig=(2 * m, 0),
-        target_sig=(2 * m, 0),
-        images=images,
-        squares=squares,
-        rank=rank,
-        certified=certified,
-        construction="complex",
-    )
+            images.append(pa.blade(lead + (g,) + tail, i_powers[j]))
+    return _witness(images, pa.scalar(1), (2 * m, 0), "complex")
 
 
 # --------------------------------------------------------------------------
@@ -290,13 +266,6 @@ def even_iso_check(p: int, q: int) -> GeneratorMap:
     target = even_iso_target(p, q)
     sig = Signature(p, q)
     one = MV.scalar(sig, 1)
-    pattern = _signature_pattern(*target)
-
-    def try_images(raw):
-        signed = [(img, _square_sign(img, one)) for img in raw]
-        imgs = [im for im, s in signed if s == 1] + [im for im, s in signed if s != 1]
-        return imgs, [s for _, s in signed if s == 1] + [s for _, s in signed if s != 1]
-
     candidates = []
     if n >= 2:
         e_last = MV.generator(sig, n)
@@ -306,30 +275,14 @@ def even_iso_check(p: int, q: int) -> GeneratorMap:
     else:
         candidates.append(("A", []))
 
+    # pick by the squares alone; only the chosen candidate is ranked
+    pattern = [1] * target[0] + [-1] * target[1]
     for construction, raw in candidates:
-        images, squares = try_images(raw)
-        if squares == pattern:
-            _, certified, rank = _certify(images, pattern, 1 << (n - 1))
-            return GeneratorMap(
-                source_sig=(p, q),
-                target_sig=target,
-                images=images,
-                squares=squares,
-                rank=rank,
-                certified=certified,
-                construction=construction,
-            )
+        if sorted((_square_sign(img, one) for img in raw), reverse=True) == pattern:
+            return _witness(raw, one, target, construction, source=(p, q))
     # neither fixed construction matched; report the first honestly as failed
-    images, squares = try_images(candidates[0][1])
-    return GeneratorMap(
-        source_sig=(p, q),
-        target_sig=target,
-        images=images,
-        squares=squares,
-        rank=0,
-        certified=False,
-        construction=None,
-    )
+    failed = _witness(candidates[0][1], one, target, None, source=(p, q))
+    return replace(failed, rank=0, certified=False)
 
 
 # --------------------------------------------------------------------------
@@ -397,17 +350,7 @@ def phi_psi_factorization(target, base) -> PhiPsiReport:
     commute_ok = all(phi * g == g * phi and psi * g == g * psi for g in base_images)
     prod_anti = phi * psi == -(psi * phi)
     # the additive decomposition: base blades times {1, phi, psi, phi psi}
-    units = [one, phi, psi, phi * psi]
-    m2 = len(base_idx)
-    vectors = []
-    for s in range(1 << m2):
-        blade = one
-        for i in range(m2):
-            if s >> i & 1:
-                blade = blade * base_images[i]
-        for u in units:
-            vectors.append((blade * u).terms)
-    rank = rank_of(vectors)
+    rank = _subset_product_rank(base_images + [phi, psi], one)
     passed = commute_ok and prod_anti and rank == 1 << (p + q)
     return PhiPsiReport(
         phi=phi,
@@ -546,15 +489,8 @@ def _matrix_realization_link() -> ChainLink:
     gens = [MV.generator(sig, i) for i in range(1, 5)]
     ok = ok and all(g * g == one for g in gens)
     ok = ok and _pairwise_anticommute(gens)
-    vectors = []
-    for s in range(1 << 4):
-        blade = one
-        for i in range(4):
-            if s >> i & 1:
-                blade = blade * gens[i]
-        vectors.append(blade.terms)
-        vectors.append((blade * omega).terms)
-    rank = rank_of(vectors)
+    # blades over the generators times {1, omega}
+    rank = _subset_product_rank(gens + [omega], one)
     return ChainLink(
         name="matrix_realization",
         certified=ok and rank == 32,
@@ -570,11 +506,11 @@ def _complexified_realization_link() -> ChainLink:
     i = GaussianRational(0, 1)
     images = [MV.generator(sig, 1)]
     images += [MV.generator(sig, j) * i for j in (2, 3, 4)]
-    squares, certified, rank = _certify(images, [1, 1, 1, 1], 16)
+    rep = _witness(images, MV.scalar(sig, 1), (4, 0), "complexified")
     return ChainLink(
         name="complexified_realization",
-        certified=certified,
-        rank=rank,
+        certified=rep.certified,
+        rank=rep.rank,
         detail="generators e1, i e2, i e3, i e4 of the complexified algebra",
     )
 

@@ -117,7 +117,7 @@ IDEMPOTENT_GENS = [
 @pytest.mark.parametrize("pq,gens", IDEMPOTENT_GENS)
 def test_idempotent_generator_masks(pq, gens):
     data = primitive_idempotent(*pq)
-    assert data.generators == gens
+    assert data.generators == tuple(gens)
     naive = naive_idempotent_generators(pq[0], pq[1], len(gens))
     naive_masks = [sum(1 << (i - 1) for i in idx) for idx in naive]
     assert naive_masks == gens
@@ -208,6 +208,19 @@ def test_idempotent_size_and_caches_are_bounded():
         minimal_left_ideal(9, 9)
     assert primitive_idempotent.cache_info().maxsize == 128
     assert division_ring_of.cache_info().maxsize == 128
+
+
+def test_cached_idempotent_generators_are_immutable():
+    # primitive_idempotent's cache hands one IdempotentData to every caller,
+    # so its generators must not be mutable through any of them
+    data = primitive_idempotent(1, 3)
+    corner = _span_of_corner(data)
+    ideal = minimal_left_ideal(1, 3)
+    with pytest.raises(AttributeError):
+        data.generators.append(6)
+    assert primitive_idempotent(1, 3).generators == (0b0001,)
+    assert _span_of_corner(primitive_idempotent(1, 3)) == corner
+    assert minimal_left_ideal(1, 3) == ideal
 
 
 IDEAL_DIMS = [((1, 3), 8), ((0, 2), 4), ((4, 1), 8), ((2, 0), 2), ((3, 1), 4)]

@@ -1,5 +1,6 @@
 """Tensor-product and even-subalgebra isomorphism certificates."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from cl8.tensoriso import (
     block_matrix_form,
     complex_tensor_check,
     even_iso_check,
+    generator_map_json,
     graded_tensor_check,
     karoubi_check,
     phi_psi_factorization,
@@ -333,3 +335,31 @@ def test_spin24_chain_links():
     assert report.links[1].rank == 32
     assert report.links[2].rank == 16
     assert report.links[3].rank == 16
+
+
+# SHA-256 of the witness set below, one line per witness:
+# "<source_sig> <generator_map_json>". Recorded before the certificate
+# helpers were folded into one witness routine; any change to an image, its
+# order, a square, a rank, a construction name or a signature changes it.
+WITNESS_DIGEST = "7c8fda8a312e55c4ee16a8b2e7d15d189c1b7cc8e5019f94f798134663c3546e"
+
+
+def test_witness_json_digest_is_frozen():
+    witnesses = [graded_tensor_check(a, b) for a in FACTOR_SIGS for b in FACTOR_SIGS]
+    witnesses += [karoubi_check(a, b) for a in FACTOR_SIGS if sum(a) % 2 == 0
+                  for b in FACTOR_SIGS]
+    witnesses += [complex_tensor_check(m) for m in range(1, 5)]
+    witnesses += [even_iso_check(p, q) for p in range(7) for q in range(7)
+                  if 1 <= p + q <= 6]
+    assert len(witnesses) == 91
+    assert all(w.certified for w in witnesses)
+    lines = [f"{w.source_sig} {generator_map_json(w)}" for w in witnesses]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == WITNESS_DIGEST
+    links = [(link.name, link.rank, link.certified) for link in spin24_chain().links]
+    assert links == [
+        ("even_subalgebra", 32, True),
+        ("matrix_realization", 32, True),
+        ("complexified_realization", 16, True),
+        ("karoubi_product", 16, True),
+    ]
