@@ -6,7 +6,10 @@ names from the registry `suites.SUITES`. `--seed` exists only on the sampled
 commands (`verify`, `spinor`, `qubit`) and `--samples` only on `spinor` and
 `qubit`. Output is deterministic for a fixed seed so reports can be
 snapshot-compared byte for byte. Exit codes: 0 success, 1 a verification
-suite found a counterexample, 2 a usage, input or I/O error.
+suite found a counterexample, 2 a usage, input or I/O error. Only the float
+commands (`spinor`, `twistor`, `qubit` and, through its suite, `verify
+numeric`) import `pauli`, and with it numpy; every other command runs
+without it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import pauli, reps, suites
+from . import reps, suites
 from .classify import algebra_type, primitive_idempotent
 from .periodicity import (
     board_json,
@@ -320,6 +323,8 @@ def _cmd_block(args, parser) -> int:
 
 
 def _cmd_spinor(args, parser) -> int:
+    from . import pauli
+
     fmt = args.format or "text"
     seed = 0 if args.seed is None else args.seed
     samples = 100 if args.samples is None else args.samples
@@ -350,6 +355,8 @@ def _floats(text: str, parser, flag: str) -> list:
 
 
 def _cmd_twistor(args, parser) -> int:
+    from . import pauli
+
     fmt = args.format or "text"
     x = [math.sqrt(2.0), 0.0, 0.0, 0.0] if args.x is None else _floats(args.x, parser, "--x")
     raw_pi = [1.0, 0.0, 0.0, 0.0] if args.pi is None else _floats(args.pi, parser, "--pi")
@@ -378,6 +385,8 @@ def _cmd_twistor(args, parser) -> int:
 
 
 def _cmd_qubit(args, parser) -> int:
+    from . import pauli
+
     fmt = args.format or "text"
     seed = 0 if args.seed is None else args.seed
     samples = 100 if args.samples is None else args.samples

@@ -4,6 +4,10 @@ Double precision throughout. Conventions carry the 1/sqrt(2) factors of the
 physics normalization, and the incidence kernel keeps +i x2 in both
 off-diagonal entries on purpose (the source display is asymmetric relative
 to the Hermitian-matrix encoding, and we reproduce it verbatim).
+
+This is the only cl8 module that imports numpy. Nothing else imports it at
+the top, so numpy is loaded only with this module: by the `spinor`, `qubit`
+and `twistor` commands and by `verify numeric`.
 """
 
 from __future__ import annotations
@@ -148,20 +152,25 @@ def purity(rho) -> float:
     return float(np.trace(rho @ rho).real)
 
 
-def bloch_roundtrip_check(samples: int = 100, seed: int = 0) -> dict:
-    """Sample pure states: rho -> Bloch vector -> rho, and tr rho^2 = 1, at 1e-9."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    max_round = 0.0
-    max_purity = 0.0
+def _bloch_samples(rng, samples: int):
+    """Yield (rho, P, round-trip defect) for pure states drawn from rng."""
     for _ in range(samples):
         v = rng.normal(size=4)
         a, b = complex(v[0], v[1]), complex(v[2], v[3])
         s = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
         rho = qubit_density(a / s, b / s)
         P = bloch_vector(rho)
-        max_round = max(max_round, float(np.max(np.abs(density_from_bloch(P) - rho))))
+        yield rho, P, float(np.max(np.abs(density_from_bloch(P) - rho)))
+
+
+def bloch_roundtrip_check(samples: int = 100, seed: int = 0) -> dict:
+    """Sample pure states: rho -> Bloch vector -> rho, and tr rho^2 = 1, at 1e-9."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    max_round = 0.0
+    max_purity = 0.0
+    for rho, _, defect in _bloch_samples(np.random.default_rng(seed), samples):
+        max_round = max(max_round, defect)
         max_purity = max(max_purity, abs(purity(rho) - 1.0))
     return {
         "passed": max_round < 1e-9 and max_purity < 1e-9,
@@ -169,6 +178,20 @@ def bloch_roundtrip_check(samples: int = 100, seed: int = 0) -> dict:
         "max_roundtrip_defect": max_round,
         "max_purity_defect": max_purity,
     }
+
+
+def _null_and_bloch_defects(seed: int, samples: int) -> tuple:
+    """(max |S^2|, max Bloch defect) from one generator seeded with seed.
+
+    The generator feeds null_outer_defects first, then the Bloch round
+    trips, whose defect also covers tr rho^2 = (1 + |P|^2)/2.
+    """
+    rng = np.random.default_rng(seed)
+    max_null, _ = null_outer_defects(rng, samples)
+    max_round = 0.0
+    for rho, P, defect in _bloch_samples(rng, samples):
+        max_round = max(max_round, defect, abs(purity(rho) - (1 + float(np.dot(P, P))) / 2))
+    return max_null, max_round
 
 
 def sl2c_double_cover_check(samples: int = 100, seed: int = 0) -> dict:

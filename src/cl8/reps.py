@@ -139,10 +139,18 @@ def quotient_structure(q: int) -> dict:
     }
 
 
+# the largest l + l_dot a spin chain starts from, enough for every node of
+# the largest block; a chain has at most 2(l + l_dot) + 1 members, each with
+# spinspace dimension 2^(2(l + l_dot))
+MAX_CHAIN_SUM = 256
+
+
 def spin_chain(l, l_dot) -> SpinChain:
     """Ladder of labels from tau_{l,l_dot} to tau_{l_dot,l} in half steps."""
     l = _half_integer(l, "l")
     ld = _half_integer(l_dot, "l_dot")
+    if l + ld > MAX_CHAIN_SUM:
+        raise ValueError(f"l + l_dot = {_frac_str(l + ld)} exceeds MAX_CHAIN_SUM = {MAX_CHAIN_SUM}")
     if l > ld:
         l, ld = ld, l
     members = []
@@ -193,9 +201,16 @@ class RepBlock:
         return RepBlock(order=self.order, bound=self.bound, nodes=window)
 
 
+# the largest block order built: the grid has (4 * 8^(order-1) + 1)^2 nodes,
+# 66,049 at order 3 and about 4.2 million at order 4
+MAX_BLOCK_ORDER = 3
+
+
 def representation_block(order: int) -> RepBlock:
     if order < 1:
         raise ValueError("order must be at least 1")
+    if order > MAX_BLOCK_ORDER:
+        raise ValueError(f"order {order} exceeds MAX_BLOCK_ORDER = {MAX_BLOCK_ORDER}")
     bound = 2 * 8 ** (order - 1)
     half = Fraction(1, 2)
     nodes = {}

@@ -143,15 +143,19 @@ def _subset_product_rank(images, one) -> int:
     return rank_of(p.terms for p in prods)
 
 
-def _witness(raw, one, target, construction, source=None) -> GeneratorMap:
+def _witness(raw, one, target, construction, source=None, signs=None) -> GeneratorMap:
     """Certify raw images as generators of Cl(target).
 
     The images that square to +1 go first (a stable partition), to line up
     with the target convention. Certified means the squares read
     [1]*p + [-1]*q, the images pairwise anticommute, and their subset
-    products span rank 2^(p+q). source defaults to the target.
+    products span rank 2^(p+q). source defaults to the target; signs, the
+    square signs of raw when the caller already has them, saves squaring
+    the images again.
     """
-    signed = [(img, _square_sign(img, one)) for img in raw]
+    if signs is None:
+        signs = [_square_sign(img, one) for img in raw]
+    signed = list(zip(raw, signs))
     signed = [x for x in signed if x[1] == 1] + [x for x in signed if x[1] != 1]
     images = [img for img, _ in signed]
     squares = [sq for _, sq in signed]
@@ -278,8 +282,9 @@ def even_iso_check(p: int, q: int) -> GeneratorMap:
     # pick by the squares alone; only the chosen candidate is ranked
     pattern = [1] * target[0] + [-1] * target[1]
     for construction, raw in candidates:
-        if sorted((_square_sign(img, one) for img in raw), reverse=True) == pattern:
-            return _witness(raw, one, target, construction, source=(p, q))
+        signs = [_square_sign(img, one) for img in raw]
+        if sorted(signs, reverse=True) == pattern:
+            return _witness(raw, one, target, construction, source=(p, q), signs=signs)
     # neither fixed construction matched; report the first honestly as failed
     failed = _witness(candidates[0][1], one, target, None, source=(p, q))
     return replace(failed, rank=0, certified=False)

@@ -1,7 +1,12 @@
 """Command-line front end: formats, exit codes, determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +276,80 @@ def test_seed_and_samples_only_on_sampled_commands(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def cl8_subprocess(*args, timeout=60):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+def test_exact_modules_import_without_numpy():
+    res = cl8_subprocess("-c", "import sys, cl8.cli, cl8.suites; "
+                               "print(sorted(m for m in sys.modules if m.startswith('numpy')))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["classify", "1", "3"], False),
+    (["verify", "cycles"], False),
+    (["qubit", "--samples", "1"], True),
+])
+def test_only_float_commands_load_numpy(argv, loads_numpy):
+    res = cl8_subprocess("-X", "importtime", "-m", "cl8.cli", *argv)
+    assert res.returncode == 0, res.stderr
+    numpy_lines = [l for l in res.stderr.splitlines()
+                   if l.startswith("import time:") and l.split("|")[-1].strip() == "numpy"]
+    assert bool(numpy_lines) is loads_numpy
+
+
+# SHA-256 of the stdout of the commands below, in order, each followed by its
+# exit code. Recorded while numpy was still imported by every command; the
+# float commands and the reports must keep their bytes when it is not.
+FLOAT_AND_REPORT_ARGVS = [
+    [cmd, *extra, "--seed", seed, "--format", fmt]
+    for seed in ("0", "7") for fmt in ("text", "json")
+    for cmd, *extra in (["spinor"], ["qubit"], ["verify", "numeric"], ["verify", "all"])
+] + [
+    ["twistor", *point, "--format", fmt]
+    for point in ([], ["--x=1.5,-0.25,0.75,2", "--pi=0.3,-0.1,0.5,0.9"])
+    for fmt in ("text", "json")
+]
+FLOAT_AND_REPORT_DIGEST = "a063e8c835fe62d47550e43c70c0fecacd519aa697a1859758a8460f796147b3"
+
+
+def test_float_commands_and_reports_are_frozen(capsys):
+    chunks = []
+    for argv in FLOAT_AND_REPORT_ARGVS:
+        code, out, _ = run(capsys, argv)
+        chunks.append(f"{out}{code}\n")
+    digest = hashlib.sha256("".join(chunks).encode()).hexdigest()
+    assert digest == FLOAT_AND_REPORT_DIGEST
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["chain", "0", "200000", "--format", "json"], "MAX_CHAIN_SUM"),
+    (["chain", "0", "513/2"], "MAX_CHAIN_SUM"),
+    (["block", "--order", "5"], "MAX_BLOCK_ORDER"),
+    (["block", "--order", "4", "--format", "json"], "MAX_BLOCK_ORDER"),
+])
+def test_chain_and_block_sizes_are_bounded(argv, bound):
+    res = cl8_subprocess("-m", "cl8.cli", *argv, timeout=20)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+    assert bound in res.stderr
+
+
+def test_chain_at_the_bound_still_runs(capsys):
+    code, out, _ = run(capsys, ["chain", "0", "256", "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["members"]) == 513
+    assert data["algebras"][0]["spinspace_dim"] == 1 << 512
