@@ -13,6 +13,13 @@ and it squares to -1. A descriptor with a nonzero `cuts` mask (a tensor
 product, see `cl8.tensoriso.ProductAlgebra`) counts that parity only inside
 the block of i, so generators in different blocks commute. F(b) is
 recomputed per product; there is no sign cache.
+
+Every user-facing constructor validates: `MV(sig, terms)`, `MV.blade`,
+`MV.scalar` and `MV.generator` coerce each coefficient to the signature's
+type (Fraction, or GaussianRational when complexified), reject inexact
+ones and drop zeros. The results of the module's own operations (sums,
+negation, products, grade parts, involutions) are built by the trusted
+`MV._made`, which stores terms that are already clean as they are.
 """
 
 from __future__ import annotations
@@ -205,6 +212,15 @@ class MV:
     def __setattr__(self, name, value):
         raise AttributeError("MV is immutable")
 
+    def _made(self, terms: dict) -> "MV":
+        """Trusted constructor for this module's own results: terms must
+        already be exact, nonzero and of the signature's coefficient type,
+        so nothing is coerced again. The result keeps type(self)."""
+        out = object.__new__(type(self))
+        _set_sig(out, self.sig)
+        _set_terms(out, terms)
+        return out
+
     # --- constructors -------------------------------------------------
 
     @classmethod
@@ -231,7 +247,7 @@ class MV:
     # --- ring operations ----------------------------------------------
 
     def _check_sig(self, other: "MV"):
-        if self.sig != other.sig:
+        if self.sig is not other.sig and self.sig != other.sig:
             raise ValueError(f"signature mismatch: {self.sig} vs {other.sig}")
 
     def __add__(self, other):
@@ -246,7 +262,7 @@ class MV:
                 out[mask] = nv
             else:
                 out.pop(mask, None)
-        return type(self)(self.sig, out)
+        return self._made(out)
 
     def __sub__(self, other):
         if not isinstance(other, MV):
@@ -254,7 +270,7 @@ class MV:
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.sig, {m: -c for m, c in self.terms.items()})
+        return self._made({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, MV):
@@ -274,16 +290,18 @@ class MV:
                         out[mask] = nv
                     else:
                         out.pop(mask, None)
-            return type(self)(sig, out)
+            return self._made(out)
         if isinstance(other, (int, Fraction, GaussianRational)):
             c0 = _coerce_coeff(self.sig, other)
-            return type(self)(self.sig, {m: c * c0 for m, c in self.terms.items()})
+            out = {m: c * c0 for m, c in self.terms.items()}
+            return self._made(out if c0 else {})  # x * 0 has no terms
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             c0 = _coerce_coeff(self.sig, other)
-            return type(self)(self.sig, {m: c0 * c for m, c in self.terms.items()})
+            out = {m: c0 * c for m, c in self.terms.items()}
+            return self._made(out if c0 else {})
         return NotImplemented
 
     def __eq__(self, other):
@@ -300,13 +318,13 @@ class MV:
     # --- structure ------------------------------------------------------
 
     def grade_part(self, k: int) -> "MV":
-        return MV(self.sig, {m: c for m, c in self.terms.items() if m.bit_count() == k})
+        return self._made({m: c for m, c in self.terms.items() if m.bit_count() == k})
 
     def even_part(self) -> "MV":
-        return MV(self.sig, {m: c for m, c in self.terms.items() if m.bit_count() % 2 == 0})
+        return self._made({m: c for m, c in self.terms.items() if m.bit_count() % 2 == 0})
 
     def odd_part(self) -> "MV":
-        return MV(self.sig, {m: c for m, c in self.terms.items() if m.bit_count() % 2 == 1})
+        return self._made({m: c for m, c in self.terms.items() if m.bit_count() % 2 == 1})
 
     def grades(self) -> set:
         return {m.bit_count() for m in self.terms}
@@ -329,6 +347,11 @@ class MV:
         return "MV(" + " + ".join(bits) + ")"
 
 
+# the slot setters behind _made; MV.__setattr__ refuses plain assignment
+_set_sig = MV.sig.__set__
+_set_terms = MV.terms.__set__
+
+
 _INVOLUTION_SIGNS = {
     "grade_involution": lambda k: -1 if k % 2 else 1,
     "reversion": lambda k: -1 if (k * (k - 1) // 2) % 2 else 1,
@@ -345,7 +368,7 @@ def involute(x: MV, kind: str) -> MV:
     out = {}
     for m, c in x.terms.items():
         out[m] = -c if sign(m.bit_count()) < 0 else c
-    return MV(x.sig, out)
+    return x._made(out)
 
 
 def volume_element(sig: Signature) -> MV:

@@ -3,7 +3,8 @@
 Vectors are plain dicts mapping a key (a blade mask or any orderable
 label) to a Fraction or GaussianRational coefficient. Rank and
 coordinate solves run by incremental Gaussian elimination with no floating
-point anywhere.
+point anywhere. `SpanBasis` keys its echelon rows by pivot, so a reduction
+costs only the pivots it meets: a single-blade vector meets at most one.
 """
 
 from __future__ import annotations
@@ -31,13 +32,40 @@ class SpanBasis:
     """Row-echelon span tracker; add() reports whether the vector was new."""
 
     def __init__(self):
-        self._rows = []  # list of (pivot key, normalized row dict)
+        self._rows = {}  # pivot key -> normalized row dict, every key >= pivot
 
     def reduce(self, vec) -> dict:
+        """vec minus its component along the rows: no key of it is a pivot.
+
+        The pivots it meets are cleared in increasing order. A row adds
+        only keys above its own pivot, so each row is used at most once,
+        with the same factor as in any other order (the rows are
+        independent, so the reduced vector and its factors are unique)."""
         v = _clean(vec)
-        for pivot, row in self._rows:
-            if pivot in v:
-                _sub_scaled(v, row, v[pivot])
+        rows = self._rows
+        todo = [k for k in v if k in rows]
+        if not todo:
+            return v
+        import heapq  # here, so that importing cl8 loads no new module
+
+        heapq.heapify(todo)
+        while todo:
+            pivot = heapq.heappop(todo)
+            factor = v.get(pivot)
+            if factor is None:  # cleared since it was queued
+                continue
+            for k, c in rows[pivot].items():
+                cur = v.get(k)
+                if cur is None:
+                    v[k] = -(factor * c)
+                    if k in rows:
+                        heapq.heappush(todo, k)
+                    continue
+                nv = cur - factor * c
+                if nv:
+                    v[k] = nv
+                else:
+                    del v[k]
         return v
 
     def add(self, vec) -> bool:
@@ -46,7 +74,9 @@ class SpanBasis:
             return False
         pivot = min(v)
         pc = v[pivot]
-        self._rows.append((pivot, {k: c / pc for k, c in v.items()}))
+        if pc != 1:
+            v = {k: c / pc for k, c in v.items()}
+        self._rows[pivot] = v
         return True
 
     def contains(self, vec) -> bool:

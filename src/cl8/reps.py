@@ -60,9 +60,22 @@ def rep_field(l, l_dot) -> str:
     return "real" if t in (0, 2) else "quaternionic"
 
 
+# the largest l + l_dot a spin chain starts from, enough for every node of
+# the largest block; a chain has at most 2(l + l_dot) + 1 members, each with
+# spinspace dimension 2^(2(l + l_dot))
+MAX_CHAIN_SUM = 256
+
+
+# the largest k + r of a label, checked before 2^(k + r) is built: every
+# member of a chain within MAX_CHAIN_SUM has k + r = 2(l + l_dot)
+MAX_REP_SUM = 2 * MAX_CHAIN_SUM
+
+
 def rep_label(k: int, r: int, quotient: bool = False, q: int | None = None) -> RepLabel:
     if k < 0 or r < 0:
         raise ValueError("k and r must be nonnegative")
+    if k + r > MAX_REP_SUM:
+        raise ValueError(f"k + r = {k + r} exceeds MAX_REP_SUM = {MAX_REP_SUM}")
     l = Fraction(k, 2)
     ld = Fraction(r, 2)
     return RepLabel(
@@ -137,12 +150,6 @@ def quotient_structure(q: int) -> dict:
         "quotient_dim": quotient_dim,
         "passed": all(checks),
     }
-
-
-# the largest l + l_dot a spin chain starts from, enough for every node of
-# the largest block; a chain has at most 2(l + l_dot) + 1 members, each with
-# spinspace dimension 2^(2(l + l_dot))
-MAX_CHAIN_SUM = 256
 
 
 def spin_chain(l, l_dot) -> SpinChain:

@@ -148,6 +148,39 @@ def naive_left_ideal_reps(f, sig):
     return _new_to_span(MV.blade(sig, m) * f for m in _masks_by_grade(sig.n))
 
 
+def naive_reduce(rows, vec):
+    """vec reduced by a linear scan: every row, in the order it was added,
+    whose pivot vec still holds is subtracted with that coefficient."""
+    v = {k: c for k, c in vec.items() if c}
+    for pivot, row in rows:
+        if pivot in v:
+            factor = v[pivot]
+            for k, c in row.items():
+                nv = v.get(k, 0) - factor * c
+                if nv:
+                    v[k] = nv
+                else:
+                    v.pop(k, None)
+    return v
+
+
+def naive_span_basis(vectors):
+    """Row echelon form by the linear scan, one vector at a time.
+
+    Returns (added, rows): for each vector whether it was new to the span,
+    and the (pivot, row) list, each row divided by its value at its
+    pivot, the smallest key left after reduction."""
+    added, rows = [], []
+    for vec in vectors:
+        v = naive_reduce(rows, vec)
+        if v:
+            pivot = min(v)
+            pc = v[pivot]
+            rows.append((pivot, {k: c / pc for k, c in v.items()}))
+        added.append(bool(v))
+    return added, rows
+
+
 def stars_and_bars_degree(k, r):
     """Count the independent components of a spintensor symmetric in k
     undotted and r dotted two-valued indices, by direct enumeration."""

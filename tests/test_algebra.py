@@ -15,6 +15,7 @@ from cl8.algebra import (
     omega_square,
     volume_element,
 )
+from cl8.tensoriso import ProductAlgebra, TensorMV
 
 from naive import all_blades, naive_blade_product, naive_blade_square, naive_multivector_mul
 
@@ -243,3 +244,59 @@ def test_blade_order_listing_matches_search_order():
         if m:
             want.append(m)
     assert got == want
+
+
+# Ring operations build their results with MV._made, which trusts that the
+# terms are already exact, nonzero and of the signature's coefficient type.
+# These tests check that invariant on every kind of descriptor.
+
+TRUSTED_ALGEBRAS = [
+    (MV, Signature(2, 1)),
+    (MV, Signature(1, 2, complexified=True)),
+    (TensorMV, ProductAlgebra((Signature(1, 1), Signature(0, 1)), graded=True)),
+    (TensorMV, ProductAlgebra((Signature(1, 0), Signature(0, 2)))),
+    (TensorMV, ProductAlgebra((Signature(1, 0), Signature(1, 1, complexified=True)))),
+]
+TRUSTED_IDS = ["real", "complexified", "graded", "plain", "plain-complexified"]
+
+small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _coefficients(sig):
+    if not sig.complexified:
+        return st.one_of(st.integers(-3, 3), small_fractions)
+    return st.one_of(st.integers(-3, 3), small_fractions,
+                     st.builds(GaussianRational, small_fractions, small_fractions))
+
+
+def _clean_of_type(x, cls, sig):
+    kind = GaussianRational if sig.complexified else Fraction
+    return (type(x) is cls and x.sig == sig and x == MV(sig, x.terms)
+            and all(type(c) is kind and c for c in x.terms.values()))
+
+
+@pytest.mark.parametrize("cls,sig", TRUSTED_ALGEBRAS, ids=TRUSTED_IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ring_operations_give_clean_terms(cls, sig, data):
+    element = st.dictionaries(st.integers(0, (1 << sig.n) - 1), _coefficients(sig), max_size=5)
+    x, y = cls(sig, data.draw(element)), cls(sig, data.draw(element))
+    c = data.draw(_coefficients(sig))
+    for result in (x + y, x - y, -x, x * y, x * c, c * x, x * x - x * x):
+        assert _clean_of_type(result, cls, sig)
+    for zero in (0, Fraction(0), GaussianRational(0)):
+        assert (x * zero).terms == {} and (zero * x).terms == {}
+        assert type(x * zero) is cls
+
+
+@pytest.mark.parametrize("cls,sig", TRUSTED_ALGEBRAS, ids=TRUSTED_IDS)
+def test_structure_helpers_keep_the_type(cls, sig):
+    x = cls(sig, {m: Fraction(m + 1) for m in range(1 << sig.n)})
+    for kind in ("grade_involution", "reversion", "conjugation"):
+        assert _clean_of_type(involute(x, kind), cls, sig)
+    parts = [x.grade_part(k) for k in range(sig.n + 1)]
+    assert all(_clean_of_type(part, cls, sig) for part in parts)
+    assert _clean_of_type(x.even_part(), cls, sig)
+    assert _clean_of_type(x.odd_part(), cls, sig)
+    assert x.even_part() + x.odd_part() == x
+    assert sum(parts, cls(sig)) == x

@@ -338,6 +338,8 @@ def test_float_commands_and_reports_are_frozen(capsys):
     (["chain", "0", "513/2"], "MAX_CHAIN_SUM"),
     (["block", "--order", "5"], "MAX_BLOCK_ORDER"),
     (["block", "--order", "4", "--format", "json"], "MAX_BLOCK_ORDER"),
+    (["rep", "20000", "0"], "MAX_REP_SUM"),
+    (["rep", "20000", "0", "--format", "json"], "MAX_REP_SUM"),
 ])
 def test_chain_and_block_sizes_are_bounded(argv, bound):
     res = cl8_subprocess("-m", "cl8.cli", *argv, timeout=20)
@@ -345,6 +347,12 @@ def test_chain_and_block_sizes_are_bounded(argv, bound):
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
     assert bound in res.stderr
+
+
+def test_rep_at_the_bound_still_runs(capsys):
+    code, out, _ = run(capsys, ["rep", "512", "0", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["spinspace_dim"] == 1 << 512
 
 
 def test_chain_at_the_bound_still_runs(capsys):

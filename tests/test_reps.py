@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from cl8.classify import algebra_type
 from cl8.reps import (
+    MAX_CHAIN_SUM,
+    MAX_REP_SUM,
     bw_rep_walk,
     chain_algebra_sequence,
     quotient_structure,
@@ -211,3 +213,16 @@ def test_representation_sub_block_window():
     for (l, ld), tag in FIG8.items():
         want = "real" if tag == "r" else "quaternionic"
         assert corner.nodes[(l, ld)] == want
+
+
+def test_rep_label_size_is_bounded():
+    assert rep_label(MAX_REP_SUM, 0).spinspace_dim == 1 << MAX_REP_SUM
+    assert rep_label(0, MAX_REP_SUM).spinspace_dim == 1 << MAX_REP_SUM
+    for k, r in [(MAX_REP_SUM + 1, 0), (MAX_REP_SUM, 1), (20000, 0), (10**9, 10**9)]:
+        with pytest.raises(ValueError, match="MAX_REP_SUM"):
+            rep_label(k, r)
+
+
+def test_every_chain_member_is_within_the_label_bound():
+    chain = spin_chain(0, MAX_CHAIN_SUM)
+    assert max(2 * (m.l + m.l_dot) for m in chain.members) == MAX_REP_SUM
