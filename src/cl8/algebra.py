@@ -379,9 +379,7 @@ def volume_element(sig: Signature) -> MV:
 def omega_square(sig: Signature) -> int:
     """Sign of the square of the volume element, always +1 or -1."""
     full = (1 << sig.n) - 1
-    sign, mask = blade_product(full, full, sig)
-    assert mask == 0
-    return sign
+    return blade_product(full, full, sig)[0]
 
 
 def even_subalgebra_basis(sig: Signature) -> list[int]:

@@ -4,7 +4,8 @@ division-ring certification.
 Everything here is computed, not looked up, except the coefficient ring
 label itself: the label claimed by the mod-8 table is certified against the
 algebra by constructing f * A * f for a primitive idempotent f and checking
-its multiplication table, so a wrong table entry would fail loudly.
+its products, so a wrong table entry would fail loudly. One path serves R, C
+and H: the corner's trace-free part must carry a negative definite form.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .algebra import MV, GaussianRational, Signature, blade_product, involute, volume_element, omega_square
 from .linalg import SpanBasis, express
@@ -44,10 +46,17 @@ class AlgebraClass:
     matrix_rank: int
 
 
+#: Largest p + q accepted by algebra_type, checked before the matrix rank
+#: 2^((n - drop) / 2) is built; it covers every cell of chessboard(5).
+MAX_CLASSIFY_N = 65536
+
+
 def algebra_type(p: int, q: int) -> AlgebraClass:
     """Classification record for Cl(p, q) from the mod-8 type."""
     Signature(p, q)  # rejects negative, non-int and bool fields
     n = p + q
+    if n > MAX_CLASSIFY_N:
+        raise ValueError(f"p + q = {n} exceeds MAX_CLASSIFY_N = {MAX_CLASSIFY_N}")
     t = (p - q) % 8
     ring = _RING_OF_TYPE[t]
     simple = t not in (1, 5)
@@ -76,12 +85,6 @@ class IdempotentData:
     @property
     def sig(self) -> Signature:
         return self.f.sig
-
-
-def _blade_square_sign(mask: int, sig: Signature) -> int:
-    sign, rest = blade_product(mask, mask, sig)
-    assert rest == 0
-    return sign
 
 
 def _blades_commute(a: int, b: int) -> bool:
@@ -145,7 +148,7 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
         for mask in _blade_order(n)[1:]:
             if len(kept) == k:
                 break
-            if _blade_square_sign(mask, sig) != 1:
+            if blade_product(mask, mask, sig)[0] != 1:
                 continue
             if not all(_blades_commute(mask, g) for g in kept):
                 continue
@@ -216,47 +219,33 @@ def _span_of_corner(data: IdempotentData):
 
 
 def _certify_corner(reps, f: MV):
-    """Name the division ring spanned by reps, from its own products."""
+    """Name the division ring spanned by reps = [f, u_1, ...] from its own
+    products. Each u^2 = a f + t u, so v = u - (t/2) f is trace-free, and
+    v_i v_j + v_j v_i = 2 B_ij f (i <= j) defines a symmetric form B. The
+    corner is R, C or H, by dimension, when B is negative definite: every
+    pivot of its symmetric elimination is negative."""
     dim = len(reps)
-    if dim == 1:
-        return 1, "R"
-    if dim == 2:
-        u = reps[1]
+    ring = {1: "R", 2: "C", 4: "H"}.get(dim)
+    if ring is None:
+        raise RuntimeError(f"corner algebra dimension {dim} is not 1, 2, or 4")
+    vs = []
+    for u in reps[1:]:
         coords = express((u * u).terms, [f.terms, u.terms])
         if coords is None:
             raise RuntimeError("u^2 escapes span{f, u}; not a quadratic element")
-        a, t = coords
-        if t * t + 4 * a < 0:
-            return 2, "C"
-        raise RuntimeError("2-dimensional corner with real eigenvalues; not a field")
-    if dim == 4:
-        vs = []
-        for u in reps[1:]:
-            coords = express((u * u).terms, [f.terms, u.terms])
-            if coords is None:
-                raise RuntimeError("u^2 escapes span{f, u}; not a quadratic element")
-            a, t = coords
-            vs.append(u - f * (t / 2))
-        # symmetric bilinear form from polarization: v_i v_j + v_j v_i = 2 B_ij f
-        b = [[Fraction(0)] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                w = vs[i] * vs[j] + vs[j] * vs[i]
-                coords = express(w.terms, [f.terms])
-                if coords is None:
-                    raise RuntimeError("polarization escapes span{f}")
-                b[i][j] = coords[0] / 2
-        m1 = b[0][0]
-        m2 = b[0][0] * b[1][1] - b[0][1] * b[1][0]
-        m3 = (
-            b[0][0] * (b[1][1] * b[2][2] - b[1][2] * b[2][1])
-            - b[0][1] * (b[1][0] * b[2][2] - b[1][2] * b[2][0])
-            + b[0][2] * (b[1][0] * b[2][1] - b[1][1] * b[2][0])
-        )
-        if m1 < 0 and m2 > 0 and m3 < 0:
-            return 4, "H"
-        raise RuntimeError("4-dimensional corner form is not negative definite")
-    raise RuntimeError(f"corner algebra dimension {dim} is not 1, 2, or 4")
+        vs.append(u - f * (coords[1] / 2))
+    b = {}
+    for i, j in combinations_with_replacement(range(len(vs)), 2):
+        coords = express((vs[i] * vs[j] + vs[j] * vs[i]).terms, [f.terms])
+        if coords is None:
+            raise RuntimeError("polarization escapes span{f}")
+        b[i, j] = coords[0] / 2
+    for k in range(len(vs)):
+        if b[k, k] >= 0:
+            raise RuntimeError(f"{dim}-dimensional corner form is not negative definite")
+        for i, j in combinations_with_replacement(range(k + 1, len(vs)), 2):
+            b[i, j] -= b[k, i] * b[k, j] / b[k, k]
+    return dim, ring
 
 
 @lru_cache(maxsize=128)
@@ -288,9 +277,9 @@ def division_ring_of(p: int, q: int) -> tuple:
     one = MV.scalar(sig, 1)
     lam_plus = (one + omega) * half
     lam_minus = (one - omega) * half
-    assert lam_plus * lam_plus == lam_plus
-    assert lam_minus * lam_minus == lam_minus
-    assert not lam_plus * lam_minus
+    if not (lam_plus * lam_plus == lam_plus and lam_minus * lam_minus == lam_minus
+            and not lam_plus * lam_minus):
+        raise RuntimeError(f"central projectors are not orthogonal idempotents in Cl({p},{q})")
     mirror = involute(f, "grade_involution")
     f_plus = f * lam_plus
     m_plus = mirror * lam_plus
@@ -343,7 +332,8 @@ def dirac_idempotent() -> MV:
     left = MV.scalar(sig, half) + MV.generator(sig, 1) * half
     right = MV.scalar(sig, half) + MV.blade(sig, 0b0110, i) * half
     f = left * right
-    assert f * f == f
+    if f * f != f:
+        raise RuntimeError("Dirac f is not idempotent")
     return f
 
 

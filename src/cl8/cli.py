@@ -311,14 +311,7 @@ def _cmd_block(args, parser) -> int:
     fmt = args.format or "text"
     order = 1 if args.order is None else args.order
     block = reps.representation_block(order)
-    if fmt == "json":
-        nodes = [
-            {"l": reps._frac_str(l), "l_dot": reps._frac_str(ld), "field": tag}
-            for (l, ld), tag in block.nodes.items()
-        ]
-        _emit(args, _dumps({"order": block.order, "bound": block.bound, "nodes": nodes}))
-    else:
-        _emit(args, reps.block_text(block))
+    _emit(args, reps.block_json(block) if fmt == "json" else reps.block_text(block))
     return 0
 
 

@@ -1,10 +1,10 @@
 """Exact linear algebra over Q or Q(i) for sparse vectors keyed by hashable labels.
 
 Vectors are plain dicts mapping a key (a blade mask or any orderable
-label) to a Fraction or GaussianRational coefficient. Rank and
-coordinate solves run by incremental Gaussian elimination with no floating
-point anywhere. `SpanBasis` keys its echelon rows by pivot, so a reduction
-costs only the pivots it meets: a single-blade vector meets at most one.
+label) to a Fraction or GaussianRational coefficient. One elimination
+kernel, `SpanBasis`, serves rank and coordinate solves (`express` tags each
+vector with its index), with no floating point anywhere. It keys its rows
+by pivot, so a reduction costs only the pivots it meets.
 """
 
 from __future__ import annotations
@@ -14,18 +14,6 @@ from fractions import Fraction
 
 def _clean(vec) -> dict:
     return {k: c for k, c in vec.items() if c}
-
-
-def _sub_scaled(v: dict, row: dict, factor) -> None:
-    """In place: v -= factor * row, dropping exact zeros."""
-    for k, c in row.items():
-        delta = factor * c
-        cur = v.get(k)
-        nv = -delta if cur is None else cur - delta
-        if nv:
-            v[k] = nv
-        else:
-            v.pop(k, None)
 
 
 class SpanBasis:
@@ -98,37 +86,21 @@ def rank_of(vectors) -> int:
 def express(target, basis_vectors):
     """Coordinates of target in the span of basis_vectors, or None.
 
-    Returns a list of coefficients x with target == sum(x[i] * basis_vectors[i]),
-    exact. Redundant basis vectors are fine; they get coefficient 0.
+    Returns an exact list x with target == sum(x[i] * basis_vectors[i]); a
+    redundant basis vector gets 0. Vector i enters a SpanBasis with each key
+    k as (0, k) and a tag (1, i) of value 1. Tags sort after every own key,
+    so a row's tags are its coordinates in the inputs. A vector whose own
+    keys all cancel is redundant and is not added. The target is in the
+    span when it reduces to tags alone, and then tag i holds -x[i].
     """
-    rows = []  # (pivot, normalized row, coords of that row in the inputs)
-    for idx, vec in enumerate(basis_vectors):
-        v = _clean(vec)
-        coords = {idx: Fraction(1)}
-        for pivot, row, rc in rows:
-            if pivot in v:
-                f = v[pivot]
-                _sub_scaled(v, row, f)
-                _sub_scaled(coords, rc, f)
-        if v:
-            pivot = min(v)
-            pc = v[pivot]
-            rows.append((pivot, {k: c / pc for k, c in v.items()},
-                         {i: c / pc for i, c in coords.items()}))
-    v = _clean(target)
-    out = {}
-    for pivot, row, rc in rows:
-        if pivot in v:
-            f = v[pivot]
-            _sub_scaled(v, row, f)
-            for i, c in rc.items():
-                cur = out.get(i)
-                nv = f * c if cur is None else cur + f * c
-                if nv:
-                    out[i] = nv
-                else:
-                    out.pop(i, None)
-    if v:
+    basis = SpanBasis()
+    for i, vec in enumerate(basis_vectors):
+        tagged = {(0, k): c for k, c in vec.items()}
+        tagged[1, i] = Fraction(1)
+        v = basis.reduce(tagged)
+        if min(v)[0] == 0:
+            basis.add(v)
+    v = basis.reduce({(0, k): c for k, c in target.items()})
+    if v and min(v)[0] == 0:
         return None
-    zero = Fraction(0)
-    return [out.get(i, zero) for i in range(len(basis_vectors))]
+    return [-v.get((1, i), Fraction(0)) for i in range(len(basis_vectors))]

@@ -160,10 +160,17 @@ def k(q: int) -> int:
     return q - radon_hurwitz(q)
 
 
+#: Largest q_max accepted by k_sequences, and so by verify_theorem3 and the
+#: theorem3 suite, checked before any cycle is listed.
+MAX_QMAX = 1024
+
+
 def k_sequences(q_max: int) -> list:
     """k over q = 0..8, then over each further full cycle 8r+1..8r+8 <= q_max."""
     if q_max < 8:
         raise ValueError("q_max must be >= 8 to cover the first cycle")
+    if q_max > MAX_QMAX:
+        raise ValueError(f"q_max = {q_max} exceeds MAX_QMAX = {MAX_QMAX}")
     sequences = [tuple(k(q) for q in range(0, 9))]
     r = 1
     while 8 * r + 8 <= q_max:

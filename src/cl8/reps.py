@@ -292,5 +292,14 @@ def chain_json(chain: SpinChain) -> str:
     })
 
 
+def block_json(block: RepBlock) -> str:
+    nodes = [
+        {"l": _frac_str(l), "l_dot": _frac_str(ld), "field": tag}
+        for (l, ld), tag in block.nodes.items()
+    ]
+    return json.dumps({"order": block.order, "bound": block.bound, "nodes": nodes},
+                      sort_keys=True)
+
+
 def walk_text(walk: list) -> str:
     return " -> ".join(label_token(e) for e in walk)

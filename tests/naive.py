@@ -181,6 +181,55 @@ def naive_span_basis(vectors):
     return added, rows
 
 
+def _sub_scaled(v, row, factor):
+    """In place: v -= factor * row, dropping exact zeros."""
+    for k, c in row.items():
+        delta = factor * c
+        cur = v.get(k)
+        nv = -delta if cur is None else cur - delta
+        if nv:
+            v[k] = nv
+        else:
+            v.pop(k, None)
+
+
+def naive_express(target, basis_vectors):
+    """Coordinates of target in the span of basis_vectors, or None, by a
+    linear row scan that carries each row's coordinates in the inputs beside
+    it. A redundant basis vector gets coordinate 0."""
+    rows = []  # (pivot, normalized row, coords of that row in the inputs)
+    for idx, vec in enumerate(basis_vectors):
+        v = {k: c for k, c in vec.items() if c}
+        coords = {idx: Fraction(1)}
+        for pivot, row, rc in rows:
+            if pivot in v:
+                f = v[pivot]
+                _sub_scaled(v, row, f)
+                _sub_scaled(coords, rc, f)
+        if v:
+            pivot = min(v)
+            pc = v[pivot]
+            rows.append((pivot, {k: c / pc for k, c in v.items()},
+                         {i: c / pc for i, c in coords.items()}))
+    v = {k: c for k, c in target.items() if c}
+    out = {}
+    for pivot, row, rc in rows:
+        if pivot in v:
+            f = v[pivot]
+            _sub_scaled(v, row, f)
+            for i, c in rc.items():
+                cur = out.get(i)
+                nv = f * c if cur is None else cur + f * c
+                if nv:
+                    out[i] = nv
+                else:
+                    out.pop(i, None)
+    if v:
+        return None
+    zero = Fraction(0)
+    return [out.get(i, zero) for i in range(len(basis_vectors))]
+
+
 def stars_and_bars_degree(k, r):
     """Count the independent components of a spintensor symmetric in k
     undotted and r dotted two-valued indices, by direct enumeration."""

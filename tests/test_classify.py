@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from cl8.algebra import MV, GaussianRational, Signature, involute
 from cl8.classify import (
+    MAX_CLASSIFY_N,
     MAX_IDEMPOTENT_N,
     _blades_commute,
+    _certify_corner,
     _span_of_corner,
     algebra_type,
     formal_dimension_identity,
@@ -71,6 +73,14 @@ def test_algebra_type_rings(pq, ring):
 def test_algebra_type_rejects_non_int_fields(p, q):
     with pytest.raises(ValueError):
         algebra_type(p, q)
+
+
+def test_algebra_type_size_is_bounded():
+    assert algebra_type(MAX_CLASSIFY_N, 0).matrix_rank == 1 << (MAX_CLASSIFY_N // 2)
+    with pytest.raises(ValueError, match="MAX_CLASSIFY_N"):
+        algebra_type(MAX_CLASSIFY_N, 1)
+    with pytest.raises(ValueError, match="MAX_CLASSIFY_N"):
+        algebra_type(100000000, 3)
 
 
 RANK_TABLE = [
@@ -197,6 +207,31 @@ def test_corner_of_a_blade_is_zero_or_blade_times_f(data):
         assert f * e * f == e * f
     else:
         assert not f * e * f
+
+
+def _blade_reps(p, q, masks):
+    sig = Signature(p, q)
+    return [MV.blade(sig, m) for m in masks], MV.scalar(sig, 1)
+
+
+@pytest.mark.parametrize("p,q,masks,match", [
+    (1, 0, [0, 0b1], "not negative definite"),  # u = e1, u^2 = +1
+    (2, 0, [0, 0b01, 0b10, 0b11], "not negative definite"),  # split form
+    (0, 2, [0, 0b01, 0b10], "dimension 3"),
+])
+def test_corner_certificate_refuses_what_is_not_r_c_or_h(p, q, masks, match):
+    reps, one = _blade_reps(p, q, masks)
+    with pytest.raises(RuntimeError, match=match):
+        _certify_corner(reps, one)
+
+
+@pytest.mark.parametrize("p,q,masks,want", [
+    (0, 1, [0, 0b1], (2, "C")),
+    (0, 2, [0, 0b01, 0b10, 0b11], (4, "H")),
+])
+def test_corner_certificate_names_c_and_h(p, q, masks, want):
+    reps, one = _blade_reps(p, q, masks)
+    assert _certify_corner(reps, one) == want
 
 
 def test_idempotent_size_and_caches_are_bounded():

@@ -108,6 +108,17 @@ def test_cycle_text(capsys):
     assert "q=16" in out or "16" in out
 
 
+def test_block_json_is_frozen(capsys):
+    # SHA-256 of `block --order 1` and `--order 2` json, recorded when
+    # the record moved from the CLI into reps.block_json
+    chunks = []
+    for order in ("1", "2"):
+        code, out, _ = run(capsys, ["block", "--order", order, "--format", "json"])
+        chunks.append(f"{out}{code}\n")
+    digest = hashlib.sha256("".join(chunks).encode()).hexdigest()
+    assert digest == "7b77346a5821aefb6564103d4da2f0ba162e69cc3855a58885a142bb633f6a19"
+
+
 def test_block_json_matches_grid(capsys):
     code, out, _ = run(capsys, ["block", "--order", "1", "--format", "json"])
     assert code == 0
@@ -340,6 +351,8 @@ def test_float_commands_and_reports_are_frozen(capsys):
     (["block", "--order", "4", "--format", "json"], "MAX_BLOCK_ORDER"),
     (["rep", "20000", "0"], "MAX_REP_SUM"),
     (["rep", "20000", "0", "--format", "json"], "MAX_REP_SUM"),
+    (["classify", "100000000", "3"], "MAX_CLASSIFY_N"),
+    (["verify", "theorem3", "--qmax", "100000000"], "MAX_QMAX"),
 ])
 def test_chain_and_block_sizes_are_bounded(argv, bound):
     res = cl8_subprocess("-m", "cl8.cli", *argv, timeout=20)
@@ -347,6 +360,12 @@ def test_chain_and_block_sizes_are_bounded(argv, bound):
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
     assert bound in res.stderr
+
+
+def test_theorem3_at_the_bound_still_runs(capsys):
+    code, out, _ = run(capsys, ["verify", "theorem3", "--qmax", "1024"])
+    assert code == 0
+    assert out.rstrip().endswith("summary: 1/1 suites passed")
 
 
 def test_rep_at_the_bound_still_runs(capsys):

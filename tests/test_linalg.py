@@ -1,13 +1,14 @@
-"""Exact elimination: the pivot-keyed SpanBasis against the linear row scan."""
+"""Exact elimination: the pivot-keyed SpanBasis, and express built on it,
+against the linear row scans in naive.py."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from cl8.algebra import GaussianRational
-from cl8.linalg import SpanBasis, rank_of
+from cl8.linalg import SpanBasis, express, rank_of
 
-from naive import naive_reduce, naive_span_basis
+from naive import naive_express, naive_reduce, naive_span_basis
 
 
 fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -50,6 +51,31 @@ def test_span_basis_matches_linear_scan(vecs, data):
     for probe in vecs + [data.draw(st.dictionaries(keys, st.sampled_from([Fraction(1), Fraction(-2, 3)])))]:
         assert basis.reduce(probe) == naive_reduce(rows, probe)
         assert basis.contains(probe) == (not naive_reduce(rows, probe))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_lists(), st.data())
+def test_express_matches_linear_scan(vecs, data):
+    """Targets inside the span (combinations, possibly cancelling to 0) and
+    random ones, mostly outside it, where both sides give None."""
+    coeff = data.draw(st.sampled_from([fractions, gaussians]))
+    if data.draw(st.booleans()):
+        target = {}
+        for i in data.draw(st.lists(st.integers(0, len(vecs) - 1), max_size=4)):
+            factor = data.draw(coeff)
+            for k, c in vecs[i].items():
+                target[k] = target.get(k, 0) + factor * c
+    else:
+        target = data.draw(st.dictionaries(keys, coeff, max_size=5))
+    assert express(target, vecs) == naive_express(target, vecs)
+
+
+def test_express_coordinates():
+    one, two = Fraction(1), Fraction(2)
+    vecs = [{0: one, 1: one}, {0: two, 1: two}, {1: one}]
+    assert express({0: Fraction(3), 1: Fraction(5)}, vecs) == [3, 0, 2]
+    assert express({2: one}, vecs) is None
+    assert express({}, vecs) == [0, 0, 0]
 
 
 def test_single_key_vectors():

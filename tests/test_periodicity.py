@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cl8.classify import algebra_type, primitive_idempotent, radon_hurwitz
 from cl8.periodicity import (
+    MAX_QMAX,
     board_json,
     board_text,
     bw_cycle,
@@ -136,6 +137,14 @@ def test_k_sequences_need_a_full_cycle():
     assert k_sequences(23) == [seq for _, _, seq in K_SEQUENCES[:2]]
     with pytest.raises(ValueError):
         k_sequences(7)
+
+
+def test_k_sequences_size_is_bounded():
+    assert len(k_sequences(MAX_QMAX)) == MAX_QMAX // 8
+    with pytest.raises(ValueError, match="MAX_QMAX"):
+        k_sequences(MAX_QMAX + 1)
+    with pytest.raises(ValueError, match="MAX_QMAX"):
+        verify_theorem3(100000000)
 
 
 def test_theorem3_shift_law():
