@@ -221,9 +221,9 @@ def _span_of_corner(data: IdempotentData):
 def _certify_corner(reps, f: MV):
     """Name the division ring spanned by reps = [f, u_1, ...] from its own
     products. Each u^2 = a f + t u, so v = u - (t/2) f is trace-free, and
-    v_i v_j + v_j v_i = 2 B_ij f (i <= j) defines a symmetric form B. The
-    corner is R, C or H, by dimension, when B is negative definite: every
-    pivot of its symmetric elimination is negative."""
+    v_i^2 = B_ii f and v_i v_j + v_j v_i = 2 B_ij f (i < j) define a
+    symmetric form B. The corner is R, C or H, by dimension, when B is
+    negative definite: every pivot of its symmetric elimination is negative."""
     dim = len(reps)
     ring = {1: "R", 2: "C", 4: "H"}.get(dim)
     if ring is None:
@@ -236,10 +236,11 @@ def _certify_corner(reps, f: MV):
         vs.append(u - f * (coords[1] / 2))
     b = {}
     for i, j in combinations_with_replacement(range(len(vs)), 2):
-        coords = express((vs[i] * vs[j] + vs[j] * vs[i]).terms, [f.terms])
+        pol = vs[i] * vs[i] if i == j else vs[i] * vs[j] + vs[j] * vs[i]
+        coords = express(pol.terms, [f.terms])
         if coords is None:
             raise RuntimeError("polarization escapes span{f}")
-        b[i, j] = coords[0] / 2
+        b[i, j] = coords[0] if i == j else coords[0] / 2
     for k in range(len(vs)):
         if b[k, k] >= 0:
             raise RuntimeError(f"{dim}-dimensional corner form is not negative definite")

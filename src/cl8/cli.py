@@ -5,11 +5,13 @@ arguments and formats what the library returns. `verify` takes its suite
 names from the registry `suites.SUITES`. `--seed` exists only on the sampled
 commands (`verify`, `spinor`, `qubit`) and `--samples` only on `spinor` and
 `qubit`. Output is deterministic for a fixed seed so reports can be
-snapshot-compared byte for byte. Exit codes: 0 success, 1 a verification
-suite found a counterexample, 2 a usage, input or I/O error. Only the float
-commands (`spinor`, `twistor`, `qubit` and, through its suite, `verify
-numeric`) import `pauli`, and with it numpy; every other command runs
-without it.
+snapshot-compared byte for byte. Every default is declared once, in
+`build_parser`; `--config FILE` turns its key=value lines into flags placed
+before the user's and parses again, so the same checks apply and flags win.
+Exit codes: 0 success, 1 a verification suite found a counterexample, 2 a
+usage, input or I/O error. Only the float commands (`spinor`, `twistor`,
+`qubit` and, through its suite, `verify numeric`) import `pauli`, and with it
+numpy; every other command runs without it.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import reps, suites
-from .classify import algebra_type, primitive_idempotent
+from .classify import MAX_CLASSIFY_N, algebra_type, primitive_idempotent
 from .periodicity import (
     board_json,
     board_text,
@@ -31,25 +34,20 @@ from .periodicity import (
     clock_text,
 )
 
-_CONFIG_TYPES = {
-    "pmax": int,
-    "qmax": int,
-    "order": int,
-    "seed": int,
-    "samples": int,
-    "r": int,
-    "format": str,
-    "output": str,
-}
+_CONFIG_KEYS = ("pmax", "qmax", "order", "seed", "samples", "r", "format", "output")
+
+#: Digits of the largest matrix_rank algebra_type returns, 2^(MAX_CLASSIFY_N / 2).
+_RANK_DIGITS = int(MAX_CLASSIFY_N // 2 * math.log10(2)) + 1
+
 
 def _add_common(sp, *, formats=("text", "json"), seed=False, samples=False):
-    sp.add_argument("--format", choices=formats, default=None)
+    sp.add_argument("--format", choices=formats, default="text")
     sp.add_argument("--output", default=None, help="write to this file instead of stdout")
     sp.add_argument("--config", default=None, help="key=value defaults file; flags win")
     if seed:
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=int, default=0)
     if samples:
-        sp.add_argument("--samples", type=int, default=None)
+        sp.add_argument("--samples", type=int, default=100)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="mod-8 class of Cl(p,q), or a sweep")
     p_classify.add_argument("pq", nargs="*", type=int)
-    p_classify.add_argument("--pmax", type=int, default=None)
-    p_classify.add_argument("--qmax", type=int, default=None)
+    p_classify.add_argument("--pmax", type=int, default=7)
+    p_classify.add_argument("--qmax", type=int, default=7)
     _add_common(p_classify, formats=("text", "json", "csv"))
 
     p_idem = sub.add_parser("idempotent", help="primitive idempotent data for Cl(p,q)")
@@ -68,19 +66,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_idem)
 
     p_board = sub.add_parser("chessboard", help="render an order-n algebra board")
-    p_board.add_argument("--order", type=int, default=None)
+    p_board.add_argument("--order", type=int, default=1)
     _add_common(p_board)
 
     p_clock = sub.add_parser("clock", help="the eight-hour ring cycle")
     _add_common(p_clock)
 
     p_cycle = sub.add_parser("cycle", help="one full cycle of transitions at row r")
-    p_cycle.add_argument("--r", type=int, default=None)
+    p_cycle.add_argument("--r", type=int, default=0)
     _add_common(p_cycle)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
-    p_verify.add_argument("--qmax", type=int, default=None)
+    p_verify.add_argument("--qmax", type=int, default=24)
     _add_common(p_verify, seed=True)
 
     p_rep = sub.add_parser("rep", help="label data for tau_{k/2, r/2}")
@@ -94,15 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_chain)
 
     p_block = sub.add_parser("block", help="representation block grid")
-    p_block.add_argument("--order", type=int, default=None)
+    p_block.add_argument("--order", type=int, default=1)
     _add_common(p_block)
 
     p_spinor = sub.add_parser("spinor", help="sampled null-vector checks")
     _add_common(p_spinor, seed=True, samples=True)
 
     p_twistor = sub.add_parser("twistor", help="incidence at a point")
-    p_twistor.add_argument("--x", default=None, help="four comma-separated reals")
-    p_twistor.add_argument("--pi", default=None, help="re0,im0,re1,im1")
+    p_twistor.add_argument("--x", default="1.4142135623730951,0,0,0",
+                           help="four comma-separated reals")
+    p_twistor.add_argument("--pi", default="1,0,0,0", help="re0,im0,re1,im1")
     _add_common(p_twistor)
 
     p_qubit = sub.add_parser("qubit", help="sampled Bloch round-trip checks")
@@ -111,29 +110,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args, parser):
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def _config_flags(path: str, parser) -> list:
+    """`--key=value` tokens for the file's `_CONFIG_KEYS`; a key's first line wins."""
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    values = {}
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             parser.error(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _CONFIG_TYPES:
-            continue
-        if hasattr(args, key) and getattr(args, key) is None:
-            try:
-                setattr(args, key, _CONFIG_TYPES[key](value))
-            except ValueError:
-                parser.error(f"{path}:{lineno}: bad value for {key}: {value!r}")
+        values.setdefault(key.strip(), value.strip())
+    return [f"--{key}={values[key]}" for key in _CONFIG_KEYS if key in values]
 
 
 def _emit(args, text: str) -> None:
@@ -176,27 +169,24 @@ def _classify_text(rec: dict) -> str:
 
 
 def _cmd_classify(args, parser) -> int:
-    fmt = args.format or "text"
     if len(args.pq) == 2:
         rec = _classify_record(*args.pq)
-        if fmt == "json":
+        if args.format == "json":
             _emit(args, _dumps(rec))
-        elif fmt == "csv":
+        elif args.format == "csv":
             _emit(args, ",".join(_CSV_COLUMNS) + "\n" + _csv_row(rec))
         else:
             _emit(args, _classify_text(rec))
         return 0
     if args.pq:
         parser.error("classify takes p and q together, or neither for a sweep")
-    pmax = 7 if args.pmax is None else args.pmax
-    qmax = 7 if args.qmax is None else args.qmax
     records = [
         _classify_record(p, q)
-        for p in range(pmax + 1) for q in range(qmax + 1)
+        for p in range(args.pmax + 1) for q in range(args.qmax + 1)
     ]
-    if fmt == "json":
+    if args.format == "json":
         _emit(args, _dumps(records))
-    elif fmt == "csv":
+    elif args.format == "csv":
         rows = [",".join(_CSV_COLUMNS)] + [_csv_row(r) for r in records]
         _emit(args, "\n".join(rows))
     else:
@@ -209,7 +199,6 @@ def _blade_name(mask: int) -> str:
 
 
 def _cmd_idempotent(args, parser) -> int:
-    fmt = args.format or "text"
     data = primitive_idempotent(args.p, args.q)
     at = algebra_type(args.p, args.q)
     rec = {
@@ -221,7 +210,7 @@ def _cmd_idempotent(args, parser) -> int:
         "ideal_dim": (1 << (args.p + args.q)) >> data.k,
         "generators": [_blade_name(m) for m in data.generators],
     }
-    if fmt == "json":
+    if args.format == "json":
         _emit(args, _dumps(rec))
     else:
         gens = ", ".join(rec["generators"]) or "(none)"
@@ -234,31 +223,22 @@ def _cmd_idempotent(args, parser) -> int:
 
 
 def _cmd_chessboard(args, parser) -> int:
-    fmt = args.format or "text"
-    order = 1 if args.order is None else args.order
-    board = chessboard(order)
-    _emit(args, board_json(board) if fmt == "json" else board_text(board))
+    board = chessboard(args.order)
+    _emit(args, board_json(board) if args.format == "json" else board_text(board))
     return 0
 
 
 def _cmd_clock(args, parser) -> int:
-    fmt = args.format or "text"
-    _emit(args, clock_json() if fmt == "json" else clock_text())
+    _emit(args, clock_json() if args.format == "json" else clock_text())
     return 0
 
 
 def _cmd_cycle(args, parser) -> int:
-    fmt = args.format or "text"
-    r = 0 if args.r is None else args.r
-    transitions = bw_cycle(r)
-    if fmt == "json":
-        _emit(args, _dumps([
-            {"h": t.h, "q_from": t.q_from, "q_to": t.q_to,
-             "ring_from": t.ring_from, "ring_to": t.ring_to}
-            for t in transitions
-        ]))
+    transitions = bw_cycle(args.r)
+    if args.format == "json":
+        _emit(args, _dumps([asdict(t) for t in transitions]))
     else:
-        lines = [f"cycle r={r}"]
+        lines = [f"cycle r={args.r}"]
         lines += [
             f"h={t.h}: q={t.q_from} -> q={t.q_to}   {t.ring_from} -> {t.ring_to}"
             for t in transitions
@@ -268,14 +248,11 @@ def _cmd_cycle(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    fmt = args.format or "text"
-    qmax = 24 if args.qmax is None else args.qmax
-    seed = 0 if args.seed is None else args.seed
     if args.suite == "all":
-        results = suites.run_all(seed=seed, qmax=qmax)
+        results = suites.run_all(seed=args.seed, qmax=args.qmax)
     else:
-        results = [suites.SUITES[args.suite](seed, qmax)]
-    if fmt == "json":
+        results = [suites.SUITES[args.suite](args.seed, args.qmax)]
+    if args.format == "json":
         _emit(args, _dumps(results))
     else:
         _emit(args, suites.render_report(results))
@@ -283,9 +260,8 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_rep(args, parser) -> int:
-    fmt = args.format or "text"
     label = reps.rep_label(args.k, args.r)
-    if fmt == "json":
+    if args.format == "json":
         _emit(args, _dumps(reps.label_json_dict(label)))
     else:
         _emit(args, "\n".join([
@@ -297,42 +273,36 @@ def _cmd_rep(args, parser) -> int:
 
 
 def _cmd_chain(args, parser) -> int:
-    fmt = args.format or "text"
     try:
         l, ld = Fraction(args.l), Fraction(args.l_dot)
     except ValueError:
         parser.error("l and l_dot must be rationals like 3 or 1/2")
     chain = reps.spin_chain(l, ld)
-    _emit(args, reps.chain_json(chain) if fmt == "json" else reps.chain_text(chain))
+    _emit(args, reps.chain_json(chain) if args.format == "json" else reps.chain_text(chain))
     return 0
 
 
 def _cmd_block(args, parser) -> int:
-    fmt = args.format or "text"
-    order = 1 if args.order is None else args.order
-    block = reps.representation_block(order)
-    _emit(args, reps.block_json(block) if fmt == "json" else reps.block_text(block))
+    block = reps.representation_block(args.order)
+    _emit(args, reps.block_json(block) if args.format == "json" else reps.block_text(block))
     return 0
 
 
 def _cmd_spinor(args, parser) -> int:
     from . import pauli
 
-    fmt = args.format or "text"
-    seed = 0 if args.seed is None else args.seed
-    samples = 100 if args.samples is None else args.samples
-    max_null, max_imag = pauli.null_outer_defects(seed, samples)
+    max_null, max_imag = pauli.null_outer_defects(args.seed, args.samples)
     rec = {
         "passed": max_null < 1e-9 and max_imag < 1e-9,
-        "checked": samples,
+        "checked": args.samples,
         "max_null_defect": max_null,
         "max_imag": max_imag,
     }
-    if fmt == "json":
+    if args.format == "json":
         _emit(args, _dumps(rec))
     else:
         verdict = "PASS" if rec["passed"] else "FAIL"
-        _emit(args, f"{verdict} {samples} conjugate outer products stay real and null "
+        _emit(args, f"{verdict} {args.samples} conjugate outer products stay real and null "
                     f"(max |S^2| = {max_null:.3e})")
     return 0 if rec["passed"] else 1
 
@@ -350,9 +320,8 @@ def _floats(text: str, parser, flag: str) -> list:
 def _cmd_twistor(args, parser) -> int:
     from . import pauli
 
-    fmt = args.format or "text"
-    x = [math.sqrt(2.0), 0.0, 0.0, 0.0] if args.x is None else _floats(args.x, parser, "--x")
-    raw_pi = [1.0, 0.0, 0.0, 0.0] if args.pi is None else _floats(args.pi, parser, "--pi")
+    x = _floats(args.x, parser, "--x")
+    raw_pi = _floats(args.pi, parser, "--pi")
     if len(x) != 4:
         parser.error("--x expects exactly four components")
     if len(raw_pi) != 4:
@@ -366,7 +335,7 @@ def _cmd_twistor(args, parser) -> int:
         "norm": pauli.twistor_norm(omega, pi),
         "form_signature": list(pauli.twistor_form_signature()),
     }
-    if fmt == "json":
+    if args.format == "json":
         _emit(args, _dumps(rec))
     else:
         _emit(args, "\n".join([
@@ -380,15 +349,12 @@ def _cmd_twistor(args, parser) -> int:
 def _cmd_qubit(args, parser) -> int:
     from . import pauli
 
-    fmt = args.format or "text"
-    seed = 0 if args.seed is None else args.seed
-    samples = 100 if args.samples is None else args.samples
-    rec = pauli.bloch_roundtrip_check(samples=samples, seed=seed)
-    if fmt == "json":
+    rec = pauli.bloch_roundtrip_check(samples=args.samples, seed=args.seed)
+    if args.format == "json":
         _emit(args, _dumps(rec))
     else:
         verdict = "PASS" if rec["passed"] else "FAIL"
-        _emit(args, f"{verdict} {samples} pure states round-trip through the Bloch map "
+        _emit(args, f"{verdict} {args.samples} pure states round-trip through the Bloch map "
                     f"(max defect = {rec['max_roundtrip_defect']:.3e})")
     return 0 if rec["passed"] else 1
 
@@ -410,9 +376,13 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < _RANK_DIGITS:
+        sys.set_int_max_str_digits(_RANK_DIGITS)
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    _apply_config(args, parser)
+    if args.config:  # parse again with the file's flags after argv[0], the subcommand
+        args, _ = parser.parse_known_args(argv[:1] + _config_flags(args.config, parser) + argv[1:])
     try:
         return _DISPATCH[args.command](args, parser)
     except (ValueError, OSError) as exc:

@@ -62,6 +62,11 @@ def bw_cycle(r: int) -> list:
     return out
 
 
+#: Largest board order, checked before 8^order is built: chessboard(5) is
+#: the largest board whose every cell algebra_type answers (p + q <= 65,534).
+MAX_BOARD_ORDER = 5
+
+
 class Chessboard:
     """Square board of side 8^order indexed by (p, q).
 
@@ -72,6 +77,8 @@ class Chessboard:
     def __init__(self, order: int):
         if order < 1:
             raise ValueError("order must be >= 1")
+        if order > MAX_BOARD_ORDER:
+            raise ValueError(f"order = {order} exceeds MAX_BOARD_ORDER = {MAX_BOARD_ORDER}")
         self.order = order
         self.size = 8 ** order
 

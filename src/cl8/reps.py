@@ -157,7 +157,7 @@ def spin_chain(l, l_dot) -> SpinChain:
     l = _half_integer(l, "l")
     ld = _half_integer(l_dot, "l_dot")
     if l + ld > MAX_CHAIN_SUM:
-        raise ValueError(f"l + l_dot = {_frac_str(l + ld)} exceeds MAX_CHAIN_SUM = {MAX_CHAIN_SUM}")
+        raise ValueError(f"l + l_dot = {str(l + ld)} exceeds MAX_CHAIN_SUM = {MAX_CHAIN_SUM}")
     if l > ld:
         l, ld = ld, l
     members = []
@@ -234,22 +234,18 @@ def representation_block(order: int) -> RepBlock:
 # --------------------------------------------------------------------------
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def label_token(label: RepLabel) -> str:
     tag = "r" if label.field == "real" else "q"
     eps = "^e " if label.quotient else ""
-    return f"{eps}tau[{tag}]({_frac_str(label.l)},{_frac_str(label.l_dot)})"
+    return f"{eps}tau[{tag}]({str(label.l)},{str(label.l_dot)})"
 
 
 def label_json_dict(label: RepLabel, include_quotient: bool = True) -> dict:
     out = {
-        "l": _frac_str(label.l),
-        "l_dot": _frac_str(label.l_dot),
+        "l": str(label.l),
+        "l_dot": str(label.l_dot),
         "field": label.field,
-        "spin": _frac_str(label.spin),
+        "spin": str(label.spin),
         "degree": label.degree,
         "spinspace_dim": label.spinspace_dim,
     }
@@ -262,11 +258,11 @@ def block_text(block: RepBlock) -> str:
     """Letter grid, l increasing down, l_dot increasing right."""
     half = Fraction(1, 2)
     steps = 2 * block.bound + 1
-    header = "l\\ld " + " ".join(f"{_frac_str(b * half):>4}" for b in range(steps))
+    header = "l\\ld " + " ".join(f"{str(b * half):>4}" for b in range(steps))
     lines = [header]
     for a in range(steps):
         l = a * half
-        row = [f"{_frac_str(l):>4} "]
+        row = [f"{str(l):>4} "]
         for b in range(steps):
             tag = block.nodes[(l, b * half)]
             row.append(f"{'r' if tag == 'real' else 'q':>4}")
@@ -276,15 +272,15 @@ def block_text(block: RepBlock) -> str:
 
 def chain_text(chain: SpinChain) -> str:
     arrow = " -> ".join(label_token(m) for m in chain.members)
-    spins = ", ".join(_frac_str(s) for s in chain.spins_signed)
+    spins = ", ".join(str(s) for s in chain.spins_signed)
     return f"{arrow}\nspins: {spins}"
 
 
 def chain_json(chain: SpinChain) -> str:
     return json.dumps({
-        "start": [_frac_str(chain.start[0]), _frac_str(chain.start[1])],
+        "start": [str(chain.start[0]), str(chain.start[1])],
         "members": [label_json_dict(m, include_quotient=False) for m in chain.members],
-        "spins_signed": [_frac_str(s) for s in chain.spins_signed],
+        "spins_signed": [str(s) for s in chain.spins_signed],
         "algebras": [
             {"k": d.k, "r": d.r, "spinspace_dim": d.spinspace_dim}
             for d in chain_algebra_sequence(chain)
@@ -294,7 +290,7 @@ def chain_json(chain: SpinChain) -> str:
 
 def block_json(block: RepBlock) -> str:
     nodes = [
-        {"l": _frac_str(l), "l_dot": _frac_str(ld), "field": tag}
+        {"l": str(l), "l_dot": str(ld), "field": tag}
         for (l, ld), tag in block.nodes.items()
     ]
     return json.dumps({"order": block.order, "bound": block.bound, "nodes": nodes},

@@ -234,6 +234,24 @@ def test_corner_certificate_names_c_and_h(p, q, masks, want):
     assert _certify_corner(reps, one) == want
 
 
+@pytest.mark.parametrize("p,q,masks,products", [
+    (0, 1, [0, 0b1], 2),  # u^2, then v^2
+    (0, 2, [0, 0b01, 0b10, 0b11], 12),  # 3 u^2, 3 v_i^2, 3 pairs v_i v_j + v_j v_i
+])
+def test_corner_certificate_forms_each_square_once(monkeypatch, p, q, masks, products):
+    reps, one = _blade_reps(p, q, masks)
+    mul, calls = MV.__mul__, []
+
+    def counting(self, other):
+        if isinstance(other, MV):
+            calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(MV, "__mul__", counting)
+    _certify_corner(reps, one)
+    assert len(calls) == products
+
+
 def test_idempotent_size_and_caches_are_bounded():
     with pytest.raises(ValueError, match="MAX_IDEMPOTENT_N"):
         primitive_idempotent(0, MAX_IDEMPOTENT_N + 1)

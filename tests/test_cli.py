@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from cl8.classify import algebra_type
 from cl8.cli import build_parser, main
+from cl8.periodicity import clock_json, clock_text
 from cl8.suites import SUITES, render_report, run_all
 
 from figdata import FIG8
@@ -222,6 +225,95 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert "8,8,9,9,10,11,12,12" not in out
 
 
+def write_config(tmp_path, text):
+    cfg = tmp_path / "cl8.cfg"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+def test_config_skips_blank_comment_and_unknown_lines(tmp_path, capsys):
+    cfg = write_config(tmp_path, "\n# order=3\n   \ncolour=blue\norder=2\n")
+    assert run(capsys, ["chessboard", "--config", cfg]) == run(capsys, ["chessboard", "--order", "2"])
+
+
+def test_config_first_line_of_a_key_wins(tmp_path, capsys):
+    cfg = write_config(tmp_path, "format = json \nformat=text\n")
+    assert run(capsys, ["clock", "--config", cfg]) == run(capsys, ["clock", "--format", "json"])
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["classify", "1", "3"], "seed=5"),
+    (["rep", "1", "3"], "r=2"),
+    (["verify", "cycles"], "samples=3"),
+])
+def test_config_ignores_keys_the_command_lacks(tmp_path, capsys, argv, line):
+    cfg = write_config(tmp_path, line + "\n")
+    assert run(capsys, [*argv, "--config", cfg]) == run(capsys, argv)
+
+
+@pytest.mark.parametrize("argv, key, in_file, in_flag", [
+    (["classify"], "pmax", "2", "1"),
+    (["classify"], "qmax", "2", "1"),
+    (["chessboard"], "order", "2", "1"),
+    (["qubit", "--samples", "3", "--format", "json"], "seed", "1", "2"),
+    (["qubit"], "samples", "3", "2"),
+    (["cycle"], "r", "2", "1"),
+    (["clock"], "format", "json", "text"),
+])
+def test_config_value_applies_and_a_flag_beats_it(tmp_path, capsys, argv, key, in_file, in_flag):
+    cfg = write_config(tmp_path, f"{key}={in_file}\n")
+    from_file = run(capsys, [*argv, "--config", cfg])
+    assert from_file == run(capsys, [*argv, f"--{key}", in_file])
+    both = run(capsys, [*argv, "--config", cfg, f"--{key}", in_flag])
+    assert both == run(capsys, [*argv, f"--{key}", in_flag])
+    assert both != from_file
+
+
+def test_config_output_applies_and_the_flag_beats_it(tmp_path, capsys):
+    in_file, in_flag = tmp_path / "file.txt", tmp_path / "flag.txt"
+    cfg = write_config(tmp_path, f"output={in_file}\n")
+    assert run(capsys, ["clock", "--config", cfg]) == (0, "", "")
+    assert in_file.read_text() == clock_text() + "\n"
+    in_file.unlink()
+    assert run(capsys, ["clock", "--config", cfg, "--output", str(in_flag)]) == (0, "", "")
+    assert in_flag.read_text() == clock_text() + "\n"
+    assert not in_file.exists()
+
+
+def test_config_line_without_equals_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "# header\norder 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["chessboard", "--config", cfg])
+    assert exc.value.code == 2
+    assert f"{cfg}:2" in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["clock", "--config", str(tmp_path / "missing.cfg")])
+    assert exc.value.code == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_config_through_the_module_entry_point(tmp_path):
+    cfg = write_config(tmp_path, "format=json\n")
+    res = cl8_subprocess("-m", "cl8.cli", "clock", "--config", cfg)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == clock_json() + "\n"
+
+
+@pytest.mark.parametrize("argv, line, flag", [
+    (["clock"], "format=xml", "--format"),
+    (["rep", "1", "2"], "format=csv", "--format"),
+    (["chessboard"], "order=abc", "--order"),
+])
+def test_config_values_pass_the_flag_checks(tmp_path, capsys, argv, line, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", write_config(tmp_path, line + "\n")])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 def test_verify_choices_are_the_suite_registry():
     parser = build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")
@@ -344,6 +436,26 @@ def test_float_commands_and_reports_are_frozen(capsys):
     assert digest == FLOAT_AND_REPORT_DIGEST
 
 
+# SHA-256 of every command's stdout with no optional flag (and the classify
+# sweep in csv and json), each followed by its exit code. Recorded while each
+# command still restored its own defaults from None.
+DEFAULT_ARGVS = [
+    ["classify"], ["classify", "--format", "csv"], ["classify", "--format", "json"],
+    ["idempotent", "2", "2"], ["chessboard"], ["clock"], ["cycle"], ["verify", "theorem3"],
+    ["rep", "1", "2"], ["chain", "0", "3"], ["block"], ["spinor"], ["twistor"], ["qubit"],
+]
+DEFAULT_DIGEST = "0dab929e0c7a3ef903ce99fc0a8c777ba20130bf91abad36aa4a669ab088dbc1"
+
+
+def test_defaults_are_frozen(capsys):
+    chunks = []
+    for argv in DEFAULT_ARGVS:
+        code, out, _ = run(capsys, argv)
+        chunks.append(f"{out}{code}\n")
+    digest = hashlib.sha256("".join(chunks).encode()).hexdigest()
+    assert digest == DEFAULT_DIGEST
+
+
 @pytest.mark.parametrize("argv, bound", [
     (["chain", "0", "200000", "--format", "json"], "MAX_CHAIN_SUM"),
     (["chain", "0", "513/2"], "MAX_CHAIN_SUM"),
@@ -353,6 +465,8 @@ def test_float_commands_and_reports_are_frozen(capsys):
     (["rep", "20000", "0", "--format", "json"], "MAX_REP_SUM"),
     (["classify", "100000000", "3"], "MAX_CLASSIFY_N"),
     (["verify", "theorem3", "--qmax", "100000000"], "MAX_QMAX"),
+    (["classify", "65537", "0"], "MAX_CLASSIFY_N"),
+    (["chessboard", "--order", "100000000"], "MAX_BOARD_ORDER"),
 ])
 def test_chain_and_block_sizes_are_bounded(argv, bound):
     res = cl8_subprocess("-m", "cl8.cli", *argv, timeout=20)
@@ -380,3 +494,19 @@ def test_chain_at_the_bound_still_runs(capsys):
     data = json.loads(out)
     assert len(data["members"]) == 513
     assert data["algebras"][0]["spinspace_dim"] == 1 << 512
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "40000", "0"],
+    ["classify", "65536", "0", "--format", "json"],
+    ["classify", "65535", "1", "--format", "csv"],
+])
+def test_classify_prints_every_rank_it_accepts(argv):
+    # The test process keeps Python's digit limit, so the rank is checked by
+    # its length and its last 20 digits, never by converting it whole.
+    res = cl8_subprocess("-m", "cl8.cli", *argv, timeout=20)
+    assert res.returncode == 0, res.stderr
+    rank = algebra_type(int(argv[1]), int(argv[2])).matrix_rank
+    printed = max(re.findall(r"\d+", res.stdout), key=len)
+    assert 10 ** (len(printed) - 1) <= rank < 10 ** len(printed)
+    assert int(printed[-20:]) == rank % 10 ** 20

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cl8.classify import algebra_type, primitive_idempotent, radon_hurwitz
 from cl8.periodicity import (
+    MAX_BOARD_ORDER,
     MAX_QMAX,
     board_json,
     board_text,
@@ -108,6 +109,14 @@ def test_chessboard_orders_materialize_small_and_stay_lazy_large():
     b5 = chessboard(5)
     assert b5.size == 8 ** 5
     assert b5.cell(8 ** 5 - 1, 3) == algebra_type(8 ** 5 - 1, 3).ring
+
+
+def test_chessboard_order_is_bounded():
+    board = chessboard(5)
+    assert MAX_BOARD_ORDER == 5
+    assert board.cell(board.size - 1, board.size - 1) == algebra_type(0, 0).ring
+    with pytest.raises(ValueError, match="MAX_BOARD_ORDER"):
+        chessboard(6)
 
 
 def test_fractal_dimension_value():
