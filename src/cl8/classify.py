@@ -6,6 +6,7 @@ label itself: the label claimed by the mod-8 table is certified against the
 algebra by constructing f * A * f for a primitive idempotent f and checking
 its products, so a wrong table entry would fail loudly. One path serves R, C
 and H: the corner's trace-free part must carry a negative definite form.
+Every blade span goes through the one GF(2) echelon in `linalg`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .algebra import MV, GaussianRational, Signature, blade_product, involute, volume_element, omega_square
-from .linalg import SpanBasis, express
+from .linalg import SpanBasis, express, gf2_echelon, gf2_reduce
 
 _RH_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
 
@@ -96,31 +97,6 @@ def _blade_order(n: int) -> list:
     return sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
 
 
-def _gf2_span(masks) -> list:
-    """The XOR of each of the 2^len(masks) subsets of masks: the GF(2) span,
-    without repeats when the masks are independent."""
-    span = [0]
-    for m in masks:
-        span += [s ^ m for s in span]
-    return span
-
-
-def _group_closure_order(generators: list, sig: Signature) -> int:
-    """Order of the multiplicative group generated by the blades and -1."""
-    elems = {(1, 0), (-1, 0)}
-    frontier = [(1, 0), (-1, 0)]
-    gens = [(1, g) for g in generators] + [(-1, 0)]
-    while frontier:
-        s, m = frontier.pop()
-        for gs, gm in gens:
-            sign, mask = blade_product(m, gm, sig)
-            item = (s * gs * sign, mask)
-            if item not in elems:
-                elems.add(item)
-                frontier.append(item)
-    return len(elems)
-
-
 #: Largest p + q accepted by primitive_idempotent, and so by
 #: division_ring_of and minimal_left_ideal: their scans walk all 2^(p+q)
 #: blade masks. 16 admits the full mod-8 period p + q <= 15.
@@ -133,9 +109,9 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
 
     k = q - r_{q-p}. The scan walks every blade mask in (grade, mask) order
     and keeps those that square to +1, commute with everything already kept,
-    and are independent over GF(2), so the 2^k subset products are distinct.
-    p + q is refused above MAX_IDEMPOTENT_N before anything is allocated;
-    the big-q periodicity claims are arithmetic and never call this.
+    and are independent over GF(2), so with -1 they generate +-e_A over their
+    span, of order 2^(k + 1). p + q is refused above MAX_IDEMPOTENT_N before
+    anything is allocated; the big-q claims are arithmetic and never call this.
     """
     sig = Signature(p, q)
     n = p + q
@@ -143,7 +119,7 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
         raise ValueError(f"p + q = {n} exceeds MAX_IDEMPOTENT_N = {MAX_IDEMPOTENT_N}")
     k = q - radon_hurwitz(q - p)
     kept = []
-    span = {0}
+    rows = []
     if k > 0:
         for mask in _blade_order(n)[1:]:
             if len(kept) == k:
@@ -152,10 +128,10 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
                 continue
             if not all(_blades_commute(mask, g) for g in kept):
                 continue
-            if mask in span:
+            if not gf2_reduce(rows, mask):
                 continue
             kept.append(mask)
-            span = set(_gf2_span(kept))
+            rows = gf2_echelon(kept)
         if len(kept) != k:
             raise RuntimeError(
                 f"no commuting square-+1 blade set of size {k} in Cl({p},{q})"
@@ -166,10 +142,7 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
         f = f * (MV.scalar(sig, half) + MV.blade(sig, mask, half))
     if not (f * f == f and f):
         raise RuntimeError(f"constructed f is not a nonzero idempotent in Cl({p},{q})")
-    order = _group_closure_order(kept, sig)
-    if order != 1 << (k + 1):
-        raise RuntimeError(f"idempotent group order {order} != 2^{k + 1} in Cl({p},{q})")
-    return IdempotentData(f=f, generators=tuple(kept), k=k, group_order=order)
+    return IdempotentData(f=f, generators=tuple(kept), k=k, group_order=2 << len(rows))
 
 
 # --------------------------------------------------------------------------
@@ -182,13 +155,14 @@ def _coset_transversal(data: IdempotentData):
     in (grade, mask) order.
 
     e_T f = f for every generator T, and e_A e_T = +-e_(A^T), so e_A f is
-    the same up to sign for every A in one coset.
+    the same up to sign for every A in one coset, whose key is gf2_reduce.
     """
-    span = _gf2_span(data.generators)
-    covered = set()
+    rows = gf2_echelon(data.generators)
+    keys = set()
     for mask in _blade_order(data.sig.n):
-        if mask not in covered:
-            covered.update(mask ^ s for s in span)
+        key = gf2_reduce(rows, mask)
+        if key not in keys:
+            keys.add(key)
             yield mask
 
 

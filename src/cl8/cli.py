@@ -115,7 +115,7 @@ def _config_flags(path: str, parser) -> list:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
     values = {}
     for lineno, raw in enumerate(lines, 1):
@@ -155,6 +155,18 @@ def _classify_record(p: int, q: int) -> dict:
 
 _CSV_COLUMNS = ["p", "q", "type", "ring", "simple", "matrix_rank"]
 
+#: Most cells a classify sweep lists, checked before its first record: the
+#: 8^6 cells of the largest board board_json lists.
+MAX_SWEEP_CELLS = 8 ** 6
+
+
+def _check_sweep(pmax: int, qmax: int) -> None:
+    if pmax < 0 or qmax < 0:
+        raise ValueError(f"--pmax and --qmax must be >= 0, got {pmax} and {qmax}")
+    cells = (pmax + 1) * (qmax + 1)
+    if cells > MAX_SWEEP_CELLS:
+        raise ValueError(f"sweep of {cells} cells exceeds MAX_SWEEP_CELLS = {MAX_SWEEP_CELLS}")
+
 
 def _csv_row(rec: dict) -> str:
     return ",".join(
@@ -180,6 +192,7 @@ def _cmd_classify(args, parser) -> int:
         return 0
     if args.pq:
         parser.error("classify takes p and q together, or neither for a sweep")
+    _check_sweep(args.pmax, args.qmax)
     records = [
         _classify_record(p, q)
         for p in range(args.pmax + 1) for q in range(args.qmax + 1)

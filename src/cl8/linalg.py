@@ -1,10 +1,11 @@
-"""Exact linear algebra over Q or Q(i) for sparse vectors keyed by hashable labels.
+"""Exact linear algebra over Q or Q(i), and over GF(2) for blade masks.
 
 Vectors are plain dicts mapping a key (a blade mask or any orderable
 label) to a Fraction or GaussianRational coefficient. One elimination
 kernel, `SpanBasis`, serves rank and coordinate solves (`express` tags each
 vector with its index), with no floating point anywhere. It keys its rows
-by pivot, so a reduction costs only the pivots it meets.
+by pivot, so a reduction costs only the pivots it meets. Blade masks mod
+sign form GF(2)^n under XOR, and one echelon, `gf2_echelon`, serves them.
 """
 
 from __future__ import annotations
@@ -104,3 +105,23 @@ def express(target, basis_vectors):
     if v and min(v)[0] == 0:
         return None
     return [-v.get((1, i), Fraction(0)) for i in range(len(basis_vectors))]
+
+
+def gf2_reduce(rows, mask: int) -> int:
+    """The one member of mask + span(rows) with no row's top bit set, for
+    rows from gf2_echelon: 0 exactly when mask lies in the span."""
+    for row in rows:
+        if mask ^ row < mask:  # mask holds row's top bit
+            mask ^= row
+    return mask
+
+
+def gf2_echelon(masks) -> list:
+    """Rows spanning the int masks over GF(2): distinct top bits, in
+    decreasing order. Their number is the GF(2) rank of the masks."""
+    rows = []
+    for mask in masks:
+        mask = gf2_reduce(rows, mask)
+        if mask:
+            rows = sorted(rows + [mask], reverse=True)
+    return rows

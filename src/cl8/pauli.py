@@ -81,6 +81,17 @@ def spinor_outer(xi, xi_dot) -> np.ndarray:
     ])
 
 
+#: Most samples a sampled check draws, checked before the first draw.
+MAX_SAMPLES = 100_000
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples = {samples} exceeds MAX_SAMPLES = {MAX_SAMPLES}")
+
+
 def null_outer_defects(rng, samples: int) -> tuple:
     """(max |S^2|, max imaginary part) over sampled conjugate outer products.
 
@@ -88,8 +99,7 @@ def null_outer_defects(rng, samples: int) -> tuple:
     a seed) and maps xi, conj(xi) through spinor_outer; both maxima vanish
     up to rounding.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    _check_samples(samples)
     rng = np.random.default_rng(rng)
     max_null = 0.0
     max_imag = 0.0
@@ -165,8 +175,7 @@ def _bloch_samples(rng, samples: int):
 
 def bloch_roundtrip_check(samples: int = 100, seed: int = 0) -> dict:
     """Sample pure states: rho -> Bloch vector -> rho, and tr rho^2 = 1, at 1e-9."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    _check_samples(samples)
     max_round = 0.0
     max_purity = 0.0
     for rho, _, defect in _bloch_samples(np.random.default_rng(seed), samples):
@@ -197,6 +206,7 @@ def _null_and_bloch_defects(seed: int, samples: int) -> tuple:
 def sl2c_double_cover_check(samples: int = 100, seed: int = 0) -> dict:
     """Sample the two-to-one action: norm invariance, sign blindness,
     and compatibility with composition, all at 1e-9."""
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     max_drift = 0.0
     for _ in range(samples):

@@ -4,10 +4,10 @@ A certificate is always the same shape: candidate images for the target
 generators, exact verification that they square correctly and pairwise
 anticommute, and an exact rank check that their subset products span the
 whole algebra. Those three facts together pin the isomorphism down, so no
-explicit basis-to-basis map is ever built. Every generator-map witness is
-built by one routine, `_witness`; the phi/psi split and the chain's matrix
-link, which are not generator maps, rank their spans with the same
-`_subset_product_rank`.
+explicit basis-to-basis map is ever built. Images are single blades, so the
+rank is a GF(2) rank of masks. Every generator-map witness is built by one
+routine, `_witness`; the phi/psi split and the chain's matrix link, which are
+not generator maps, rank their spans with the same `_subset_product_rank`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .algebra import (
     omega_square,
     volume_element,
 )
-from .linalg import rank_of
+from .linalg import gf2_echelon
 
 
 # --------------------------------------------------------------------------
@@ -132,15 +132,12 @@ def _pairwise_anticommute(images) -> bool:
     return True
 
 
-def _subset_product_rank(images, one) -> int:
-    # products in increasing index order, built by peeling the lowest bit
-    n = len(images)
-    prods = [one] * (1 << n)
-    for s in range(1, 1 << n):
-        low = (s & -s).bit_length() - 1
-        rest = s & (s - 1)
-        prods[s] = images[low] * prods[rest]
-    return rank_of(p.terms for p in prods)
+def _subset_product_rank(images) -> int:
+    """Rank of the subset products if every image is one blade c e_M, else 0: each
+    is a nonzero multiple of e_(XOR of its masks), giving 2^(GF(2) rank) blades."""
+    if any(len(img.terms) != 1 for img in images):
+        return 0
+    return 1 << len(gf2_echelon(m for img in images for m in img.terms))
 
 
 def _witness(raw, one, target, construction, source=None, signs=None) -> GeneratorMap:
@@ -160,7 +157,7 @@ def _witness(raw, one, target, construction, source=None, signs=None) -> Generat
     images = [img for img, _ in signed]
     squares = [sq for _, sq in signed]
     p, q = target
-    rank = _subset_product_rank(images, one)
+    rank = _subset_product_rank(images)
     certified = (
         squares == [1] * p + [-1] * q
         and _pairwise_anticommute(images)
@@ -182,8 +179,8 @@ def _witness(raw, one, target, construction, source=None, signs=None) -> Generat
 # --------------------------------------------------------------------------
 
 
-# the largest total generator count a tensor certificate will rank: the
-# subset-product rank eliminates 2^n vectors of up to 2^n terms
+# the largest total generator count a tensor certificate accepts; its blade
+# images cost n^2 products and an n-row GF(2) echelon, so it could be raised
 MAX_TENSOR_N = 10
 
 
@@ -355,7 +352,7 @@ def phi_psi_factorization(target, base) -> PhiPsiReport:
     commute_ok = all(phi * g == g * phi and psi * g == g * psi for g in base_images)
     prod_anti = phi * psi == -(psi * phi)
     # the additive decomposition: base blades times {1, phi, psi, phi psi}
-    rank = _subset_product_rank(base_images + [phi, psi], one)
+    rank = _subset_product_rank(base_images + [phi, psi])
     passed = commute_ok and prod_anti and rank == 1 << (p + q)
     return PhiPsiReport(
         phi=phi,
@@ -495,7 +492,7 @@ def _matrix_realization_link() -> ChainLink:
     ok = ok and all(g * g == one for g in gens)
     ok = ok and _pairwise_anticommute(gens)
     # blades over the generators times {1, omega}
-    rank = _subset_product_rank(gens + [omega], one)
+    rank = _subset_product_rank(gens + [omega])
     return ChainLink(
         name="matrix_realization",
         certified=ok and rank == 32,

@@ -2,17 +2,18 @@
 
 Everything in here is deliberately written the slow, obvious way (index
 lists, bubble sorts, exhaustive searches) so that it shares no code and
-no clever tricks with the package under test. The one exception is the
-pair of full 2^n blade scans for the corner f*Cl*f and the ideal Cl*f:
-they use the package's MV product and SpanBasis, and stand in for the
-commutant and coset shortcuts that cl8.classify takes.
+no clever tricks with the package under test. The exceptions use the
+package's MV product and SpanBasis: the pair of full 2^n blade scans for
+the corner f*Cl*f and the ideal Cl*f, which stand in for the commutant and
+coset shortcuts that cl8.classify takes, and the subset-product rank, which
+stands in for the GF(2) rank that cl8.tensoriso reads off blade masks.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from cl8.algebra import MV
-from cl8.linalg import SpanBasis
+from cl8.linalg import SpanBasis, rank_of
 
 
 def naive_blade_product(a, b, p):
@@ -125,6 +126,37 @@ def naive_idempotent_generators(p, q, k):
         kept.append(idx)
         kept_masks.append(m)
     return kept if len(kept) == k else None
+
+
+def naive_group_order(generators, p):
+    """Order of the group generated by -1 and the blades given as int masks,
+    by a breadth-first closure over (sign, index tuple) pairs multiplied
+    with naive_blade_product."""
+    gens = [(1, tuple(i + 1 for i in range(m.bit_length()) if m >> i & 1))
+            for m in generators]
+    gens.append((-1, ()))
+    elems = {(1, ()), (-1, ())}
+    frontier = list(elems)
+    while frontier:
+        s, a = frontier.pop()
+        for gs, b in gens:
+            sign, r = naive_blade_product(a, b, p)
+            item = (s * gs * sign, r)
+            if item not in elems:
+                elems.add(item)
+                frontier.append(item)
+    return len(elems)
+
+
+def naive_subset_product_rank(images, one):
+    """Rank of the 2^len(images) subset products of any images: each product
+    multiplied out (increasing index order, peeling the lowest bit) and the
+    lot eliminated by rank_of."""
+    prods = [one] * (1 << len(images))
+    for s in range(1, len(prods)):
+        low = (s & -s).bit_length() - 1
+        prods[s] = images[low] * prods[s & (s - 1)]
+    return rank_of(x.terms for x in prods)
 
 
 def _masks_by_grade(n):

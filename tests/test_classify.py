@@ -24,6 +24,7 @@ from cl8.classify import (
 
 from naive import (
     naive_corner_reps,
+    naive_group_order,
     naive_idempotent_generators,
     naive_left_ideal_reps,
     radon_hurwitz_reference,
@@ -113,6 +114,14 @@ def test_idempotent_exponent(pq, k):
     assert data.k == k
     assert len(data.generators) == k
     assert data.group_order == 2 ** (k + 1)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_group_order_matches_closure_oracle(n):
+    # an independent closure over index tuples confirms 2 << rank
+    for p in range(n + 1):
+        data = primitive_idempotent(p, n - p)
+        assert data.group_order == naive_group_order(data.generators, p)
 
 
 IDEMPOTENT_GENS = [

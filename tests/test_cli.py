@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cl8.classify import algebra_type
-from cl8.cli import build_parser, main
+from cl8.cli import MAX_SWEEP_CELLS, _check_sweep, build_parser, main
 from cl8.periodicity import clock_json, clock_text
 from cl8.suites import SUITES, render_report, run_all
 
@@ -295,6 +295,16 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path):
+    cfg = tmp_path / "cl8.cfg"
+    cfg.write_bytes(b"format=json\n\xff\n")
+    res = cl8_subprocess("-m", "cl8.cli", "clock", "--config", str(cfg))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert "cannot read config file" in res.stderr
+
+
 def test_config_through_the_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, "format=json\n")
     res = cl8_subprocess("-m", "cl8.cli", "clock", "--config", cfg)
@@ -467,6 +477,12 @@ def test_defaults_are_frozen(capsys):
     (["verify", "theorem3", "--qmax", "100000000"], "MAX_QMAX"),
     (["classify", "65537", "0"], "MAX_CLASSIFY_N"),
     (["chessboard", "--order", "100000000"], "MAX_BOARD_ORDER"),
+    (["classify", "--pmax", "-1"], ">= 0"),
+    (["classify", "--qmax", "-3", "--format", "csv"], ">= 0"),
+    (["classify", "--pmax", "20000", "--qmax", "20000"], "MAX_SWEEP_CELLS"),
+    (["classify", "--pmax", "512", "--qmax", "511", "--format", "json"], "MAX_SWEEP_CELLS"),
+    (["spinor", "--samples", "100001"], "MAX_SAMPLES"),
+    (["qubit", "--samples", "100001", "--format", "json"], "MAX_SAMPLES"),
 ])
 def test_chain_and_block_sizes_are_bounded(argv, bound):
     res = cl8_subprocess("-m", "cl8.cli", *argv, timeout=20)
@@ -474,6 +490,16 @@ def test_chain_and_block_sizes_are_bounded(argv, bound):
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
     assert bound in res.stderr
+
+
+def test_classify_sweep_at_the_bound_is_accepted():
+    # the check alone: a 512 x 512 sweep is not built here
+    assert (511 + 1) * (511 + 1) == MAX_SWEEP_CELLS == 8 ** 6
+    _check_sweep(511, 511)
+    _check_sweep(0, MAX_SWEEP_CELLS - 1)
+    for pmax, qmax in [(512, 511), (-1, 0), (0, -1), (MAX_SWEEP_CELLS, 0)]:
+        with pytest.raises(ValueError):
+            _check_sweep(pmax, qmax)
 
 
 def test_theorem3_at_the_bound_still_runs(capsys):

@@ -1,12 +1,13 @@
 """Exact elimination: the pivot-keyed SpanBasis, and express built on it,
-against the linear row scans in naive.py."""
+against the linear row scans in naive.py; the GF(2) echelon against a
+brute-force span."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from cl8.algebra import GaussianRational
-from cl8.linalg import SpanBasis, express, rank_of
+from cl8.linalg import SpanBasis, express, gf2_echelon, gf2_reduce, rank_of
 
 from naive import naive_express, naive_reduce, naive_span_basis
 
@@ -83,3 +84,42 @@ def test_single_key_vectors():
     assert [basis.add({k: Fraction(k + 1)}) for k in (3, 1, 3, 2, 1)] == [True, True, False, True, False]
     assert basis.reduce({1: Fraction(5), 4: Fraction(1)}) == {4: Fraction(1)}
     assert basis.rank == 3
+
+
+@st.composite
+def gf2_mask_lists(draw):
+    """n <= 8 and up to 8 masks below 2^n, some the XOR of earlier ones, so
+    repeated and dependent masks are common."""
+    n = draw(st.integers(0, 8))
+    masks = []
+    for _ in range(draw(st.integers(0, 8))):
+        if masks and draw(st.booleans()):
+            picks = draw(st.lists(st.sampled_from(masks), min_size=1, max_size=3))
+            mask = 0
+            for m in picks:
+                mask ^= m
+        else:
+            mask = draw(st.integers(0, (1 << n) - 1))
+        masks.append(mask)
+    return n, masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(gf2_mask_lists(), st.data())
+def test_gf2_echelon_keys_the_cosets_of_the_brute_force_span(case, data):
+    n, masks = case
+    span = {0}
+    for m in masks:
+        span |= {s ^ m for s in span}
+    rows = gf2_echelon(masks)
+    assert 1 << len(rows) == len(span)
+    tops = [r.bit_length() - 1 for r in rows]
+    assert tops == sorted(set(tops), reverse=True) and all(t >= 0 for t in tops)
+    keys = [gf2_reduce(rows, a) for a in range(1 << n)]
+    for a, key in enumerate(keys):
+        assert a ^ key in span
+        assert not any(key >> t & 1 for t in tops)
+    a = data.draw(st.integers(0, (1 << n) - 1))
+    for b in range(1 << n):
+        assert (keys[a] == keys[b]) == (a ^ b in span)
+    assert (keys[a] == 0) == (a in span)

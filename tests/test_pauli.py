@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cl8.pauli import (
+    MAX_SAMPLES,
     SIGMA,
     bloch_roundtrip_check,
     bloch_vector,
@@ -238,3 +239,19 @@ def test_sampled_checks_refuse_empty_samples(samples):
         null_outer_defects(0, samples)
     with pytest.raises(ValueError):
         bloch_roundtrip_check(samples=samples)
+
+
+@pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10 ** 9])
+def test_sampled_checks_refuse_oversized_samples(samples):
+    # refused before the first draw, so 10^9 costs nothing
+    assert MAX_SAMPLES == 100_000
+    with pytest.raises(ValueError, match="MAX_SAMPLES"):
+        null_outer_defects(0, samples)
+    with pytest.raises(ValueError, match="MAX_SAMPLES"):
+        bloch_roundtrip_check(samples=samples)
+
+
+@pytest.mark.parametrize("samples", [0, MAX_SAMPLES + 1])
+def test_double_cover_check_refuses_empty_or_oversized_samples(samples):
+    with pytest.raises(ValueError):
+        sl2c_double_cover_check(samples=samples)

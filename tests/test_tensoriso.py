@@ -10,6 +10,7 @@ from cl8.algebra import MV, GaussianRational, Signature
 from cl8.tensoriso import (
     MAX_TENSOR_N,
     ProductAlgebra,
+    TensorMV,
     block_matrix_form,
     complex_tensor_check,
     even_iso_check,
@@ -18,9 +19,11 @@ from cl8.tensoriso import (
     karoubi_check,
     phi_psi_factorization,
     spin24_chain,
+    _subset_product_rank,
+    _witness,
 )
 
-from naive import naive_tensor_product
+from naive import naive_subset_product_rank, naive_tensor_product
 
 
 def test_graded_product_koszul_sign():
@@ -106,6 +109,59 @@ def test_tensor_product_matches_naive(case):
     assert type(got) is type(x)
     got_dict = {tuple(_indices(m) for m in pa.split(k)): c for k, c in got.terms.items()}
     assert got_dict == naive_tensor_product(naive_x, naive_y, factors, graded)
+
+
+@st.composite
+def blade_images(draw):
+    """Up to six single-blade images in an algebra on n <= 6 generators:
+    Cl(p, q) or a two-factor tensor product, real or complexified with Q(i)
+    coefficients. Some masks repeat or are the XOR of earlier ones."""
+    n = draw(st.integers(0, 6))
+    complexified = draw(st.booleans())
+    fracs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    coeffs = st.builds(GaussianRational, fracs, fracs) if complexified else fracs
+    if draw(st.booleans()):
+        p = draw(st.integers(0, n))
+        alg, kind = Signature(p, n - p, complexified=complexified), MV
+    else:
+        cut = draw(st.integers(0, n))
+        p1, p2 = draw(st.integers(0, cut)), draw(st.integers(0, n - cut))
+        sigs = (Signature(p1, cut - p1, complexified=complexified), Signature(p2, n - cut - p2))
+        alg, kind = ProductAlgebra(sigs, graded=draw(st.booleans())), TensorMV
+    masks = []
+    for _ in range(draw(st.integers(0, 6))):
+        if masks and draw(st.booleans()):
+            mask = 0
+            for m in draw(st.lists(st.sampled_from(masks), min_size=1, max_size=3)):
+                mask ^= m
+        else:
+            mask = draw(st.integers(0, (1 << n) - 1))
+        masks.append(mask)
+    images = [kind(alg, {m: draw(coeffs.filter(bool))}) for m in masks]
+    return images, kind(alg, {0: 1})
+
+
+@settings(max_examples=150, deadline=None)
+@given(blade_images())
+def test_subset_product_rank_matches_the_product_oracle(case):
+    images, one = case
+    assert _subset_product_rank(images) == naive_subset_product_rank(images, one)
+
+
+def test_witness_with_a_non_blade_image_has_rank_0():
+    sig = Signature(2, 0)
+    one = MV.scalar(sig, 1)
+    e1, e2, e12 = MV.generator(sig, 1), MV.generator(sig, 2), MV.blade(sig, 0b11)
+    rep = _witness([one + e1, e2], one, (2, 0), None)
+    assert rep.rank == 0 and not rep.certified
+    assert _subset_product_rank([MV.zero(sig), e1]) == 0
+    # u = (3 e1 + 4 e2)/5 squares to 1 and anticommutes with e12, and its
+    # products span Cl(2,0); a non-blade image is still never certified
+    u = e1 * Fraction(3, 5) + e2 * Fraction(4, 5)
+    assert naive_subset_product_rank([u, e12], one) == 4
+    rep = _witness([u, e12], one, (1, 1), None)
+    assert rep.squares == [1, -1]
+    assert rep.rank == 0 and not rep.certified
 
 
 def test_graded_tensor_check_basic():
