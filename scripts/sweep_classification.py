@@ -3,8 +3,9 @@
 
 Writes CSV to stdout or --output. With --certify, each row is cross-checked
 by the brute-force corner computation; the default grid p, q <= 7 takes
-a second or two. A negative bound, or --certify with pmax + qmax above
-cl8.classify.MAX_IDEMPOTENT_N, is refused before the first row.
+a second or two. The grid has the bounds of `cl8 classify` (cl8.cli.
+check_sweep), and --certify also needs pmax + qmax <= cl8.classify.
+MAX_IDEMPOTENT_N; a grid outside them is refused before the first row.
 
 Exit codes: 0 every cell agrees with the table, 1 some cell disagrees,
 2 a usage or I/O error (one `error:` line on stderr).
@@ -13,37 +14,32 @@ Exit codes: 0 every cell agrees with the table, 1 some cell disagrees,
 import argparse
 import sys
 
-from cl8.classify import (
-    MAX_IDEMPOTENT_N,
-    algebra_type,
-    division_ring_of,
-    primitive_idempotent,
-    radon_hurwitz,
-)
+from cl8 import cli
+from cl8.classify import MAX_IDEMPOTENT_N, division_ring_of, radon_hurwitz
 
 
-def _sweep(args, out) -> int:
-    """Write the header and one row per cell to out; return the number of
-    certified cells that disagree with the table."""
-    columns = ["p", "q", "type", "ring", "simple", "matrix_rank", "k", "ideal_dim"]
-    if args.certify:
-        columns.append("corner_ring")
-    print(",".join(columns), file=out)
+def _sweep(args):
+    """The CSV text and the exit code: 1 when a certified corner ring
+    disagrees with the table."""
+    cli.check_sweep(args.pmax, args.qmax)
+    if args.certify and args.pmax + args.qmax > MAX_IDEMPOTENT_N:
+        raise ValueError(f"--certify needs pmax + qmax <= {MAX_IDEMPOTENT_N}, "
+                         f"got {args.pmax + args.qmax}")
+    columns = cli.CSV_COLUMNS + ["k", "ideal_dim"] + (["corner_ring"] if args.certify else [])
+    rows = [",".join(columns)]
     mismatches = 0
     for p in range(args.pmax + 1):
         for q in range(args.qmax + 1):
-            at = algebra_type(p, q)
-            k = q - radon_hurwitz(q - p)
-            ideal = (1 << (p + q)) >> k
-            row = [p, q, at.type_mod8, at.ring, str(at.simple).lower(), at.matrix_rank,
-                   k, ideal]
+            rec = cli.classify_record(p, q)
+            rec["k"] = q - radon_hurwitz(q - p)
+            rec["ideal_dim"] = (1 << (p + q)) >> rec["k"]
             if args.certify:
-                _, ring = division_ring_of(p, q)
-                row.append(ring)
-                if ring != at.ring or primitive_idempotent(p, q).k != k:
-                    mismatches += 1
-            print(",".join(str(v) for v in row), file=out)
-    return mismatches
+                rec["corner_ring"] = division_ring_of(p, q)[1]
+                mismatches += rec["corner_ring"] != rec["ring"]
+            rows.append(cli.csv_row(rec, columns))
+    if mismatches:
+        print(f"{mismatches} cells disagree with the table", file=sys.stderr)
+    return "\n".join(rows), 1 if mismatches else 0
 
 
 def main() -> int:
@@ -54,27 +50,7 @@ def main() -> int:
                     help="also run the exact corner computation per cell")
     ap.add_argument("--output", default=None)
     args = ap.parse_args()
-
-    if args.pmax < 0 or args.qmax < 0:
-        print("error: --pmax and --qmax must be at least 0", file=sys.stderr)
-        return 2
-    if args.certify and args.pmax + args.qmax > MAX_IDEMPOTENT_N:
-        print(f"error: --certify needs pmax + qmax <= {MAX_IDEMPOTENT_N}, "
-              f"got {args.pmax + args.qmax}", file=sys.stderr)
-        return 2
-    try:
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as out:
-                mismatches = _sweep(args, out)
-        else:
-            mismatches = _sweep(args, sys.stdout)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if mismatches:
-        print(f"{mismatches} cells disagree with the table", file=sys.stderr)
-        return 1
-    return 0
+    return cli.run(args, lambda: _sweep(args))
 
 
 if __name__ == "__main__":

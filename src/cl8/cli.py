@@ -1,7 +1,12 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto library operations; this module only parses
-arguments and formats what the library returns. `verify` takes its suite
+arguments and formats what the library returns. There is one dispatch:
+`_add_common` records each subcommand's handler as `args.handler`. A handler
+returns (text, exit code) to `run`, the one writer, which prints the text
+once to stdout or `--output` and turns a ValueError or OSError into one
+`error:` line; `scripts/sweep_classification.py` returns through it too,
+with the same sweep bounds (`check_sweep`). `verify` takes its suite
 names from the registry `suites.SUITES`. `--seed` exists only on the sampled
 commands (`verify`, `spinor`, `qubit`) and `--samples` only on `spinor` and
 `qubit`. Output is deterministic for a fixed seed so reports can be
@@ -40,7 +45,8 @@ _CONFIG_KEYS = ("pmax", "qmax", "order", "seed", "samples", "r", "format", "outp
 _RANK_DIGITS = int(MAX_CLASSIFY_N // 2 * math.log10(2)) + 1
 
 
-def _add_common(sp, *, formats=("text", "json"), seed=False, samples=False):
+def _add_common(sp, handler, *, formats=("text", "json"), seed=False, samples=False):
+    sp.set_defaults(handler=handler)
     sp.add_argument("--format", choices=formats, default="text")
     sp.add_argument("--output", default=None, help="write to this file instead of stdout")
     sp.add_argument("--config", default=None, help="key=value defaults file; flags win")
@@ -58,54 +64,54 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("pq", nargs="*", type=int)
     p_classify.add_argument("--pmax", type=int, default=7)
     p_classify.add_argument("--qmax", type=int, default=7)
-    _add_common(p_classify, formats=("text", "json", "csv"))
+    _add_common(p_classify, _cmd_classify, formats=("text", "json", "csv"))
 
     p_idem = sub.add_parser("idempotent", help="primitive idempotent data for Cl(p,q)")
     p_idem.add_argument("p", type=int)
     p_idem.add_argument("q", type=int)
-    _add_common(p_idem)
+    _add_common(p_idem, _cmd_idempotent)
 
     p_board = sub.add_parser("chessboard", help="render an order-n algebra board")
     p_board.add_argument("--order", type=int, default=1)
-    _add_common(p_board)
+    _add_common(p_board, _cmd_chessboard)
 
     p_clock = sub.add_parser("clock", help="the eight-hour ring cycle")
-    _add_common(p_clock)
+    _add_common(p_clock, _cmd_clock)
 
     p_cycle = sub.add_parser("cycle", help="one full cycle of transitions at row r")
     p_cycle.add_argument("--r", type=int, default=0)
-    _add_common(p_cycle)
+    _add_common(p_cycle, _cmd_cycle)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
     p_verify.add_argument("--qmax", type=int, default=24)
-    _add_common(p_verify, seed=True)
+    _add_common(p_verify, _cmd_verify, seed=True)
 
     p_rep = sub.add_parser("rep", help="label data for tau_{k/2, r/2}")
     p_rep.add_argument("k", type=int)
     p_rep.add_argument("r", type=int)
-    _add_common(p_rep)
+    _add_common(p_rep, _cmd_rep)
 
     p_chain = sub.add_parser("chain", help="spin chain from (l, l_dot)")
     p_chain.add_argument("l")
     p_chain.add_argument("l_dot")
-    _add_common(p_chain)
+    _add_common(p_chain, _cmd_chain)
 
     p_block = sub.add_parser("block", help="representation block grid")
     p_block.add_argument("--order", type=int, default=1)
-    _add_common(p_block)
+    _add_common(p_block, _cmd_block)
 
     p_spinor = sub.add_parser("spinor", help="sampled null-vector checks")
-    _add_common(p_spinor, seed=True, samples=True)
+    _add_common(p_spinor, _cmd_spinor, seed=True, samples=True)
 
     p_twistor = sub.add_parser("twistor", help="incidence at a point")
     p_twistor.add_argument("--x", default="1.4142135623730951,0,0,0",
                            help="four comma-separated reals")
     p_twistor.add_argument("--pi", default="1,0,0,0", help="re0,im0,re1,im1")
-    _add_common(p_twistor)
+    _add_common(p_twistor, _cmd_twistor)
 
     p_qubit = sub.add_parser("qubit", help="sampled Bloch round-trip checks")
-    _add_common(p_qubit, seed=True, samples=True)
+    _add_common(p_qubit, _cmd_qubit, seed=True, samples=True)
 
     return parser
 
@@ -129,19 +135,11 @@ def _config_flags(path: str, parser) -> list:
     return [f"--{key}={values[key]}" for key in _CONFIG_KEYS if key in values]
 
 
-def _emit(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
 def _dumps(data) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-def _classify_record(p: int, q: int) -> dict:
+def classify_record(p: int, q: int) -> dict:
     at = algebra_type(p, q)
     return {
         "p": p,
@@ -153,24 +151,29 @@ def _classify_record(p: int, q: int) -> dict:
     }
 
 
-_CSV_COLUMNS = ["p", "q", "type", "ring", "simple", "matrix_rank"]
+CSV_COLUMNS = ["p", "q", "type", "ring", "simple", "matrix_rank"]
 
 #: Most cells a classify sweep lists, checked before its first record: the
 #: 8^6 cells of the largest board board_json lists.
 MAX_SWEEP_CELLS = 8 ** 6
 
 
-def _check_sweep(pmax: int, qmax: int) -> None:
+def check_sweep(pmax: int, qmax: int) -> None:
+    """Refuse a sweep over 0..pmax x 0..qmax before its first record: a
+    negative bound, more than MAX_SWEEP_CELLS cells, or a corner cell
+    (pmax, qmax) above MAX_CLASSIFY_N."""
     if pmax < 0 or qmax < 0:
         raise ValueError(f"--pmax and --qmax must be >= 0, got {pmax} and {qmax}")
     cells = (pmax + 1) * (qmax + 1)
     if cells > MAX_SWEEP_CELLS:
         raise ValueError(f"sweep of {cells} cells exceeds MAX_SWEEP_CELLS = {MAX_SWEEP_CELLS}")
+    if pmax + qmax > MAX_CLASSIFY_N:
+        raise ValueError(f"p + q = {pmax + qmax} exceeds MAX_CLASSIFY_N = {MAX_CLASSIFY_N}")
 
 
-def _csv_row(rec: dict) -> str:
+def csv_row(rec: dict, columns) -> str:
     return ",".join(
-        str(rec[c]).lower() if c == "simple" else str(rec[c]) for c in _CSV_COLUMNS
+        str(rec[c]).lower() if c == "simple" else str(rec[c]) for c in columns
     )
 
 
@@ -180,38 +183,29 @@ def _classify_text(rec: dict) -> str:
             f"{shape}, matrix rank {rec['matrix_rank']}")
 
 
-def _cmd_classify(args, parser) -> int:
-    if len(args.pq) == 2:
-        rec = _classify_record(*args.pq)
-        if args.format == "json":
-            _emit(args, _dumps(rec))
-        elif args.format == "csv":
-            _emit(args, ",".join(_CSV_COLUMNS) + "\n" + _csv_row(rec))
-        else:
-            _emit(args, _classify_text(rec))
-        return 0
-    if args.pq:
+def _cmd_classify(args, parser):
+    if args.pq and len(args.pq) != 2:
         parser.error("classify takes p and q together, or neither for a sweep")
-    _check_sweep(args.pmax, args.qmax)
-    records = [
-        _classify_record(p, q)
-        for p in range(args.pmax + 1) for q in range(args.qmax + 1)
-    ]
-    if args.format == "json":
-        _emit(args, _dumps(records))
-    elif args.format == "csv":
-        rows = [",".join(_CSV_COLUMNS)] + [_csv_row(r) for r in records]
-        _emit(args, "\n".join(rows))
+    if args.pq:
+        records = [classify_record(*args.pq)]
     else:
-        _emit(args, "\n".join(_classify_text(r) for r in records))
-    return 0
+        check_sweep(args.pmax, args.qmax)
+        records = [
+            classify_record(p, q)
+            for p in range(args.pmax + 1) for q in range(args.qmax + 1)
+        ]
+    if args.format == "json":
+        return _dumps(records[0] if args.pq else records), 0
+    if args.format == "csv":
+        return "\n".join([",".join(CSV_COLUMNS)] + [csv_row(r, CSV_COLUMNS) for r in records]), 0
+    return "\n".join(_classify_text(r) for r in records), 0
 
 
 def _blade_name(mask: int) -> str:
     return "e" + "".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _cmd_idempotent(args, parser) -> int:
+def _cmd_idempotent(args, parser):
     data = primitive_idempotent(args.p, args.q)
     at = algebra_type(args.p, args.q)
     rec = {
@@ -224,84 +218,71 @@ def _cmd_idempotent(args, parser) -> int:
         "generators": [_blade_name(m) for m in data.generators],
     }
     if args.format == "json":
-        _emit(args, _dumps(rec))
-    else:
-        gens = ", ".join(rec["generators"]) or "(none)"
-        _emit(args, "\n".join([
-            f"Cl({args.p},{args.q}): k = {rec['k']}, idempotent group order {rec['group_order']}",
-            f"commuting blades: {gens}",
-            f"ring {rec['ring']}, minimal left ideal dimension {rec['ideal_dim']}",
-        ]))
-    return 0
+        return _dumps(rec), 0
+    gens = ", ".join(rec["generators"]) or "(none)"
+    return "\n".join([
+        f"Cl({args.p},{args.q}): k = {rec['k']}, idempotent group order {rec['group_order']}",
+        f"commuting blades: {gens}",
+        f"ring {rec['ring']}, minimal left ideal dimension {rec['ideal_dim']}",
+    ]), 0
 
 
-def _cmd_chessboard(args, parser) -> int:
+def _cmd_chessboard(args, parser):
     board = chessboard(args.order)
-    _emit(args, board_json(board) if args.format == "json" else board_text(board))
-    return 0
+    return (board_json(board) if args.format == "json" else board_text(board)), 0
 
 
-def _cmd_clock(args, parser) -> int:
-    _emit(args, clock_json() if args.format == "json" else clock_text())
-    return 0
+def _cmd_clock(args, parser):
+    return (clock_json() if args.format == "json" else clock_text()), 0
 
 
-def _cmd_cycle(args, parser) -> int:
+def _cmd_cycle(args, parser):
     transitions = bw_cycle(args.r)
     if args.format == "json":
-        _emit(args, _dumps([asdict(t) for t in transitions]))
-    else:
-        lines = [f"cycle r={args.r}"]
-        lines += [
-            f"h={t.h}: q={t.q_from} -> q={t.q_to}   {t.ring_from} -> {t.ring_to}"
-            for t in transitions
-        ]
-        _emit(args, "\n".join(lines))
-    return 0
+        return _dumps([asdict(t) for t in transitions]), 0
+    lines = [f"cycle r={args.r}"]
+    lines += [
+        f"h={t.h}: q={t.q_from} -> q={t.q_to}   {t.ring_from} -> {t.ring_to}"
+        for t in transitions
+    ]
+    return "\n".join(lines), 0
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args, parser):
     if args.suite == "all":
         results = suites.run_all(seed=args.seed, qmax=args.qmax)
     else:
         results = [suites.SUITES[args.suite](args.seed, args.qmax)]
-    if args.format == "json":
-        _emit(args, _dumps(results))
-    else:
-        _emit(args, suites.render_report(results))
-    return 0 if all(s["passed"] for s in results) else 1
+    text = _dumps(results) if args.format == "json" else suites.render_report(results)
+    return text, 0 if all(s["passed"] for s in results) else 1
 
 
-def _cmd_rep(args, parser) -> int:
+def _cmd_rep(args, parser):
     label = reps.rep_label(args.k, args.r)
     if args.format == "json":
-        _emit(args, _dumps(reps.label_json_dict(label)))
-    else:
-        _emit(args, "\n".join([
-            reps.label_token(label),
-            f"spin {label.spin}, degree {label.degree}, "
-            f"spinspace dimension {label.spinspace_dim}, field {label.field}",
-        ]))
-    return 0
+        return _dumps(reps.label_json_dict(label)), 0
+    return "\n".join([
+        reps.label_token(label),
+        f"spin {label.spin}, degree {label.degree}, "
+        f"spinspace dimension {label.spinspace_dim}, field {label.field}",
+    ]), 0
 
 
-def _cmd_chain(args, parser) -> int:
+def _cmd_chain(args, parser):
     try:
         l, ld = Fraction(args.l), Fraction(args.l_dot)
     except ValueError:
         parser.error("l and l_dot must be rationals like 3 or 1/2")
     chain = reps.spin_chain(l, ld)
-    _emit(args, reps.chain_json(chain) if args.format == "json" else reps.chain_text(chain))
-    return 0
+    return (reps.chain_json(chain) if args.format == "json" else reps.chain_text(chain)), 0
 
 
-def _cmd_block(args, parser) -> int:
+def _cmd_block(args, parser):
     block = reps.representation_block(args.order)
-    _emit(args, reps.block_json(block) if args.format == "json" else reps.block_text(block))
-    return 0
+    return (reps.block_json(block) if args.format == "json" else reps.block_text(block)), 0
 
 
-def _cmd_spinor(args, parser) -> int:
+def _cmd_spinor(args, parser):
     from . import pauli
 
     max_null, max_imag = pauli.null_outer_defects(args.seed, args.samples)
@@ -311,13 +292,12 @@ def _cmd_spinor(args, parser) -> int:
         "max_null_defect": max_null,
         "max_imag": max_imag,
     }
+    code = 0 if rec["passed"] else 1
     if args.format == "json":
-        _emit(args, _dumps(rec))
-    else:
-        verdict = "PASS" if rec["passed"] else "FAIL"
-        _emit(args, f"{verdict} {args.samples} conjugate outer products stay real and null "
-                    f"(max |S^2| = {max_null:.3e})")
-    return 0 if rec["passed"] else 1
+        return _dumps(rec), code
+    verdict = "PASS" if rec["passed"] else "FAIL"
+    return (f"{verdict} {args.samples} conjugate outer products stay real and null "
+            f"(max |S^2| = {max_null:.3e})"), code
 
 
 def _floats(text: str, parser, flag: str) -> list:
@@ -330,7 +310,7 @@ def _floats(text: str, parser, flag: str) -> list:
     return values
 
 
-def _cmd_twistor(args, parser) -> int:
+def _cmd_twistor(args, parser):
     from . import pauli
 
     x = _floats(args.x, parser, "--x")
@@ -349,58 +329,53 @@ def _cmd_twistor(args, parser) -> int:
         "form_signature": list(pauli.twistor_form_signature()),
     }
     if args.format == "json":
-        _emit(args, _dumps(rec))
-    else:
-        _emit(args, "\n".join([
-            f"x = {tuple(x)}",
-            f"omega = ({omega[0]:.6g}, {omega[1]:.6g})",
-            f"norm = {rec['norm']:.6g}, form signature {tuple(rec['form_signature'])}",
-        ]))
-    return 0
+        return _dumps(rec), 0
+    return "\n".join([
+        f"x = {tuple(x)}",
+        f"omega = ({omega[0]:.6g}, {omega[1]:.6g})",
+        f"norm = {rec['norm']:.6g}, form signature {tuple(rec['form_signature'])}",
+    ]), 0
 
 
-def _cmd_qubit(args, parser) -> int:
+def _cmd_qubit(args, parser):
     from . import pauli
 
     rec = pauli.bloch_roundtrip_check(samples=args.samples, seed=args.seed)
+    code = 0 if rec["passed"] else 1
     if args.format == "json":
-        _emit(args, _dumps(rec))
-    else:
-        verdict = "PASS" if rec["passed"] else "FAIL"
-        _emit(args, f"{verdict} {args.samples} pure states round-trip through the Bloch map "
-                    f"(max defect = {rec['max_roundtrip_defect']:.3e})")
-    return 0 if rec["passed"] else 1
+        return _dumps(rec), code
+    verdict = "PASS" if rec["passed"] else "FAIL"
+    return (f"{verdict} {args.samples} pure states round-trip through the Bloch map "
+            f"(max defect = {rec['max_roundtrip_defect']:.3e})"), code
 
 
-_DISPATCH = {
-    "classify": _cmd_classify,
-    "idempotent": _cmd_idempotent,
-    "chessboard": _cmd_chessboard,
-    "clock": _cmd_clock,
-    "cycle": _cmd_cycle,
-    "verify": _cmd_verify,
-    "rep": _cmd_rep,
-    "chain": _cmd_chain,
-    "block": _cmd_block,
-    "spinor": _cmd_spinor,
-    "twistor": _cmd_twistor,
-    "qubit": _cmd_qubit,
-}
+def run(args, produce) -> int:
+    """The one writer: raise the int-digit limit so every rank prints, call
+    produce() for (text, exit code), and write the text once, to
+    args.output or stdout. A ValueError or OSError becomes one `error:`
+    line on stderr and exit 2."""
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < _RANK_DIGITS:
+        sys.set_int_max_str_digits(_RANK_DIGITS)
+    try:
+        text, code = produce()
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 def main(argv=None) -> int:
-    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < _RANK_DIGITS:
-        sys.set_int_max_str_digits(_RANK_DIGITS)
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.config:  # parse again with the file's flags after argv[0], the subcommand
         args, _ = parser.parse_known_args(argv[:1] + _config_flags(args.config, parser) + argv[1:])
-    try:
-        return _DISPATCH[args.command](args, parser)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run(args, lambda: args.handler(args, parser))
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .classify import algebra_type, division_ring_of, primitive_idempotent, radon_hurwitz
+from .classify import algebra_type, division_ring_of, radon_hurwitz
 from .periodicity import (
     CLOCK_OCTET,
     bw_cycle,
@@ -23,6 +23,7 @@ from .periodicity import (
     fractal_dimension,
     k,
     k_sequences,
+    search_confirms_k,
     verify_theorem3,
 )
 from .reps import bw_rep_walk, quotient_structure, rep_field, rep_label
@@ -83,7 +84,7 @@ def theorem3_suite(qmax: int = 24) -> dict:
     shift = all(k(q + 8) == k(q) + 4 for q in range(qmax - 8 + 1))
     checks.append((shift, f"shift law k(0,q+8) = k(0,q) + 4 for 0 <= q <= {qmax - 8}"))
     bmax = min(qmax, 9)
-    brute = all(primitive_idempotent(0, q).k == k(q) for q in range(bmax + 1))
+    brute = all(search_confirms_k(q) for q in range(bmax + 1))
     checks.append((brute, f"idempotent search matches arithmetic k for q <= {bmax}"))
     if qmax >= 24:
         rep = verify_theorem3(qmax)

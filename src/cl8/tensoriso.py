@@ -371,9 +371,10 @@ def phi_psi_factorization(target, base) -> PhiPsiReport:
 class BlockForm:
     """2x2 matrix picture of Cl(p, q+1) over the complexified Cl(p, q-1).
 
-    phi and psi are the two top blades through the added generators; the
-    quaternion-case matrices [[0,-1],[1,0]] and [[0,i],[i,0]] turn the
-    four-component split into block entries A0 -+ i A3 and A1 +- i A2.
+    phi and psi come from phi_psi_factorization: the two top blades through
+    the added generators. The quaternion-case matrices [[0,-1],[1,0]] and
+    [[0,i],[i,0]] turn the four-component split into block entries
+    A0 -+ i A3 and A1 +- i A2.
     """
 
     def __init__(self, p: int, q: int):
@@ -384,15 +385,12 @@ class BlockForm:
         self.m2 = p + q - 1  # number of base generators, always even here
         self.target = Signature(p, q + 1)
         self.base = Signature(p, q - 1, complexified=True)
-        sig = self.target
-        low = (1 << self.m2) - 1
         self.hi1 = 1 << self.m2
         self.hi2 = 1 << (self.m2 + 1)
-        self.phi = MV.blade(sig, low | self.hi1)
-        self.psi = MV.blade(sig, low | self.hi2)
-        one = MV.scalar(sig, 1)
-        if _square_sign(self.phi, one) != -1 or _square_sign(self.psi, one) != -1:
+        split = phi_psi_factorization((p, q + 1), (p, q - 1))
+        if split.case != "quaternion":
             raise ValueError("wrong factorization case: phi and psi must square to -1")
+        self.phi, self.psi = split.phi, split.psi
         self._phi_psi = self.phi * self.psi
 
     def _to_base(self, x: MV) -> MV:

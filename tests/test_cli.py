@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from cl8.classify import algebra_type
-from cl8.cli import MAX_SWEEP_CELLS, _check_sweep, build_parser, main
+from cl8.classify import MAX_CLASSIFY_N, algebra_type
+from cl8.cli import MAX_SWEEP_CELLS, build_parser, check_sweep, main
 from cl8.periodicity import clock_json, clock_text
 from cl8.suites import SUITES, render_report, run_all
 
@@ -466,7 +466,7 @@ def test_defaults_are_frozen(capsys):
     assert digest == DEFAULT_DIGEST
 
 
-@pytest.mark.parametrize("argv, bound", [
+BOUND_CASES = [
     (["chain", "0", "200000", "--format", "json"], "MAX_CHAIN_SUM"),
     (["chain", "0", "513/2"], "MAX_CHAIN_SUM"),
     (["block", "--order", "5"], "MAX_BLOCK_ORDER"),
@@ -483,23 +483,52 @@ def test_defaults_are_frozen(capsys):
     (["classify", "--pmax", "512", "--qmax", "511", "--format", "json"], "MAX_SWEEP_CELLS"),
     (["spinor", "--samples", "100001"], "MAX_SAMPLES"),
     (["qubit", "--samples", "100001", "--format", "json"], "MAX_SAMPLES"),
-])
-def test_chain_and_block_sizes_are_bounded(argv, bound):
-    res = cl8_subprocess("-m", "cl8.cli", *argv, timeout=20)
-    assert res.returncode == 2
-    assert res.stdout == ""
-    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
-    assert bound in res.stderr
+]
+
+# One child process runs every refusal through cl8.cli.main and prints, per
+# argv, its exit code, stdout and stderr as JSON.
+_REFUSALS_CHILD = """
+import contextlib, io, json, sys
+from cl8.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def refusals():
+    argvs = [argv for argv, _ in BOUND_CASES]
+    res = cl8_subprocess("-c", _REFUSALS_CHILD, json.dumps(argvs), timeout=20)
+    assert res.returncode == 0, res.stderr
+    return {tuple(argv): result for argv, result in zip(argvs, json.loads(res.stdout))}
+
+
+@pytest.mark.parametrize("argv, bound", BOUND_CASES)
+def test_chain_and_block_sizes_are_bounded(argv, bound, refusals):
+    code, out, err = refusals[tuple(argv)]
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert bound in err
 
 
 def test_classify_sweep_at_the_bound_is_accepted():
     # the check alone: a 512 x 512 sweep is not built here
     assert (511 + 1) * (511 + 1) == MAX_SWEEP_CELLS == 8 ** 6
-    _check_sweep(511, 511)
-    _check_sweep(0, MAX_SWEEP_CELLS - 1)
-    for pmax, qmax in [(512, 511), (-1, 0), (0, -1), (MAX_SWEEP_CELLS, 0)]:
+    check_sweep(511, 511)
+    check_sweep(0, MAX_CLASSIFY_N)
+    for pmax, qmax in [(512, 511), (-1, 0), (0, -1), (MAX_SWEEP_CELLS, 0),
+                       (0, MAX_CLASSIFY_N + 1)]:
         with pytest.raises(ValueError):
-            _check_sweep(pmax, qmax)
+            check_sweep(pmax, qmax)
 
 
 def test_theorem3_at_the_bound_still_runs(capsys):

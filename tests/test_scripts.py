@@ -39,13 +39,18 @@ def test_unwritable_output_is_an_io_error(tmp_path):
     assert len(res.stderr.splitlines()) == 1
 
 
+# each case is (argv, what the one error line must name)
 @pytest.mark.parametrize("args", [
-    ("--pmax", "9", "--qmax", "9", "--certify"),   # above MAX_IDEMPOTENT_N
-    ("--pmax", "-1", "--qmax", "3", "--certify"),  # an empty grid checks nothing
+    (("--pmax", "9", "--qmax", "9", "--certify"), "pmax + qmax <= 16"),  # MAX_IDEMPOTENT_N
+    (("--pmax", "-1", "--qmax", "3", "--certify"), ">= 0"),  # an empty grid checks nothing
+    (("--pmax", "20000", "--qmax", "20000"), "MAX_SWEEP_CELLS"),
+    (("--pmax", "0", "--qmax", "65537"), "MAX_CLASSIFY_N"),
 ])
 def test_bad_grid_is_refused_before_any_row(args):
-    res = sweep(*args)
+    argv, named = args
+    res = sweep(*argv)
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("error: ")
     assert len(res.stderr.splitlines()) == 1
+    assert named in res.stderr

@@ -21,3 +21,31 @@ def test_sweep_over_zero_cases_fails(build):
     assert rep["passed"] is False
     assert any(line.startswith("FAIL") for line in rep["lines"])
 
+
+
+def test_theorem3_brute_line_fails_on_a_non_primitive_idempotent(monkeypatch):
+    # One generator dropped leaves f idempotent but not primitive, while .k
+    # still holds the formula's value: the brute-force line must notice.
+    from dataclasses import replace
+    from fractions import Fraction
+
+    from cl8 import periodicity
+    from cl8.algebra import MV
+    from cl8.classify import primitive_idempotent
+
+    def dropped(p, q):
+        data = primitive_idempotent(p, q)
+        gens = data.generators[:-1]
+        f = MV.scalar(data.sig, 1)
+        for mask in gens:
+            f = f * (MV.scalar(data.sig, Fraction(1, 2)) + MV.blade(data.sig, mask, Fraction(1, 2)))
+        return replace(data, f=f, generators=gens)
+
+    line = "idempotent search matches arithmetic k for q <= 9"
+    assert f"PASS {line}" in suites.theorem3_suite(24)["lines"]
+    for module in (periodicity, suites):
+        monkeypatch.setattr(module, "primitive_idempotent", dropped, raising=False)
+    rep = suites.theorem3_suite(24)
+    assert f"FAIL {line}" in rep["lines"]
+    assert rep["passed"] is False
+    assert periodicity.verify_theorem3(24)["brute_ok"] is False

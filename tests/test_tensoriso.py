@@ -375,6 +375,26 @@ def test_block_matrix_rejects_bad_cases():
         block_matrix_form(1, 0)
 
 
+def test_block_form_takes_phi_psi_from_the_factorization():
+    # oracle: the top blades e_1..e_m e_(m+1) and e_1..e_m e_(m+2), and the
+    # quaternion case read from their squares
+    for p in range(5):
+        for q in range(1, 6):
+            if (p + q) % 2 == 0:
+                continue
+            m = p + q - 1
+            sig = Signature(p, q + 1)
+            phi = MV.blade(sig, (1 << m) - 1 | 1 << m)
+            psi = MV.blade(sig, (1 << m) - 1 | 1 << (m + 1))
+            quaternion = phi * phi == psi * psi == MV.scalar(sig, -1)
+            if not quaternion:
+                with pytest.raises(ValueError, match="wrong factorization case"):
+                    block_matrix_form(p, q)
+                continue
+            form = block_matrix_form(p, q)
+            assert (form.phi, form.psi) == (phi, psi)
+
+
 def test_spin24_chain_links():
     report = spin24_chain()
     assert report.ok
