@@ -382,6 +382,23 @@ def omega_square(sig: Signature) -> int:
     return blade_product(full, full, sig)[0]
 
 
+def central_split(alpha: MV) -> tuple:
+    """(lambda_plus, lambda_minus, ok) for lambda+- = (1 +- alpha)/2.
+
+    ok means alpha commutes with every generator and lambda+- are orthogonal
+    idempotents (so alpha^2 = 1): the algebra splits into two components.
+    """
+    sig = alpha.sig
+    one = MV.scalar(sig, 1)
+    half = Fraction(1, 2)
+    lam_plus = (one + alpha) * half
+    lam_minus = (one - alpha) * half
+    gens = (MV.generator(sig, i) for i in range(1, sig.n + 1))
+    ok = (lam_plus * lam_plus == lam_plus and lam_minus * lam_minus == lam_minus
+          and not lam_plus * lam_minus and all(alpha * e == e * alpha for e in gens))
+    return lam_plus, lam_minus, ok
+
+
 def even_subalgebra_basis(sig: Signature) -> list[int]:
     """All even-grade blade masks, in (grade, mask) order."""
     masks = [m for m in range(1 << sig.n) if m.bit_count() % 2 == 0]

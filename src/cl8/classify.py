@@ -16,7 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .algebra import MV, GaussianRational, Signature, blade_product, involute, volume_element, omega_square
+from .algebra import (
+    MV, GaussianRational, Signature, blade_product, central_split, involute, omega_square,
+    volume_element,
+)
 from .linalg import SpanBasis, express, gf2_echelon, gf2_reduce
 
 _RH_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
@@ -227,34 +230,24 @@ def _certify_corner(reps, f: MV):
 def division_ring_of(p: int, q: int) -> tuple:
     """(dim of f*A*f, ring label), certified by exact computation.
 
-    Simple algebras give R, C, or H. For types 1 and 5 mod 8 the center
-    splits: the volume element is certified central with square +1, the two
-    central projectors absorb f and its grade-involution mirror into opposite
-    components, and the corner ring of one component is doubled in the label.
+    The algebra alone decides the shape, never the mod-8 table. When n is
+    odd and the volume element squares to +1, the center splits:
+    `central_split` certifies the volume element central and its two
+    projectors orthogonal idempotents, they absorb f and its grade-involution
+    mirror into opposite components, and the corner ring of one component is
+    doubled in the label. Otherwise the algebra is simple and the corner is
+    R, C, or H.
     """
     sig = Signature(p, q)
-    info = algebra_type(p, q)
     data = primitive_idempotent(p, q)
     f = data.f
     reps = _span_of_corner(data)
     dim, ring = _certify_corner(reps, f)
-    if info.simple:
+    if sig.n % 2 == 0 or omega_square(sig) != 1:
         return dim, ring
-    # semisimple: certify the two-component split before doubling the label
-    omega = volume_element(sig)
-    if omega_square(sig) != 1:
-        raise RuntimeError(f"volume element square is not +1 in Cl({p},{q})")
-    for i in range(1, sig.n + 1):
-        e = MV.generator(sig, i)
-        if omega * e != e * omega:
-            raise RuntimeError(f"volume element is not central in Cl({p},{q})")
-    half = Fraction(1, 2)
-    one = MV.scalar(sig, 1)
-    lam_plus = (one + omega) * half
-    lam_minus = (one - omega) * half
-    if not (lam_plus * lam_plus == lam_plus and lam_minus * lam_minus == lam_minus
-            and not lam_plus * lam_minus):
-        raise RuntimeError(f"central projectors are not orthogonal idempotents in Cl({p},{q})")
+    lam_plus, _, ok = central_split(volume_element(sig))
+    if not ok:
+        raise RuntimeError(f"volume element does not split the center of Cl({p},{q})")
     mirror = involute(f, "grade_involution")
     f_plus = f * lam_plus
     m_plus = mirror * lam_plus

@@ -157,11 +157,17 @@ CSV_COLUMNS = ["p", "q", "type", "ring", "simple", "matrix_rank"]
 #: 8^6 cells of the largest board board_json lists.
 MAX_SWEEP_CELLS = 8 ** 6
 
+#: Largest sum of p + q over a sweep's cells, checked after the other bounds.
+#: The printed rank digits grow with this sum and their decimal conversion
+#: with its square; 511 x 511 (about 1.34e8) stays within it.
+MAX_SWEEP_N_SUM = 2 ** 28
+
 
 def check_sweep(pmax: int, qmax: int) -> None:
     """Refuse a sweep over 0..pmax x 0..qmax before its first record: a
-    negative bound, more than MAX_SWEEP_CELLS cells, or a corner cell
-    (pmax, qmax) above MAX_CLASSIFY_N."""
+    negative bound, more than MAX_SWEEP_CELLS cells, a corner cell
+    (pmax, qmax) above MAX_CLASSIFY_N, or a sum of p + q over the grid
+    above MAX_SWEEP_N_SUM."""
     if pmax < 0 or qmax < 0:
         raise ValueError(f"--pmax and --qmax must be >= 0, got {pmax} and {qmax}")
     cells = (pmax + 1) * (qmax + 1)
@@ -169,6 +175,10 @@ def check_sweep(pmax: int, qmax: int) -> None:
         raise ValueError(f"sweep of {cells} cells exceeds MAX_SWEEP_CELLS = {MAX_SWEEP_CELLS}")
     if pmax + qmax > MAX_CLASSIFY_N:
         raise ValueError(f"p + q = {pmax + qmax} exceeds MAX_CLASSIFY_N = {MAX_CLASSIFY_N}")
+    n_sum = cells * (pmax + qmax) // 2
+    if n_sum > MAX_SWEEP_N_SUM:
+        raise ValueError(f"sweep's sum of p + q, {n_sum}, exceeds "
+                         f"MAX_SWEEP_N_SUM = {MAX_SWEEP_N_SUM}")
 
 
 def csv_row(rec: dict, columns) -> str:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import MV, GaussianRational, Signature, volume_element
+from .algebra import MV, GaussianRational, Signature, central_split, omega_square, volume_element
 from .linalg import rank_of
 
 
@@ -110,45 +110,30 @@ def bw_rep_walk(cycles: int) -> list:
 def quotient_structure(q: int) -> dict:
     """Split the odd-step algebra through its central idempotents.
 
-    lambda_plus and lambda_minus are (1 +- alpha)/2 where alpha is the
-    volume element normalized to square +1; when omega^2 = -1 (q = 1 mod 4)
-    the normalization needs the complex unit, matching the i that appears
-    in the one-generator split R + iR. The kernel of the fold-down map is
-    spanned by b - alpha*b over all blades b and must have half the total
-    dimension.
+    lambda_plus and lambda_minus are (1 +- alpha)/2, from `central_split`,
+    where alpha is the volume element normalized to square +1; when
+    omega^2 = -1 (q = 1 mod 4) the normalization needs the complex unit,
+    matching the i that appears in the one-generator split R + iR. The
+    kernel of the fold-down map is spanned by b - alpha*b over all blades b
+    and must have half the total dimension.
     """
     if q % 2 == 0:
         raise ValueError("q must be odd")
     sig = Signature(0, q, complexified=True)
     omega = volume_element(sig)
-    one = MV.scalar(sig, 1)
-    if omega * omega == one:
-        alpha = omega
-    else:
-        alpha = omega * GaussianRational(0, 1)
-    lam_plus = (one + alpha) * Fraction(1, 2)
-    lam_minus = (one - alpha) * Fraction(1, 2)
-    checks = [
-        lam_plus * lam_plus == lam_plus,
-        lam_minus * lam_minus == lam_minus,
-        not (lam_plus * lam_minus),
-    ]
-    for i in range(1, q + 1):
-        e = MV.generator(sig, i)
-        checks.append(alpha * e == e * alpha)
+    alpha = omega if omega_square(sig) == 1 else omega * GaussianRational(0, 1)
+    lam_plus, lam_minus, split_ok = central_split(alpha)
     kernel_vectors = []
     for mask in range(1 << q):
         b = MV.blade(sig, mask)
         kernel_vectors.append((b - alpha * b).terms)
     kernel_dim = rank_of(kernel_vectors)
-    quotient_dim = (1 << q) - kernel_dim
-    checks.append(kernel_dim == 1 << (q - 1))
     return {
         "lambda_plus": lam_plus,
         "lambda_minus": lam_minus,
         "kernel_dim": kernel_dim,
-        "quotient_dim": quotient_dim,
-        "passed": all(checks),
+        "quotient_dim": (1 << q) - kernel_dim,
+        "passed": split_ok and kernel_dim == 1 << (q - 1),
     }
 
 

@@ -21,9 +21,6 @@ from .periodicity import (
     bw_cycle,
     chessboard,
     fractal_dimension,
-    k,
-    k_sequences,
-    search_confirms_k,
     verify_theorem3,
 )
 from .reps import bw_rep_walk, quotient_structure, rep_field, rep_label
@@ -72,22 +69,16 @@ def radon_suite() -> dict:
 
 
 def theorem3_suite(qmax: int = 24) -> dict:
-    checks = []
-    prev = None
-    for cycle, seq in enumerate(k_sequences(qmax), 1):
-        ok = all(seq[i] <= seq[i + 1] for i in range(len(seq) - 1))
-        if prev is not None:
-            tail = prev[-len(seq):]
-            ok = ok and all(a == b + 4 for a, b in zip(seq, tail))
-        checks.append((ok, f"k-sequence cycle {cycle}: {','.join(map(str, seq))}"))
-        prev = seq
-    shift = all(k(q + 8) == k(q) + 4 for q in range(qmax - 8 + 1))
-    checks.append((shift, f"shift law k(0,q+8) = k(0,q) + 4 for 0 <= q <= {qmax - 8}"))
-    bmax = min(qmax, 9)
-    brute = all(search_confirms_k(q) for q in range(bmax + 1))
-    checks.append((brute, f"idempotent search matches arithmetic k for q <= {bmax}"))
+    rep = verify_theorem3(qmax)
+    checks = [
+        (ok, f"k-sequence cycle {cycle}: {','.join(map(str, seq))}")
+        for cycle, (seq, ok) in enumerate(zip(rep["sequences"], rep["cycles_ok"]), 1)
+    ]
+    checks.append((rep["shift_ok"],
+                   f"shift law k(0,q+8) = k(0,q) + 4 for 0 <= q <= {qmax - 8}"))
+    checks.append((rep["brute_ok"],
+                   f"idempotent search matches arithmetic k for q <= {rep['brute_max_q']}"))
     if qmax >= 24:
-        rep = verify_theorem3(qmax)
         checks.append((rep["passed"], f"full mod-4 periodicity report up to q = {qmax}"))
     return _suite("theorem3", checks)
 

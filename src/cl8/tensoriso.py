@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .algebra import (
     MV,
@@ -140,19 +140,15 @@ def _subset_product_rank(images) -> int:
     return 1 << len(gf2_echelon(m for img in images for m in img.terms))
 
 
-def _witness(raw, one, target, construction, source=None, signs=None) -> GeneratorMap:
+def _witness(raw, one, target, construction, source=None) -> GeneratorMap:
     """Certify raw images as generators of Cl(target).
 
     The images that square to +1 go first (a stable partition), to line up
     with the target convention. Certified means the squares read
     [1]*p + [-1]*q, the images pairwise anticommute, and their subset
-    products span rank 2^(p+q). source defaults to the target; signs, the
-    square signs of raw when the caller already has them, saves squaring
-    the images again.
+    products span rank 2^(p+q). source defaults to the target.
     """
-    if signs is None:
-        signs = [_square_sign(img, one) for img in raw]
-    signed = list(zip(raw, signs))
+    signed = [(img, _square_sign(img, one)) for img in raw]
     signed = [x for x in signed if x[1] == 1] + [x for x in signed if x[1] != 1]
     images = [img for img, _ in signed]
     squares = [sq for _, sq in signed]
@@ -258,33 +254,23 @@ def even_iso_target(p: int, q: int) -> tuple:
 def even_iso_check(p: int, q: int) -> GeneratorMap:
     """Realize the even subalgebra of Cl(p,q) as a smaller Clifford algebra.
 
-    Images are grade-2 products of a generator with a pinned one: first
-    e_i * e_n, and if that misses the target squares, e_i * e_1.
+    Images are e_i * e_j for one pinned generator e_j, and (e_i e_j)^2 =
+    -e_i^2 e_j^2. When 0 < p != q > 0 the target is Cl(q, p-1), and
+    construction B pins the plus generator e_1, which flips every other
+    square. Otherwise construction A pins e_n: a minus e_n keeps the squares
+    (target Cl(p, q-1)), and for q = 0 the plus e_n flips them (Cl(0, p-1)).
+    `_witness` still checks the squares, the anticommutation and the rank.
     """
     n = p + q
     if n < 1:
         raise ValueError("need at least one generator")
-    target = even_iso_target(p, q)
     sig = Signature(p, q)
-    one = MV.scalar(sig, 1)
-    candidates = []
-    if n >= 2:
-        e_last = MV.generator(sig, n)
-        candidates.append(("A", [MV.generator(sig, i) * e_last for i in range(1, n)]))
-        e_first = MV.generator(sig, 1)
-        candidates.append(("B", [MV.generator(sig, i) * e_first for i in range(2, n + 1)]))
+    if 0 < p != q > 0:
+        construction, pinned, others = "B", MV.generator(sig, 1), range(2, n + 1)
     else:
-        candidates.append(("A", []))
-
-    # pick by the squares alone; only the chosen candidate is ranked
-    pattern = [1] * target[0] + [-1] * target[1]
-    for construction, raw in candidates:
-        signs = [_square_sign(img, one) for img in raw]
-        if sorted(signs, reverse=True) == pattern:
-            return _witness(raw, one, target, construction, source=(p, q), signs=signs)
-    # neither fixed construction matched; report the first honestly as failed
-    failed = _witness(candidates[0][1], one, target, None, source=(p, q))
-    return replace(failed, rank=0, certified=False)
+        construction, pinned, others = "A", MV.generator(sig, n), range(1, n)
+    raw = [MV.generator(sig, i) * pinned for i in others]
+    return _witness(raw, MV.scalar(sig, 1), even_iso_target(p, q), construction, source=(p, q))
 
 
 # --------------------------------------------------------------------------

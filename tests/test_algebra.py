@@ -10,6 +10,7 @@ from cl8.algebra import (
     GaussianRational,
     Signature,
     blade_product,
+    central_split,
     even_subalgebra_basis,
     involute,
     omega_square,
@@ -105,6 +106,22 @@ def test_volume_element_central_for_odd_n(p, q):
     for mask in range(1 << (p + q)):
         b = MV.blade(sig, mask)
         assert omega * b == b * omega
+
+
+@pytest.mark.parametrize("p,q,mask,ok", [
+    (1, 0, 0b1, True),  # omega of Cl(1,0): central, squares to +1
+    (0, 3, 0b111, True),  # omega of Cl(0,3)
+    (2, 0, 0b11, False),  # omega^2 = -1: the projectors are not idempotent
+    (3, 0, 0b001, False),  # e1 squares to +1 but is not central
+])
+def test_central_split(p, q, mask, ok):
+    sig = Signature(p, q)
+    alpha = MV.blade(sig, mask)
+    lam_plus, lam_minus, split = central_split(alpha)
+    assert split is ok
+    one = MV.scalar(sig, 1)
+    assert lam_plus + lam_minus == one
+    assert lam_plus - lam_minus == alpha
 
 
 def test_volume_element_anticommutes_with_vectors_for_even_n():

@@ -261,6 +261,26 @@ def test_corner_certificate_forms_each_square_once(monkeypatch, p, q, masks, pro
     assert len(calls) == products
 
 
+def test_corner_certificate_ignores_the_table(monkeypatch):
+    # a table whose simple flag is flipped must not change a certified ring:
+    # the split of the center is read off the algebra, not off algebra_type
+    from dataclasses import replace
+
+    from cl8 import classify
+
+    table = classify.algebra_type
+    monkeypatch.setattr(classify, "algebra_type",
+                        lambda p, q: replace(table(p, q), simple=not table(p, q).simple))
+    division_ring_of.cache_clear()
+    primitive_idempotent.cache_clear()
+    try:
+        rings = [division_ring_of(*pq)[1] for pq in [(1, 0), (0, 3), (2, 0), (1, 3)]]
+    finally:
+        division_ring_of.cache_clear()
+        primitive_idempotent.cache_clear()
+    assert rings == ["R+R", "H+H", "R", "H"]
+
+
 def test_idempotent_size_and_caches_are_bounded():
     with pytest.raises(ValueError, match="MAX_IDEMPOTENT_N"):
         primitive_idempotent(0, MAX_IDEMPOTENT_N + 1)

@@ -524,9 +524,12 @@ def test_classify_sweep_at_the_bound_is_accepted():
     # the check alone: a 512 x 512 sweep is not built here
     assert (511 + 1) * (511 + 1) == MAX_SWEEP_CELLS == 8 ** 6
     check_sweep(511, 511)
-    check_sweep(0, MAX_CLASSIFY_N)
+    check_sweep(0, 16384)
+    # (0, MAX_CLASSIFY_N) fits the cell and corner bounds but prints 65,537
+    # ranks of up to 9,865 digits: its sum of p + q is over MAX_SWEEP_N_SUM
     for pmax, qmax in [(512, 511), (-1, 0), (0, -1), (MAX_SWEEP_CELLS, 0),
-                       (0, MAX_CLASSIFY_N + 1)]:
+                       (0, MAX_CLASSIFY_N + 1), (0, MAX_CLASSIFY_N), (0, 32768),
+                       (3, 65532)]:
         with pytest.raises(ValueError):
             check_sweep(pmax, qmax)
 

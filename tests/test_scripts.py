@@ -45,6 +45,8 @@ def test_unwritable_output_is_an_io_error(tmp_path):
     (("--pmax", "-1", "--qmax", "3", "--certify"), ">= 0"),  # an empty grid checks nothing
     (("--pmax", "20000", "--qmax", "20000"), "MAX_SWEEP_CELLS"),
     (("--pmax", "0", "--qmax", "65537"), "MAX_CLASSIFY_N"),
+    (("--pmax", "0", "--qmax", "32768"), "MAX_SWEEP_N_SUM"),
+    (("--pmax", "3", "--qmax", "65532"), "MAX_SWEEP_N_SUM"),
 ])
 def test_bad_grid_is_refused_before_any_row(args):
     argv, named = args

@@ -49,3 +49,22 @@ def test_theorem3_brute_line_fails_on_a_non_primitive_idempotent(monkeypatch):
     assert f"FAIL {line}" in rep["lines"]
     assert rep["passed"] is False
     assert periodicity.verify_theorem3(24)["brute_ok"] is False
+
+
+def test_theorem3_suite_computes_the_report_once(monkeypatch):
+    from cl8 import periodicity
+
+    calls = []
+    k_sequences = periodicity.k_sequences
+
+    def counting(q_max):
+        calls.append(q_max)
+        return k_sequences(q_max)
+
+    for module in (periodicity, suites):
+        monkeypatch.setattr(module, "k_sequences", counting, raising=False)
+    assert suites.theorem3_suite(24)["passed"] is True
+    assert calls == [24]
+    # the report covers every q_max the suite accepts, not only q_max >= 24
+    assert periodicity.verify_theorem3(8)["passed"] is True
+    assert periodicity.verify_theorem3(23)["passed"] is True
