@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from cl8 import cli
-from cl8.classify import MAX_IDEMPOTENT_N, division_ring_of, radon_hurwitz
+from cl8.classify import MAX_IDEMPOTENT_N, algebra_type, division_ring_of, radon_hurwitz
 
 
 def _sweep(args):
@@ -30,7 +30,7 @@ def _sweep(args):
     mismatches = 0
     for p in range(args.pmax + 1):
         for q in range(args.qmax + 1):
-            rec = cli.classify_record(p, q)
+            rec = cli.classify_record(algebra_type(p, q))
             rec["k"] = q - radon_hurwitz(q - p)
             rec["ideal_dim"] = (1 << (p + q)) >> rec["k"]
             if args.certify:

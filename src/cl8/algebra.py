@@ -24,8 +24,8 @@ negation, products, grade parts, involutions) are built by the trusted
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class GaussianRational:
@@ -128,20 +128,28 @@ class GaussianRational:
         return f"GaussianRational({self.re}, {self.im})"
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Quadratic form signature: p pluses, q minuses, optionally complexified."""
-
+class _SignatureFields(NamedTuple):
     p: int
     q: int
     complexified: bool = False
 
+
+class Signature(_SignatureFields):
+    """Quadratic form signature: p pluses, q minuses, optionally complexified."""
+
+    __slots__ = ()
+
     cuts = 0  # one block: every pair of distinct generators anticommutes
 
-    def __post_init__(self):
-        for v in (self.p, self.q):
+    def __new__(cls, p: int, q: int, complexified: bool = False):
+        for v in (p, q):
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"invalid signature ({self.p!r}, {self.q!r})")
+                raise ValueError(f"invalid signature ({p!r}, {q!r})")
+        return super().__new__(cls, p, q, complexified)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def n(self) -> int:

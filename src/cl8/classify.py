@@ -11,10 +11,10 @@ Every blade span goes through the one GF(2) echelon in `linalg`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .algebra import (
     MV, GaussianRational, Signature, blade_product, central_split, involute, omega_square,
@@ -40,8 +40,7 @@ _RANK_DROP = {0: 0, 1: 1, 2: 0, 3: 1, 4: 2, 5: 3, 6: 2, 7: 1}
 _DIM_K = {"R": 1, "C": 2, "H": 4, "R+R": 1, "H+H": 4}
 
 
-@dataclass(frozen=True)
-class AlgebraClass:
+class AlgebraClass(NamedTuple):
     p: int
     q: int
     type_mod8: int
@@ -79,8 +78,7 @@ def formal_dimension_identity(info: AlgebraClass) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdempotentData:
+class IdempotentData(NamedTuple):
     f: MV
     generators: tuple
     k: int

@@ -14,9 +14,16 @@ snapshot-compared byte for byte. Every default is declared once, in
 `build_parser`; `--config FILE` turns its key=value lines into flags placed
 before the user's and parses again, so the same checks apply and flags win.
 Exit codes: 0 success, 1 a verification suite found a counterexample, 2 a
-usage, input or I/O error. Only the float commands (`spinor`, `twistor`,
-`qubit` and, through its suite, `verify numeric`) import `pauli`, and with it
-numpy; every other command runs without it.
+usage, input or I/O error; a negative `--seed` is refused at parse time.
+
+A command loads only the library module it runs, imported by its handler:
+`classify` and `idempotent` load `classify` (with `algebra` and `linalg`);
+`chessboard`, `clock` and `cycle` load `periodicity`, which loads
+`classify`; `rep`, `chain` and `block` load `reps` alone; `verify` loads
+what its suite uses (see `suites`). Only the float commands (`spinor`,
+`twistor`, `qubit` and, through its suite, `verify numeric`) import
+`pauli`, and with it numpy. Of the cl8 modules, importing this one loads
+only `suites`, for the suite names.
 """
 
 from __future__ import annotations
@@ -25,24 +32,22 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
-from . import reps, suites
-from .classify import MAX_CLASSIFY_N, algebra_type, primitive_idempotent
-from .periodicity import (
-    board_json,
-    board_text,
-    bw_cycle,
-    chessboard,
-    clock_json,
-    clock_text,
-)
+from . import suites
 
 _CONFIG_KEYS = ("pmax", "qmax", "order", "seed", "samples", "r", "format", "output")
 
-#: Digits of the largest matrix_rank algebra_type returns, 2^(MAX_CLASSIFY_N / 2).
-_RANK_DIGITS = int(MAX_CLASSIFY_N // 2 * math.log10(2)) + 1
+#: Digits of the largest matrix_rank algebra_type returns, 2^(MAX_CLASSIFY_N / 2),
+#: written out so that commands which never classify need not import classify.
+_RANK_DIGITS = 9865
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
 
 
 def _add_common(sp, handler, *, formats=("text", "json"), seed=False, samples=False):
@@ -51,7 +56,7 @@ def _add_common(sp, handler, *, formats=("text", "json"), seed=False, samples=Fa
     sp.add_argument("--output", default=None, help="write to this file instead of stdout")
     sp.add_argument("--config", default=None, help="key=value defaults file; flags win")
     if seed:
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_seed, default=0)
     if samples:
         sp.add_argument("--samples", type=int, default=100)
 
@@ -139,11 +144,11 @@ def _dumps(data) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-def classify_record(p: int, q: int) -> dict:
-    at = algebra_type(p, q)
+def classify_record(at) -> dict:
+    """The printed fields of an `algebra_type` record."""
     return {
-        "p": p,
-        "q": q,
+        "p": at.p,
+        "q": at.q,
         "type": at.type_mod8,
         "ring": at.ring,
         "simple": at.simple,
@@ -168,6 +173,8 @@ def check_sweep(pmax: int, qmax: int) -> None:
     negative bound, more than MAX_SWEEP_CELLS cells, a corner cell
     (pmax, qmax) above MAX_CLASSIFY_N, or a sum of p + q over the grid
     above MAX_SWEEP_N_SUM."""
+    from .classify import MAX_CLASSIFY_N
+
     if pmax < 0 or qmax < 0:
         raise ValueError(f"--pmax and --qmax must be >= 0, got {pmax} and {qmax}")
     cells = (pmax + 1) * (qmax + 1)
@@ -196,12 +203,14 @@ def _classify_text(rec: dict) -> str:
 def _cmd_classify(args, parser):
     if args.pq and len(args.pq) != 2:
         parser.error("classify takes p and q together, or neither for a sweep")
+    from .classify import algebra_type
+
     if args.pq:
-        records = [classify_record(*args.pq)]
+        records = [classify_record(algebra_type(*args.pq))]
     else:
         check_sweep(args.pmax, args.qmax)
         records = [
-            classify_record(p, q)
+            classify_record(algebra_type(p, q))
             for p in range(args.pmax + 1) for q in range(args.qmax + 1)
         ]
     if args.format == "json":
@@ -216,6 +225,8 @@ def _blade_name(mask: int) -> str:
 
 
 def _cmd_idempotent(args, parser):
+    from .classify import algebra_type, primitive_idempotent
+
     data = primitive_idempotent(args.p, args.q)
     at = algebra_type(args.p, args.q)
     rec = {
@@ -238,18 +249,24 @@ def _cmd_idempotent(args, parser):
 
 
 def _cmd_chessboard(args, parser):
+    from .periodicity import board_json, board_text, chessboard
+
     board = chessboard(args.order)
     return (board_json(board) if args.format == "json" else board_text(board)), 0
 
 
 def _cmd_clock(args, parser):
+    from .periodicity import clock_json, clock_text
+
     return (clock_json() if args.format == "json" else clock_text()), 0
 
 
 def _cmd_cycle(args, parser):
+    from .periodicity import bw_cycle
+
     transitions = bw_cycle(args.r)
     if args.format == "json":
-        return _dumps([asdict(t) for t in transitions]), 0
+        return _dumps([t._asdict() for t in transitions]), 0
     lines = [f"cycle r={args.r}"]
     lines += [
         f"h={t.h}: q={t.q_from} -> q={t.q_to}   {t.ring_from} -> {t.ring_to}"
@@ -268,6 +285,8 @@ def _cmd_verify(args, parser):
 
 
 def _cmd_rep(args, parser):
+    from . import reps
+
     label = reps.rep_label(args.k, args.r)
     if args.format == "json":
         return _dumps(reps.label_json_dict(label)), 0
@@ -279,15 +298,19 @@ def _cmd_rep(args, parser):
 
 
 def _cmd_chain(args, parser):
+    from . import reps
+
     try:
         l, ld = Fraction(args.l), Fraction(args.l_dot)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         parser.error("l and l_dot must be rationals like 3 or 1/2")
     chain = reps.spin_chain(l, ld)
     return (reps.chain_json(chain) if args.format == "json" else reps.chain_text(chain)), 0
 
 
 def _cmd_block(args, parser):
+    from . import reps
+
     block = reps.representation_block(args.order)
     return (reps.block_json(block) if args.format == "json" else reps.block_text(block)), 0
 

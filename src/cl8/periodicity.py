@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import algebra_type, division_ring_of, primitive_idempotent, radon_hurwitz
 
 
-@dataclass(frozen=True)
-class BWState:
+class BWState(NamedTuple):
     """Position on the clock: q = h + 8r once q >= 1; q = 0 sits before hour 1."""
 
     q: int
@@ -21,8 +20,7 @@ class BWState:
     ring: str
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     q_from: int
     q_to: int
     h: int

@@ -2,21 +2,19 @@
 
 Everything here is bookkeeping over (l, l_dot) pairs: spin, degree, the
 real/quaternionic field tag, quotient flags along the mod-8 walk, spin
-chains, and the block grids. No representation matrices are constructed.
+chains, and the block grids. No representation matrices are constructed;
+only `quotient_structure` computes in the algebra, and it imports
+`algebra` and `linalg` when it runs, so the label commands load neither.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
-
-from .algebra import MV, GaussianRational, Signature, central_split, omega_square, volume_element
-from .linalg import rank_of
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class RepLabel:
+class RepLabel(NamedTuple):
     l: Fraction
     l_dot: Fraction
     field: str
@@ -27,15 +25,13 @@ class RepLabel:
     q: int | None = None
 
 
-@dataclass(frozen=True)
-class TensorAlgebraDescriptor:
+class TensorAlgebraDescriptor(NamedTuple):
     k: int
     r: int
     spinspace_dim: int
 
 
-@dataclass(frozen=True)
-class SpinChain:
+class SpinChain(NamedTuple):
     start: tuple
     members: list
     spins_signed: list
@@ -103,7 +99,7 @@ def bw_rep_walk(cycles: int) -> list:
         if q % 2 == 0:
             walk.append(rep_label(0, q // 2, quotient=False, q=q))
         else:
-            walk.append(replace(walk[-1], quotient=True, q=q))
+            walk.append(walk[-1]._replace(quotient=True, q=q))
     return walk
 
 
@@ -117,6 +113,9 @@ def quotient_structure(q: int) -> dict:
     kernel of the fold-down map is spanned by b - alpha*b over all blades b
     and must have half the total dimension.
     """
+    from .algebra import MV, GaussianRational, Signature, central_split, omega_square, volume_element
+    from .linalg import rank_of
+
     if q % 2 == 0:
         raise ValueError("q must be odd")
     sig = Signature(0, q, complexified=True)

@@ -6,33 +6,21 @@ it only drives the library and formats outcomes, so a FAIL line always
 points at a genuine counterexample or at a check that had nothing to check.
 A suite with no checks fails, and so does a sweep over zero cases.
 
-The numeric suite is the only float code here; it imports `pauli`, and with
-it numpy, when it runs.
+Each suite imports the library modules it drives when it runs, so
+importing this module (as `cl8 verify` does for the names in SUITES) loads
+no library code: `classification` and `radon` load `classify`; `theorem3`
+and `cycles` load `periodicity`; `chevalley`, `karoubi`, `even`, `phipsi`,
+`block` and `chain24` load `tensoriso`; `reps` loads `reps` and
+`classify`. A function-local import looks its names up at call time, so
+a rebound library function (traced or stubbed) takes effect here too. The
+numeric suite is the only float code here; it imports `pauli`, and with it
+numpy.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from .classify import algebra_type, division_ring_of, radon_hurwitz
-from .periodicity import (
-    CLOCK_OCTET,
-    bw_cycle,
-    chessboard,
-    fractal_dimension,
-    verify_theorem3,
-)
-from .reps import bw_rep_walk, quotient_structure, rep_field, rep_label
-from .tensoriso import (
-    block_matrix_form,
-    even_iso_check,
-    even_iso_target,
-    graded_tensor_check,
-    karoubi_check,
-    phi_psi_factorization,
-    spin24_chain,
-)
 
 
 def _line(ok: bool, text: str) -> str:
@@ -50,6 +38,8 @@ def _suite(name: str, checks: list) -> dict:
 
 
 def classification_suite(max_n: int = 7) -> dict:
+    from .classify import algebra_type, division_ring_of
+
     checks = []
     for p in range(max_n + 1):
         for q in range(max_n + 1 - p):
@@ -61,6 +51,8 @@ def classification_suite(max_n: int = 7) -> dict:
 
 
 def radon_suite() -> dict:
+    from .classify import radon_hurwitz
+
     base = [radon_hurwitz(i) for i in range(8)]
     checks = [(base == [0, 1, 2, 2, 3, 3, 3, 3], f"base row r_0..r_7 = {base}")]
     shift = all(radon_hurwitz(i + 8) == radon_hurwitz(i) + 4 for i in range(-16, 65))
@@ -69,6 +61,8 @@ def radon_suite() -> dict:
 
 
 def theorem3_suite(qmax: int = 24) -> dict:
+    from .periodicity import verify_theorem3
+
     rep = verify_theorem3(qmax)
     checks = [
         (ok, f"k-sequence cycle {cycle}: {','.join(map(str, seq))}")
@@ -84,6 +78,8 @@ def theorem3_suite(qmax: int = 24) -> dict:
 
 
 def cycles_suite() -> dict:
+    from .periodicity import CLOCK_OCTET, bw_cycle, chessboard, fractal_dimension
+
     checks = []
     for r in range(8):
         cyc = bw_cycle(r)
@@ -102,6 +98,8 @@ def cycles_suite() -> dict:
 
 
 def chevalley_suite(max_n: int = 2) -> dict:
+    from .tensoriso import graded_tensor_check
+
     sigs = [(p, q) for p in range(max_n + 1) for q in range(max_n + 1 - p)]
     checks = []
     bad = []
@@ -120,6 +118,8 @@ def chevalley_suite(max_n: int = 2) -> dict:
 
 
 def karoubi_suite() -> dict:
+    from .tensoriso import karoubi_check
+
     cases = [
         ((1, 1), (0, 2), (1, 3), "positive"),
         ((1, 1), (2, 0), (3, 1), "positive"),
@@ -134,6 +134,8 @@ def karoubi_suite() -> dict:
 
 
 def even_iso_suite(max_n: int = 6) -> dict:
+    from .tensoriso import even_iso_check, even_iso_target
+
     checks = []
     for source, target in [((1, 3), (3, 0)), ((4, 1), (1, 3)), ((2, 4), (4, 1))]:
         rep = even_iso_check(*source)
@@ -155,6 +157,8 @@ def even_iso_suite(max_n: int = 6) -> dict:
 
 
 def phi_psi_suite() -> dict:
+    from .tensoriso import phi_psi_factorization
+
     cases = [
         ((1, 3), (1, 1), "quaternion"),
         ((2, 2), (1, 1), "anti"),
@@ -173,6 +177,8 @@ def phi_psi_suite() -> dict:
 
 
 def block_suite(seed: int = 0, samples: int = 100) -> dict:
+    from .tensoriso import block_matrix_form
+
     checks = []
     form = block_matrix_form(1, 2)
     rep = form.sample_homomorphism(samples=samples, seed=seed)
@@ -188,6 +194,8 @@ def block_suite(seed: int = 0, samples: int = 100) -> dict:
 
 
 def chain24_suite() -> dict:
+    from .tensoriso import spin24_chain
+
     rep = spin24_chain()
     checks = [(link.certified, f"{link.name}: rank {link.rank}") for link in rep.links]
     checks.append((rep.ok, "all links of the conformal chain certified"))
@@ -195,6 +203,9 @@ def chain24_suite() -> dict:
 
 
 def reps_suite() -> dict:
+    from .classify import algebra_type
+    from .reps import bw_rep_walk, quotient_structure, rep_field, rep_label
+
     checks = []
     degree_ok = all(
         rep_label(k, r).degree == (k + 1) * (r + 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .algebra import (
     MV,
@@ -102,8 +102,7 @@ class TensorMV(MV):
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class GeneratorMap:
+class GeneratorMap(NamedTuple):
     """Isomorphism witness: generator images plus the three verified facts."""
 
     source_sig: tuple | None
@@ -278,8 +277,7 @@ def even_iso_check(p: int, q: int) -> GeneratorMap:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class PhiPsiReport:
+class PhiPsiReport(NamedTuple):
     phi: MV
     psi: MV
     phi_sq: int
@@ -289,7 +287,7 @@ class PhiPsiReport:
     product_anticommutes: bool
     rank: int
     passed: bool
-    base_images: list = field(default_factory=list)
+    base_images: list
 
 
 _CASE_NAMES = {(-1, -1): "quaternion", (1, 1): "pseudo", (1, -1): "anti", (-1, 1): "anti"}
@@ -444,16 +442,14 @@ def block_matrix_form(p: int, q: int) -> BlockForm:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class ChainLink:
+class ChainLink(NamedTuple):
     name: str
     certified: bool
     rank: int
     detail: str = ""
 
 
-@dataclass
-class ChainReport:
+class ChainReport(NamedTuple):
     ok: bool
     links: list
 

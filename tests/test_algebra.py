@@ -238,6 +238,8 @@ def test_real_signature_rejects_imaginary_coefficients():
 def test_signature_fields_are_nonnegative_ints(p, q):
     with pytest.raises(ValueError):
         Signature(p, q)
+    with pytest.raises(ValueError):
+        Signature(0, 0)._replace(p=p, q=q)
 
 
 def test_grade_parts():

@@ -264,13 +264,11 @@ def test_corner_certificate_forms_each_square_once(monkeypatch, p, q, masks, pro
 def test_corner_certificate_ignores_the_table(monkeypatch):
     # a table whose simple flag is flipped must not change a certified ring:
     # the split of the center is read off the algebra, not off algebra_type
-    from dataclasses import replace
-
     from cl8 import classify
 
     table = classify.algebra_type
     monkeypatch.setattr(classify, "algebra_type",
-                        lambda p, q: replace(table(p, q), simple=not table(p, q).simple))
+                        lambda p, q: table(p, q)._replace(simple=not table(p, q).simple))
     division_ring_of.cache_clear()
     primitive_idempotent.cache_clear()
     try:

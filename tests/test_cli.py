@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -157,6 +158,20 @@ def test_chain_json(capsys):
                                   "spin": "3", "degree": 7, "spinspace_dim": 64}
     assert data["spins_signed"] == ["-3", "-2", "-1", "0", "1", "2", "3"]
     assert [m["k"] for m in data["algebras"]] == [0, 1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "1/0", "0"],
+    ["chain", "0", "3/0", "--format", "json"],
+])
+def test_chain_zero_denominator_is_a_usage_error(capsys, argv):
+    # exit 1 is kept for a counterexample; a bad rational is exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "l and l_dot must be rationals" in err
 
 
 def test_qubit_deterministic(capsys):
@@ -316,6 +331,7 @@ def test_config_through_the_module_entry_point(tmp_path):
     (["clock"], "format=xml", "--format"),
     (["rep", "1", "2"], "format=csv", "--format"),
     (["chessboard"], "order=abc", "--order"),
+    (["verify", "radon"], "seed=-1", "--seed"),
 ])
 def test_config_values_pass_the_flag_checks(tmp_path, capsys, argv, line, flag):
     with pytest.raises(SystemExit) as exc:
@@ -364,6 +380,22 @@ def test_nothing_checked_exits_2(capsys, argv):
     assert code == 2
     assert "PASS" not in out
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "block", "--seed", "-1"],
+    ["verify", "numeric", "--seed", "-1", "--format", "json"],
+    ["verify", "all", "--seed", "-1"],
+    ["spinor", "--seed", "-2"],
+    ["qubit", "--seed=-3", "--samples", "1"],
+])
+def test_negative_seed_is_refused_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --seed: must be >= 0" in err
 
 
 def test_config_samples_are_validated(tmp_path, capsys):
@@ -417,9 +449,16 @@ def test_exact_modules_import_without_numpy():
 def test_only_float_commands_load_numpy(argv, loads_numpy):
     res = cl8_subprocess("-X", "importtime", "-m", "cl8.cli", *argv)
     assert res.returncode == 0, res.stderr
-    numpy_lines = [l for l in res.stderr.splitlines()
-                   if l.startswith("import time:") and l.split("|")[-1].strip() == "numpy"]
-    assert bool(numpy_lines) is loads_numpy
+    loaded = {l.split("|")[-1].strip() for l in res.stderr.splitlines()
+              if l.startswith("import time:")}
+    assert ("numpy" in loaded) is loads_numpy
+    # each command loads only the library module it runs, and the records
+    # need no dataclasses; inspect comes only with numpy, which imports it
+    assert "dataclasses" not in loaded
+    assert ("inspect" in loaded) is loads_numpy
+    unused = {"classify": {"cl8.tensoriso", "cl8.reps", "cl8.periodicity"},
+              "verify": {"cl8.tensoriso"}}.get(argv[0], set())
+    assert not unused & loaded
 
 
 # SHA-256 of the stdout of the commands below, in order, each followed by its
@@ -554,17 +593,52 @@ def test_chain_at_the_bound_still_runs(capsys):
     assert data["algebras"][0]["spinspace_dim"] == 1 << 512
 
 
-@pytest.mark.parametrize("argv", [
+def test_rank_digits_cover_the_largest_rank():
+    # 2^m has floor(m log10 2) + 1 digits; cli writes the count out so that
+    # only the commands that classify import cl8.classify
+    from cl8 import cli
+
+    assert cli._RANK_DIGITS == int(MAX_CLASSIFY_N // 2 * math.log10(2)) + 1
+
+
+RANK_ARGVS = [
     ["classify", "40000", "0"],
     ["classify", "65536", "0", "--format", "json"],
     ["classify", "65535", "1", "--format", "csv"],
-])
-def test_classify_prints_every_rank_it_accepts(argv):
+]
+
+# One child process runs every rank case through cl8.cli.main and prints,
+# per argv, its exit code, stdout and stderr as JSON. Before each call it
+# sets Python's default digit limit again, so each case shows that cli.run
+# raises the limit itself.
+_RANKS_CHILD = """
+import contextlib, io, json, sys
+from cl8.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    sys.set_int_max_str_digits(4300)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def printed_ranks():
+    res = cl8_subprocess("-c", _RANKS_CHILD, json.dumps(RANK_ARGVS), timeout=20)
+    assert res.returncode == 0, res.stderr
+    return {tuple(argv): result for argv, result in zip(RANK_ARGVS, json.loads(res.stdout))}
+
+
+@pytest.mark.parametrize("argv", RANK_ARGVS)
+def test_classify_prints_every_rank_it_accepts(argv, printed_ranks):
     # The test process keeps Python's digit limit, so the rank is checked by
     # its length and its last 20 digits, never by converting it whole.
-    res = cl8_subprocess("-m", "cl8.cli", *argv, timeout=20)
-    assert res.returncode == 0, res.stderr
+    code, stdout, stderr = printed_ranks[tuple(argv)]
+    assert code == 0, stderr
     rank = algebra_type(int(argv[1]), int(argv[2])).matrix_rank
-    printed = max(re.findall(r"\d+", res.stdout), key=len)
+    printed = max(re.findall(r"\d+", stdout), key=len)
     assert 10 ** (len(printed) - 1) <= rank < 10 ** len(printed)
     assert int(printed[-20:]) == rank % 10 ** 20

@@ -26,7 +26,6 @@ def test_sweep_over_zero_cases_fails(build):
 def test_theorem3_brute_line_fails_on_a_non_primitive_idempotent(monkeypatch):
     # One generator dropped leaves f idempotent but not primitive, while .k
     # still holds the formula's value: the brute-force line must notice.
-    from dataclasses import replace
     from fractions import Fraction
 
     from cl8 import periodicity
@@ -39,7 +38,7 @@ def test_theorem3_brute_line_fails_on_a_non_primitive_idempotent(monkeypatch):
         f = MV.scalar(data.sig, 1)
         for mask in gens:
             f = f * (MV.scalar(data.sig, Fraction(1, 2)) + MV.blade(data.sig, mask, Fraction(1, 2)))
-        return replace(data, f=f, generators=gens)
+        return data._replace(f=f, generators=gens)
 
     line = "idempotent search matches arithmetic k for q <= 9"
     assert f"PASS {line}" in suites.theorem3_suite(24)["lines"]
