@@ -20,6 +20,10 @@ type (Fraction, or GaussianRational when complexified), reject inexact
 ones and drop zeros. The results of the module's own operations (sums,
 negation, products, grade parts, involutions) are built by the trusted
 `MV._made`, which stores terms that are already clean as they are.
+
+One relation check, `square_sign` plus `pairwise_anticommute`, certifies the
+corner ring of `cl8.classify` (squares against f) and every `cl8.tensoriso`
+witness (squares against 1).
 """
 
 from __future__ import annotations
@@ -405,6 +409,25 @@ def central_split(alpha: MV) -> tuple:
     ok = (lam_plus * lam_plus == lam_plus and lam_minus * lam_minus == lam_minus
           and not lam_plus * lam_minus and all(alpha * e == e * alpha for e in gens))
     return lam_plus, lam_minus, ok
+
+
+def square_sign(x: MV, one: MV) -> int:
+    """+1 or -1 when x^2 = +-one (1 for a generator image, f for a corner unit), else 0."""
+    sq = x * x
+    if sq == one:
+        return 1
+    if sq == -one:
+        return -1
+    return 0
+
+
+def pairwise_anticommute(xs) -> bool:
+    """x_i x_j = -x_j x_i for every pair i < j."""
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            if xs[i] * xs[j] != -(xs[j] * xs[i]):
+                return False
+    return True
 
 
 def even_subalgebra_basis(sig: Signature) -> list[int]:

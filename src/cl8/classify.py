@@ -5,7 +5,9 @@ Everything here is computed, not looked up, except the coefficient ring
 label itself: the label claimed by the mod-8 table is certified against the
 algebra by constructing f * A * f for a primitive idempotent f and checking
 its products, so a wrong table entry would fail loudly. One path serves R, C
-and H: the corner's trace-free part must carry a negative definite form.
+and H: the corner's units square to -f and pairwise anticommute, the relation
+check (`algebra.square_sign`, `algebra.pairwise_anticommute`) that also
+certifies every `cl8.tensoriso` witness.
 Every blade span goes through the one GF(2) echelon in `linalg`.
 """
 
@@ -13,14 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .algebra import (
     MV, GaussianRational, Signature, blade_product, central_split, involute, omega_square,
-    volume_element,
+    pairwise_anticommute, square_sign, volume_element,
 )
-from .linalg import SpanBasis, express, gf2_echelon, gf2_reduce
+from .linalg import SpanBasis, gf2_echelon, gf2_reduce
 
 _RH_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
 
@@ -194,33 +195,20 @@ def _span_of_corner(data: IdempotentData):
 
 
 def _certify_corner(reps, f: MV):
-    """Name the division ring spanned by reps = [f, u_1, ...] from its own
-    products. Each u^2 = a f + t u, so v = u - (t/2) f is trace-free, and
-    v_i^2 = B_ii f and v_i v_j + v_j v_i = 2 B_ij f (i < j) define a
-    symmetric form B. The corner is R, C or H, by dimension, when B is
-    negative definite: every pivot of its symmetric elimination is negative."""
+    """Name the division ring spanned by reps = [f, u_1, ...] from its unit
+    relations. Each u_i = e_A f with e_A commuting with f, so u_i^2 = +-f.
+    The corner is R, C or H, by dimension, when every u_i^2 = -f and the
+    u_i pairwise anticommute: Hamilton's relations with f as the unit."""
     dim = len(reps)
     ring = {1: "R", 2: "C", 4: "H"}.get(dim)
     if ring is None:
         raise RuntimeError(f"corner algebra dimension {dim} is not 1, 2, or 4")
-    vs = []
-    for u in reps[1:]:
-        coords = express((u * u).terms, [f.terms, u.terms])
-        if coords is None:
-            raise RuntimeError("u^2 escapes span{f, u}; not a quadratic element")
-        vs.append(u - f * (coords[1] / 2))
-    b = {}
-    for i, j in combinations_with_replacement(range(len(vs)), 2):
-        pol = vs[i] * vs[i] if i == j else vs[i] * vs[j] + vs[j] * vs[i]
-        coords = express(pol.terms, [f.terms])
-        if coords is None:
-            raise RuntimeError("polarization escapes span{f}")
-        b[i, j] = coords[0] if i == j else coords[0] / 2
-    for k in range(len(vs)):
-        if b[k, k] >= 0:
-            raise RuntimeError(f"{dim}-dimensional corner form is not negative definite")
-        for i, j in combinations_with_replacement(range(k + 1, len(vs)), 2):
-            b[i, j] -= b[k, i] * b[k, j] / b[k, k]
+    units = reps[1:]
+    if any(square_sign(u, f) != -1 for u in units):
+        raise RuntimeError(f"{dim}-dimensional corner is not negative definite: "
+                           "a unit does not square to -f")
+    if not pairwise_anticommute(units):
+        raise RuntimeError("corner units do not anticommute")
     return dim, ring
 
 
@@ -243,18 +231,13 @@ def division_ring_of(p: int, q: int) -> tuple:
     dim, ring = _certify_corner(reps, f)
     if sig.n % 2 == 0 or omega_square(sig) != 1:
         return dim, ring
-    lam_plus, _, ok = central_split(volume_element(sig))
+    lam_plus, lam_minus, ok = central_split(volume_element(sig))
     if not ok:
         raise RuntimeError(f"volume element does not split the center of Cl({p},{q})")
     mirror = involute(f, "grade_involution")
-    f_plus = f * lam_plus
-    m_plus = mirror * lam_plus
-    f_in_plus = f_plus == f
-    m_in_plus = m_plus == mirror
-    if not ((f_plus == f or not f_plus) and (m_plus == mirror or not m_plus)):
-        raise RuntimeError(f"idempotent straddles both components in Cl({p},{q})")
-    if f_in_plus == m_in_plus:
-        raise RuntimeError(f"mirror idempotent shares a component in Cl({p},{q})")
+    if not any(f * lam == f and mirror * other == mirror
+               for lam, other in ((lam_plus, lam_minus), (lam_minus, lam_plus))):
+        raise RuntimeError(f"f and its mirror are not in opposite components of Cl({p},{q})")
     if ring not in ("R", "H"):
         raise RuntimeError(f"semisimple component ring {ring} unexpected in Cl({p},{q})")
     return dim, f"{ring}+{ring}"

@@ -3,6 +3,7 @@
 Subcommands map one-to-one onto library operations; this module only parses
 arguments and formats what the library returns. There is one dispatch:
 `_add_common` records each subcommand's handler as `args.handler`. A handler
+takes args alone, refuses an input by raising ValueError, and otherwise
 returns (text, exit code) to `run`, the one writer, which prints the text
 once to stdout or `--output` and turns a ValueError or OSError into one
 `error:` line; `scripts/sweep_classification.py` returns through it too,
@@ -32,7 +33,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import suites
 
@@ -200,9 +200,9 @@ def _classify_text(rec: dict) -> str:
             f"{shape}, matrix rank {rec['matrix_rank']}")
 
 
-def _cmd_classify(args, parser):
+def _cmd_classify(args):
     if args.pq and len(args.pq) != 2:
-        parser.error("classify takes p and q together, or neither for a sweep")
+        raise ValueError("classify takes p and q together, or neither for a sweep")
     from .classify import algebra_type
 
     if args.pq:
@@ -224,7 +224,7 @@ def _blade_name(mask: int) -> str:
     return "e" + "".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _cmd_idempotent(args, parser):
+def _cmd_idempotent(args):
     from .classify import algebra_type, primitive_idempotent
 
     data = primitive_idempotent(args.p, args.q)
@@ -248,20 +248,20 @@ def _cmd_idempotent(args, parser):
     ]), 0
 
 
-def _cmd_chessboard(args, parser):
+def _cmd_chessboard(args):
     from .periodicity import board_json, board_text, chessboard
 
     board = chessboard(args.order)
     return (board_json(board) if args.format == "json" else board_text(board)), 0
 
 
-def _cmd_clock(args, parser):
+def _cmd_clock(args):
     from .periodicity import clock_json, clock_text
 
     return (clock_json() if args.format == "json" else clock_text()), 0
 
 
-def _cmd_cycle(args, parser):
+def _cmd_cycle(args):
     from .periodicity import bw_cycle
 
     transitions = bw_cycle(args.r)
@@ -275,7 +275,7 @@ def _cmd_cycle(args, parser):
     return "\n".join(lines), 0
 
 
-def _cmd_verify(args, parser):
+def _cmd_verify(args):
     if args.suite == "all":
         results = suites.run_all(seed=args.seed, qmax=args.qmax)
     else:
@@ -284,7 +284,7 @@ def _cmd_verify(args, parser):
     return text, 0 if all(s["passed"] for s in results) else 1
 
 
-def _cmd_rep(args, parser):
+def _cmd_rep(args):
     from . import reps
 
     label = reps.rep_label(args.k, args.r)
@@ -297,25 +297,21 @@ def _cmd_rep(args, parser):
     ]), 0
 
 
-def _cmd_chain(args, parser):
+def _cmd_chain(args):
     from . import reps
 
-    try:
-        l, ld = Fraction(args.l), Fraction(args.l_dot)
-    except (ValueError, ZeroDivisionError):
-        parser.error("l and l_dot must be rationals like 3 or 1/2")
-    chain = reps.spin_chain(l, ld)
+    chain = reps.spin_chain(args.l, args.l_dot)
     return (reps.chain_json(chain) if args.format == "json" else reps.chain_text(chain)), 0
 
 
-def _cmd_block(args, parser):
+def _cmd_block(args):
     from . import reps
 
     block = reps.representation_block(args.order)
     return (reps.block_json(block) if args.format == "json" else reps.block_text(block)), 0
 
 
-def _cmd_spinor(args, parser):
+def _cmd_spinor(args):
     from . import pauli
 
     max_null, max_imag = pauli.null_outer_defects(args.seed, args.samples)
@@ -333,32 +329,38 @@ def _cmd_spinor(args, parser):
             f"(max |S^2| = {max_null:.3e})"), code
 
 
-def _floats(text: str, parser, flag: str) -> list:
+def _floats(text: str, flag: str) -> list:
     try:
         values = [float(t) for t in text.split(",")]
     except ValueError:
-        parser.error(f"{flag} expects comma-separated numbers")
+        raise ValueError(f"{flag} expects comma-separated numbers") from None
     if not all(math.isfinite(v) for v in values):
-        parser.error(f"{flag} expects finite numbers")
+        raise ValueError(f"{flag} expects finite numbers")
     return values
 
 
-def _cmd_twistor(args, parser):
+def _cmd_twistor(args):
+    import numpy as np
+
     from . import pauli
 
-    x = _floats(args.x, parser, "--x")
-    raw_pi = _floats(args.pi, parser, "--pi")
+    x = _floats(args.x, "--x")
+    raw_pi = _floats(args.pi, "--pi")
     if len(x) != 4:
-        parser.error("--x expects exactly four components")
+        raise ValueError("--x expects exactly four components")
     if len(raw_pi) != 4:
-        parser.error("--pi expects re0,im0,re1,im1")
+        raise ValueError("--pi expects re0,im0,re1,im1")
     pi = [complex(raw_pi[0], raw_pi[1]), complex(raw_pi[2], raw_pi[3])]
-    omega = pauli.twistor_incidence(x, pi)
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned
+        omega = pauli.twistor_incidence(x, pi)
+        norm = pauli.twistor_norm(omega, pi)
+    if not (np.isfinite(omega).all() and math.isfinite(norm)):
+        raise ValueError("omega or its norm overflows double precision")
     rec = {
         "x": x,
         "pi": [[pi[0].real, pi[0].imag], [pi[1].real, pi[1].imag]],
         "omega": [[omega[0].real, omega[0].imag], [omega[1].real, omega[1].imag]],
-        "norm": pauli.twistor_norm(omega, pi),
+        "norm": norm,
         "form_signature": list(pauli.twistor_form_signature()),
     }
     if args.format == "json":
@@ -370,7 +372,7 @@ def _cmd_twistor(args, parser):
     ]), 0
 
 
-def _cmd_qubit(args, parser):
+def _cmd_qubit(args):
     from . import pauli
 
     rec = pauli.bloch_roundtrip_check(samples=args.samples, seed=args.seed)
@@ -408,7 +410,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.config:  # parse again with the file's flags after argv[0], the subcommand
         args, _ = parser.parse_known_args(argv[:1] + _config_flags(args.config, parser) + argv[1:])
-    return run(args, lambda: args.handler(args, parser))
+    return run(args, lambda: args.handler(args))
 
 
 if __name__ == "__main__":

@@ -41,7 +41,15 @@ class SpinChain(NamedTuple):
 
 
 def _half_integer(value, name):
-    f = Fraction(value)
+    """value, or the rational its text names, as a multiple of 1/2. Exponent
+    text is refused before Fraction would expand it; refusals echo value."""
+    try:
+        if isinstance(value, str) and "e" in value.lower():
+            raise ValueError("exponent notation")
+        f = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"l and l_dot must be rationals like 3 or 1/2, "
+                         f"got {name} = {value}") from None
     if (2 * f).denominator != 1:
         raise ValueError(f"{name} must be a half-integer, got {value}")
     return f
@@ -138,26 +146,23 @@ def quotient_structure(q: int) -> dict:
 
 def spin_chain(l, l_dot) -> SpinChain:
     """Ladder of labels from tau_{l,l_dot} to tau_{l_dot,l} in half steps."""
-    l = _half_integer(l, "l")
-    ld = _half_integer(l_dot, "l_dot")
-    if l + ld > MAX_CHAIN_SUM:
-        raise ValueError(f"l + l_dot = {str(l + ld)} exceeds MAX_CHAIN_SUM = {MAX_CHAIN_SUM}")
-    if l > ld:
-        l, ld = ld, l
+    lo, hi = sorted((_half_integer(l, "l"), _half_integer(l_dot, "l_dot")))
+    if lo + hi > MAX_CHAIN_SUM:
+        raise ValueError(f"l + l_dot = {l} + {l_dot} exceeds MAX_CHAIN_SUM = {MAX_CHAIN_SUM}")
     members = []
-    cur_l, cur_ld = l, ld
+    cur_l, cur_ld = lo, hi
     while True:
         members.append(rep_label(int(2 * cur_l), int(2 * cur_ld)))
-        if cur_l == ld:
+        if cur_l == hi:
             break
         cur_l += Fraction(1, 2)
         cur_ld -= Fraction(1, 2)
     spins = []
-    s = l - ld
-    while s <= ld - l:
+    s = lo - hi
+    while s <= hi - lo:
         spins.append(s)
         s += 1
-    return SpinChain(start=(l, ld), members=members, spins_signed=spins)
+    return SpinChain(start=(lo, hi), members=members, spins_signed=spins)
 
 
 def chain_algebra_sequence(chain: SpinChain) -> list:

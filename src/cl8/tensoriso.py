@@ -8,6 +8,9 @@ explicit basis-to-basis map is ever built. Images are single blades, so the
 rank is a GF(2) rank of masks. Every generator-map witness is built by one
 routine, `_witness`; the phi/psi split and the chain's matrix link, which are
 not generator maps, rank their spans with the same `_subset_product_rank`.
+The squares and the anticommutation are checked by `algebra.square_sign` and
+`algebra.pairwise_anticommute`, the relation check that also certifies the
+corner ring in `cl8.classify`.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .algebra import (
     GaussianRational,
     Signature,
     omega_square,
+    pairwise_anticommute,
+    square_sign,
     volume_element,
 )
 from .linalg import gf2_echelon
@@ -114,23 +119,6 @@ class GeneratorMap(NamedTuple):
     construction: str | None = None
 
 
-def _square_sign(img, one):
-    sq = img * img
-    if sq == one:
-        return 1
-    if sq == -one:
-        return -1
-    return 0
-
-
-def _pairwise_anticommute(images) -> bool:
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if images[i] * images[j] != -(images[j] * images[i]):
-                return False
-    return True
-
-
 def _subset_product_rank(images) -> int:
     """Rank of the subset products if every image is one blade c e_M, else 0: each
     is a nonzero multiple of e_(XOR of its masks), giving 2^(GF(2) rank) blades."""
@@ -147,7 +135,7 @@ def _witness(raw, one, target, construction, source=None) -> GeneratorMap:
     [1]*p + [-1]*q, the images pairwise anticommute, and their subset
     products span rank 2^(p+q). source defaults to the target.
     """
-    signed = [(img, _square_sign(img, one)) for img in raw]
+    signed = [(img, square_sign(img, one)) for img in raw]
     signed = [x for x in signed if x[1] == 1] + [x for x in signed if x[1] != 1]
     images = [img for img, _ in signed]
     squares = [sq for _, sq in signed]
@@ -155,7 +143,7 @@ def _witness(raw, one, target, construction, source=None) -> GeneratorMap:
     rank = _subset_product_rank(images)
     certified = (
         squares == [1] * p + [-1] * q
-        and _pairwise_anticommute(images)
+        and pairwise_anticommute(images)
         and rank == 1 << (p + q)
     )
     return GeneratorMap(
@@ -328,8 +316,8 @@ def phi_psi_factorization(target, base) -> PhiPsiReport:
         chain = chain * g
     phi = chain * MV.generator(sig, added[0])
     psi = chain * MV.generator(sig, added[1])
-    phi_sq = _square_sign(phi, one)
-    psi_sq = _square_sign(psi, one)
+    phi_sq = square_sign(phi, one)
+    psi_sq = square_sign(psi, one)
     if phi_sq == 0 or psi_sq == 0:
         raise RuntimeError("phi or psi square is not a unit scalar")
     case = _CASE_NAMES[(phi_sq, psi_sq)]
@@ -464,13 +452,11 @@ def _matrix_realization_link() -> ChainLink:
     sig = Signature(4, 1)
     omega = volume_element(sig)
     one = MV.scalar(sig, 1)
-    ok = omega * omega == -one
-    for i in range(1, 6):
-        e = MV.generator(sig, i)
-        ok = ok and omega * e == e * omega
     gens = [MV.generator(sig, i) for i in range(1, 5)]
-    ok = ok and all(g * g == one for g in gens)
-    ok = ok and _pairwise_anticommute(gens)
+    ok = (square_sign(omega, one) == -1
+          and all(omega * e == e * omega for e in gens + [MV.generator(sig, 5)])
+          and all(square_sign(g, one) == 1 for g in gens)
+          and pairwise_anticommute(gens))
     # blades over the generators times {1, omega}
     rank = _subset_product_rank(gens + [omega])
     return ChainLink(

@@ -227,6 +227,8 @@ def _blade_reps(p, q, masks):
     (1, 0, [0, 0b1], "not negative definite"),  # u = e1, u^2 = +1
     (2, 0, [0, 0b01, 0b10, 0b11], "not negative definite"),  # split form
     (0, 2, [0, 0b01, 0b10], "dimension 3"),
+    # e12, e34 and e1 all square to -1, but e12 and e34 commute
+    (0, 4, [0, 0b0011, 0b1100, 0b0001], "anticommute"),
 ])
 def test_corner_certificate_refuses_what_is_not_r_c_or_h(p, q, masks, match):
     reps, one = _blade_reps(p, q, masks)
@@ -244,8 +246,8 @@ def test_corner_certificate_names_c_and_h(p, q, masks, want):
 
 
 @pytest.mark.parametrize("p,q,masks,products", [
-    (0, 1, [0, 0b1], 2),  # u^2, then v^2
-    (0, 2, [0, 0b01, 0b10, 0b11], 12),  # 3 u^2, 3 v_i^2, 3 pairs v_i v_j + v_j v_i
+    (0, 1, [0, 0b1], 1),  # u^2
+    (0, 2, [0, 0b01, 0b10, 0b11], 9),  # 3 u_i^2, then u_i u_j and u_j u_i for 3 pairs
 ])
 def test_corner_certificate_forms_each_square_once(monkeypatch, p, q, masks, products):
     reps, one = _blade_reps(p, q, masks)

@@ -39,10 +39,11 @@ def test_classify_json_keys_sorted(capsys):
     assert keys == sorted(keys)
 
 
-def test_classify_arity_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "1"])
-    assert exc.value.code == 2
+def test_classify_arity_error(capsys):
+    code, out, err = run(capsys, ["classify", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_unknown_subcommand_exits_2():
@@ -166,11 +167,10 @@ def test_chain_json(capsys):
 ])
 def test_chain_zero_denominator_is_a_usage_error(capsys, argv):
     # exit 1 is kept for a counterexample; a bad rational is exit 2
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
+    code, out, err = run(capsys, argv)
+    assert code == 2
     assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "l and l_dot must be rationals" in err
 
 
@@ -406,10 +406,11 @@ def test_config_samples_are_validated(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
-def test_twistor_rejects_non_finite_input():
-    with pytest.raises(SystemExit) as exc:
-        main(["twistor", "--x", "nan,0,0,0", "--format", "json"])
-    assert exc.value.code == 2
+def test_twistor_rejects_non_finite_input(capsys):
+    code, out, err = run(capsys, ["twistor", "--x", "nan,0,0,0", "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -522,6 +523,13 @@ BOUND_CASES = [
     (["classify", "--pmax", "512", "--qmax", "511", "--format", "json"], "MAX_SWEEP_CELLS"),
     (["spinor", "--samples", "100001"], "MAX_SAMPLES"),
     (["qubit", "--samples", "100001", "--format", "json"], "MAX_SAMPLES"),
+    # exponent notation is refused before Fraction expands it
+    (["chain", "1e999999999", "0"], "got l = 1e999999999"),
+    (["chain", "1e10000", "0"], "got l = 1e10000"),
+    (["chain", "0", "1e-1000000"], "got l_dot = 1e-1000000"),
+    # omega overflows double precision
+    (["twistor", "--x=1e308,1e308,1e308,0", "--pi=1e308,0,1,0", "--format", "json"],
+     "overflows"),
 ]
 
 # One child process runs every refusal through cl8.cli.main and prints, per
