@@ -8,7 +8,8 @@ its products, so a wrong table entry would fail loudly. One path serves R, C
 and H: the corner's units square to -f and pairwise anticommute, the relation
 check (`algebra.square_sign`, `algebra.pairwise_anticommute`) that also
 certifies every `cl8.tensoriso` witness.
-Every blade span goes through the one GF(2) echelon in `linalg`.
+Every blade span goes through the one GF(2) echelon in `linalg`, and the
+corner and the ideal are ranked by disjoint coset supports, not eliminations.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .algebra import (
     MV, GaussianRational, Signature, blade_product, central_split, involute, omega_square,
     pairwise_anticommute, square_sign, volume_element,
 )
-from .linalg import SpanBasis, gf2_echelon, gf2_reduce
+from .linalg import gf2_echelon, gf2_reduce
 
 _RH_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
 
@@ -112,7 +113,8 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
     k = q - r_{q-p}. The scan walks every blade mask in (grade, mask) order
     and keeps those that square to +1, commute with everything already kept,
     and are independent over GF(2), so with -1 they generate +-e_A over their
-    span, of order 2^(k + 1). p + q is refused above MAX_IDEMPOTENT_N before
+    span, of order 2^(k + 1); f is checked idempotent with a term on each of
+    the span's 2^k blades. p + q is refused above MAX_IDEMPOTENT_N before
     anything is allocated; the big-q claims are arithmetic and never call this.
     """
     sig = Signature(p, q)
@@ -135,15 +137,13 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
             kept.append(mask)
             rows = gf2_echelon(kept)
         if len(kept) != k:
-            raise RuntimeError(
-                f"no commuting square-+1 blade set of size {k} in Cl({p},{q})"
-            )
+            raise RuntimeError(f"no commuting square-+1 blade set of size {k} in Cl({p},{q})")
     f = MV.scalar(sig, 1)
     half = Fraction(1, 2)
     for mask in kept:
         f = f * (MV.scalar(sig, half) + MV.blade(sig, mask, half))
-    if not (f * f == f and f):
-        raise RuntimeError(f"constructed f is not a nonzero idempotent in Cl({p},{q})")
+    if not (f * f == f and len(f.terms) == 1 << k):
+        raise RuntimeError(f"constructed f is not an idempotent on 2^{k} blades in Cl({p},{q})")
     return IdempotentData(f=f, generators=tuple(kept), k=k, group_order=2 << len(rows))
 
 
@@ -158,6 +158,9 @@ def _coset_transversal(data: IdempotentData):
 
     e_T f = f for every generator T, and e_A e_T = +-e_(A^T), so e_A f is
     the same up to sign for every A in one coset, whose key is gf2_reduce.
+    f has a term on each blade of the span (primitive_idempotent checks it),
+    so e_A f has one on each blade of A + span: products from distinct cosets
+    have disjoint supports, so they are independent and their count is their rank.
     """
     rows = gf2_echelon(data.generators)
     keys = set()
@@ -179,18 +182,13 @@ def _span_of_corner(data: IdempotentData):
     the same order, as f e_A f over all 2^n blades.
     """
     f, sig = data.f, data.sig
-    basis = SpanBasis()
     reps = []
     for mask in _coset_transversal(data):
         if not all(_blades_commute(mask, g) for g in data.generators):
             continue
-        x = MV.blade(sig, mask) * f
-        if basis.add(x.terms):
-            reps.append(x)
-        if basis.rank > 4:
-            raise RuntimeError(
-                f"corner algebra dimension exceeds 4 in Cl({sig.p},{sig.q})"
-            )
+        reps.append(MV.blade(sig, mask) * f)
+        if len(reps) > 4:
+            raise RuntimeError(f"corner algebra dimension exceeds 4 in Cl({sig.p},{sig.q})")
     return reps
 
 
@@ -227,8 +225,7 @@ def division_ring_of(p: int, q: int) -> tuple:
     sig = Signature(p, q)
     data = primitive_idempotent(p, q)
     f = data.f
-    reps = _span_of_corner(data)
-    dim, ring = _certify_corner(reps, f)
+    dim, ring = _certify_corner(_span_of_corner(data), f)
     if sig.n % 2 == 0 or omega_square(sig) != 1:
         return dim, ring
     lam_plus, lam_minus, ok = central_split(volume_element(sig))
@@ -248,22 +245,15 @@ def minimal_left_ideal(p: int, q: int):
 
     e_A f is the same up to sign across a coset of the generators' GF(2)
     span, so one product per coset (the first blade of each in (grade, mask)
-    order) gives the same reps as e_A f over all 2^n blades. The SpanBasis
-    still checks that the 2^(n-k) products are independent.
+    order) gives the same reps as e_A f over all 2^n blades. They are
+    independent (see `_coset_transversal`), and there must be 2^(n-k) of them.
     """
     sig = Signature(p, q)
     data = primitive_idempotent(p, q)
-    basis = SpanBasis()
-    reps = []
-    for mask in _coset_transversal(data):
-        x = MV.blade(sig, mask) * data.f
-        if basis.add(x.terms):
-            reps.append(x)
-    expected = (1 << (p + q)) >> data.k
-    if len(reps) != expected:
-        raise RuntimeError(
-            f"ideal dimension {len(reps)} != 2^{p + q} / 2^{data.k} in Cl({p},{q})"
-        )
+    reps = [MV.blade(sig, mask) * data.f for mask in _coset_transversal(data)]
+    if len(reps) != (1 << (p + q)) >> data.k:
+        raise RuntimeError(f"ideal dimension {len(reps)} != 2^{p + q} / 2^{data.k} "
+                           f"in Cl({p},{q})")
     return reps, len(reps)
 
 

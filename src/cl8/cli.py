@@ -121,20 +121,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_flags(path: str, parser) -> list:
+def _config_flags(path: str) -> list:
     """`--key=value` tokens for the file's `_CONFIG_KEYS`; a key's first line wins."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        parser.error(f"cannot read config file: {exc}")
+        raise ValueError(f"cannot read config file: {exc}") from None
     values = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            parser.error(f"{path}:{lineno}: expected key=value")
+            raise ValueError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         values.setdefault(key.strip(), value.strip())
     return [f"--{key}={values[key]}" for key in _CONFIG_KEYS if key in values]
@@ -408,9 +408,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if args.config:  # parse again with the file's flags after argv[0], the subcommand
-        args, _ = parser.parse_known_args(argv[:1] + _config_flags(args.config, parser) + argv[1:])
-    return run(args, lambda: args.handler(args))
+
+    def produce():
+        if args.config:  # parse again into args, the file's flags after argv[0]
+            parser.parse_known_args(argv[:1] + _config_flags(args.config) + argv[1:], args)
+        return args.handler(args)
+    return run(args, produce)
 
 
 if __name__ == "__main__":

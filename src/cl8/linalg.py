@@ -2,10 +2,11 @@
 
 Vectors are plain dicts mapping a key (a blade mask or any orderable
 label) to a Fraction or GaussianRational coefficient. One elimination
-kernel, `SpanBasis`, serves rank and coordinate solves (`express` tags each
-vector with its index), with no floating point anywhere. It keys its rows
-by pivot, so a reduction costs only the pivots it meets. Blade masks mod
-sign form GF(2)^n under XOR, and one echelon, `gf2_echelon`, serves them.
+kernel, `SpanBasis`, serves `reps.quotient_structure`'s rank and coordinate
+solves (`express` tags each vector with its index), with no floating point
+anywhere. It keys its rows by pivot, so a reduction costs only the pivots
+it meets. Blade masks mod sign form GF(2)^n under XOR, and one echelon,
+`gf2_echelon`, serves them.
 """
 
 from __future__ import annotations

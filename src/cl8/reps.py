@@ -10,6 +10,8 @@ only `quotient_structure` computes in the algebra, and it imports
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -40,27 +42,38 @@ class SpinChain(NamedTuple):
         return len(self.members)
 
 
+def _echo(value) -> str:
+    """value as text, cut after its first 20 characters."""
+    text = str(value)
+    return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
+
+
 def _half_integer(value, name):
-    """value, or the rational its text names, as a multiple of 1/2. Exponent
-    text is refused before Fraction would expand it; refusals echo value."""
+    """value, or the rational its text names, as a multiple of 1/2. Text is
+    refused before Fraction would expand an exponent or meet a digit run over
+    int's parse limit (sys.get_int_max_str_digits); refusals echo _echo(value)."""
+    if isinstance(value, str):
+        run = max(map(len, re.findall(r"\d+", value.replace("_", ""))), default=0)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < run:
+            raise ValueError(f"{name} has {run} digits in a row, over the {limit}-digit "
+                             f"limit of int parsing, got {name} = {_echo(value)}")
     try:
         if isinstance(value, str) and "e" in value.lower():
             raise ValueError("exponent notation")
         f = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"l and l_dot must be rationals like 3 or 1/2, "
-                         f"got {name} = {value}") from None
+                         f"got {name} = {_echo(value)}") from None
     if (2 * f).denominator != 1:
-        raise ValueError(f"{name} must be a half-integer, got {value}")
+        raise ValueError(f"{name} must be a half-integer, got {_echo(value)}")
     return f
 
 
 def rep_field(l, l_dot) -> str:
     """Field tag of tau_{l,l_dot}: the division ring of the algebra with
     4l plus and 4l_dot minus generators, which is never complex."""
-    l = _half_integer(l, "l")
-    ld = _half_integer(l_dot, "l_dot")
-    t = int(4 * l - 4 * ld) % 8
+    t = int(4 * _half_integer(l, "l") - 4 * _half_integer(l_dot, "l_dot")) % 8
     return "real" if t in (0, 2) else "quaternionic"
 
 
@@ -148,20 +161,11 @@ def spin_chain(l, l_dot) -> SpinChain:
     """Ladder of labels from tau_{l,l_dot} to tau_{l_dot,l} in half steps."""
     lo, hi = sorted((_half_integer(l, "l"), _half_integer(l_dot, "l_dot")))
     if lo + hi > MAX_CHAIN_SUM:
-        raise ValueError(f"l + l_dot = {l} + {l_dot} exceeds MAX_CHAIN_SUM = {MAX_CHAIN_SUM}")
-    members = []
-    cur_l, cur_ld = lo, hi
-    while True:
-        members.append(rep_label(int(2 * cur_l), int(2 * cur_ld)))
-        if cur_l == hi:
-            break
-        cur_l += Fraction(1, 2)
-        cur_ld -= Fraction(1, 2)
-    spins = []
-    s = lo - hi
-    while s <= hi - lo:
-        spins.append(s)
-        s += 1
+        raise ValueError(f"l + l_dot = {_echo(l)} + {_echo(l_dot)} "
+                         f"exceeds MAX_CHAIN_SUM = {MAX_CHAIN_SUM}")
+    total = int(2 * (lo + hi))  # k + r of every member; l rises as l_dot falls
+    members = [rep_label(k, total - k) for k in range(int(2 * lo), int(2 * hi) + 1)]
+    spins = [lo - hi + i for i in range(len(members))]
     return SpinChain(start=(lo, hi), members=members, spins_signed=spins)
 
 

@@ -21,6 +21,7 @@ from cl8.classify import (
     primitive_idempotent,
     radon_hurwitz,
 )
+from cl8.linalg import rank_of
 
 from naive import (
     naive_corner_reps,
@@ -204,6 +205,31 @@ def test_corner_and_ideal_reps_match_full_scan(p, q):
     assert minimal_left_ideal(p, q)[0] == naive_left_ideal_reps(data.f, sig)
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_corner_and_ideal_reps_are_independent(n):
+    # SpanBasis as the oracle: disjoint coset supports make every rep
+    # independent, so the count of the reps is their rank
+    for p in range(n + 1):
+        corner = _span_of_corner(primitive_idempotent(p, n - p))
+        ideal, dim = minimal_left_ideal(p, n - p)
+        assert rank_of(x.terms for x in corner) == len(corner)
+        assert rank_of(x.terms for x in ideal) == len(ideal) == dim
+
+
+def test_idempotent_refuses_dependent_generators(monkeypatch):
+    # a GF(2) reduction that never reduces keeps dependent blades; f then
+    # misses blades of the span, and the support check refuses it
+    from cl8 import classify
+
+    monkeypatch.setattr(classify, "gf2_reduce", lambda rows, mask: mask)
+    primitive_idempotent.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="idempotent on 2"):
+            primitive_idempotent(2, 5)
+    finally:
+        primitive_idempotent.cache_clear()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_corner_of_a_blade_is_zero_or_blade_times_f(data):
@@ -354,8 +380,6 @@ def test_dirac_map_is_injective_on_even_part():
     # multiplication by the projector, counting real and imaginary parts
     # of each complex coordinate separately
     from cl8.algebra import even_subalgebra_basis
-    from cl8.linalg import rank_of
-
     sig = Signature(1, 3, complexified=True)
     f = dirac_idempotent()
     vecs = []

@@ -12,9 +12,21 @@ from cl8.linalg import SpanBasis, express, gf2_echelon, gf2_reduce, rank_of
 from naive import naive_express, naive_reduce, naive_span_basis
 
 
-fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-gaussians = st.builds(GaussianRational, fractions, fractions)
-keys = st.integers(0, 9)  # few keys, so pivots and row entries overlap
+# A coefficient, and a (key, coefficient) term, is one draw from a fixed
+# list: the fewer draws per vector, the cheaper each example.
+FRACTIONS = [Fraction(a, b) for a in range(-3, 4) for b in range(1, 4)]
+GAUSSIANS = [GaussianRational(x, y) for x in FRACTIONS for y in FRACTIONS]
+KEYS = range(10)  # few keys, so pivots and row entries overlap
+fractions = st.sampled_from(FRACTIONS)
+gaussians = st.sampled_from(GAUSSIANS)
+keys = st.sampled_from(KEYS)
+
+
+def _terms(values):
+    return st.sampled_from([(k, c) for k in KEYS for c in values])
+
+
+COEFFS_AND_TERMS = [(fractions, _terms(FRACTIONS)), (gaussians, _terms(GAUSSIANS))]
 
 
 @st.composite
@@ -22,12 +34,12 @@ def vector_lists(draw):
     """Sparse vectors, all Fraction or all GaussianRational, some with one
     key, some combinations of earlier ones (dependent, or cancelling to 0),
     some with explicit zero coefficients."""
-    coeff = draw(st.sampled_from([fractions, gaussians]))
+    coeff, term = draw(st.sampled_from(COEFFS_AND_TERMS))
     vecs = []
     for _ in range(draw(st.integers(1, 16))):
         kind = draw(st.sampled_from(["sparse", "single", "combination"]))
         if kind == "single":
-            vec = {draw(keys): draw(coeff)}
+            vec = dict([draw(term)])
         elif kind == "combination" and vecs:
             vec = {}
             for _ in range(draw(st.integers(1, 3))):
@@ -35,7 +47,7 @@ def vector_lists(draw):
                 for k, c in draw(st.sampled_from(vecs)).items():
                     vec[k] = vec.get(k, 0) + factor * c
         else:
-            vec = draw(st.dictionaries(keys, coeff, max_size=7))
+            vec = dict(draw(st.lists(term, max_size=7)))
         vecs.append(vec)
     return vecs
 

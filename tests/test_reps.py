@@ -1,5 +1,6 @@
 """Representation catalogue: labels, fields, walks, chains, blocks."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -226,3 +227,16 @@ def test_rep_label_size_is_bounded():
 def test_every_chain_member_is_within_the_label_bound():
     chain = spin_chain(0, MAX_CHAIN_SUM)
     assert max(2 * (m.l + m.l_dot) for m in chain.members) == MAX_REP_SUM
+
+
+def test_chain_text_over_the_int_parse_limit_names_that_limit():
+    limit = sys.get_int_max_str_digits()
+    # a long run that still parses, underscores not counted, reads as its value
+    assert spin_chain("2" + "0" * 40 + "/1" + "0" * 40, "1_0") == spin_chain(2, 10)
+    for text in ["9" * (limit + 1), "0" * limit + "1", "1/" + "1_" * limit + "1",
+                 "0." + "5" * (limit + 1)]:
+        with pytest.raises(ValueError, match="limit of int parsing") as exc:
+            spin_chain(0, text)
+        assert len(str(exc.value)) < 200
+    with pytest.raises(ValueError, match=r"rationals like 3 or 1/2, got l = x/3$"):
+        spin_chain("x/3", 0)  # a short input is echoed whole
