@@ -21,9 +21,9 @@ ones and drop zeros. The results of the module's own operations (sums,
 negation, products, grade parts, involutions) are built by the trusted
 `MV._made`, which stores terms that are already clean as they are.
 
-One relation check, `square_sign` plus `pairwise_anticommute`, certifies the
-corner ring of `cl8.classify` (squares against f) and every `cl8.tensoriso`
-witness (squares against 1).
+The same rule, as `anticommute_mask`, decides blade commutation for
+`cl8.classify` and every `cl8.tensoriso` witness. The relation check,
+`square_sign` plus `pairwise_anticommute`, serves multi-term elements.
 """
 
 from __future__ import annotations
@@ -183,8 +183,27 @@ def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
     """Geometric product of two basis blades: returns (sign, result mask)."""
     top = 1 << sig.n
     if not (0 <= a < top and 0 <= b < top):
-        raise ValueError(f"blade mask out of range for Cl({sig.p},{sig.q})")
+        raise ValueError(f"blade mask out of range for {sig.n} generators")
     return (-1 if (a & _sign_flips(b, sig)).bit_count() & 1 else 1), a ^ b
+
+
+def anticommute_mask(b: int, sig) -> int:
+    """beta(., b) as an n-bit mask c: e_a e_b = (-1)^popcount(a & c) e_b e_a.
+
+    beta(a, b) = popcount(a & F(b)) + popcount(b & F(a)) mod 2, so c = F(b) ^ F^T(b):
+    b XOR each block in which b has odd parity (the -1 squares cancel). That
+    parity is read at the block's top bit of b ^ F(b) ^ (b & minus_mask), the
+    parity of b up to that bit; F's bits at and above n are never read."""
+    upto = b ^ _sign_flips(b, sig) ^ (b & sig.minus_mask)
+    c, lo = b, 0
+    tops = sig.cuts | 1 << sig.n  # each block ends below a cut or at n
+    while tops:
+        hi = (tops & -tops).bit_length() - 1
+        tops &= tops - 1
+        if hi > lo and upto >> (hi - 1) & 1:
+            c ^= (1 << hi) - (1 << lo)
+        lo = hi
+    return c
 
 
 def _coerce_coeff(sig: Signature, value):
@@ -246,7 +265,7 @@ class MV:
     @classmethod
     def blade(cls, sig: Signature, mask: int, coeff=1) -> "MV":
         if not 0 <= mask < (1 << sig.n):
-            raise ValueError(f"blade mask {mask:#x} out of range for Cl({sig.p},{sig.q})")
+            raise ValueError(f"blade mask {mask:#x} out of range for {sig.n} generators")
         return cls(sig, {mask: coeff})
 
     @classmethod

@@ -5,9 +5,9 @@ Everything here is computed, not looked up, except the coefficient ring
 label itself: the label claimed by the mod-8 table is certified against the
 algebra by constructing f * A * f for a primitive idempotent f and checking
 its products, so a wrong table entry would fail loudly. One path serves R, C
-and H: the corner's units square to -f and pairwise anticommute, the relation
-check (`algebra.square_sign`, `algebra.pairwise_anticommute`) that also
-certifies every `cl8.tensoriso` witness.
+and H: the corner's units square to -f and pairwise anticommute, checked by
+`algebra.square_sign` and `pairwise_anticommute`. Whether two blades commute
+is read off `algebra.anticommute_mask`, as in every `cl8.tensoriso` witness.
 Every blade span goes through the one GF(2) echelon in `linalg`, and the
 corner and the ideal are ranked by disjoint coset supports, not eliminations.
 """
@@ -19,8 +19,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import (
-    MV, GaussianRational, Signature, blade_product, central_split, involute, omega_square,
-    pairwise_anticommute, square_sign, volume_element,
+    MV, GaussianRational, Signature, anticommute_mask, blade_product, central_split, involute,
+    omega_square, pairwise_anticommute, square_sign, volume_element,
 )
 from .linalg import gf2_echelon, gf2_reduce
 
@@ -91,10 +91,6 @@ class IdempotentData(NamedTuple):
         return self.f.sig
 
 
-def _blades_commute(a: int, b: int) -> bool:
-    return ((a.bit_count() * b.bit_count()) - (a & b).bit_count()) % 2 == 0
-
-
 def _blade_order(n: int) -> list:
     """Every blade mask of an n-generator algebra, in (grade, mask) order."""
     return sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
@@ -123,6 +119,7 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
         raise ValueError(f"p + q = {n} exceeds MAX_IDEMPOTENT_N = {MAX_IDEMPOTENT_N}")
     k = q - radon_hurwitz(q - p)
     kept = []
+    betas = []
     rows = []
     if k > 0:
         for mask in _blade_order(n)[1:]:
@@ -130,11 +127,12 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
                 break
             if blade_product(mask, mask, sig)[0] != 1:
                 continue
-            if not all(_blades_commute(mask, g) for g in kept):
+            if any((mask & c).bit_count() & 1 for c in betas):
                 continue
             if not gf2_reduce(rows, mask):
                 continue
             kept.append(mask)
+            betas.append(anticommute_mask(mask, sig))
             rows = gf2_echelon(kept)
         if len(kept) != k:
             raise RuntimeError(f"no commuting square-+1 blade set of size {k} in Cl({p},{q})")
@@ -182,9 +180,10 @@ def _span_of_corner(data: IdempotentData):
     the same order, as f e_A f over all 2^n blades.
     """
     f, sig = data.f, data.sig
+    betas = [anticommute_mask(g, sig) for g in data.generators]
     reps = []
     for mask in _coset_transversal(data):
-        if not all(_blades_commute(mask, g) for g in data.generators):
+        if any((mask & c).bit_count() & 1 for c in betas):
             continue
         reps.append(MV.blade(sig, mask) * f)
         if len(reps) > 4:

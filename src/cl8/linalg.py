@@ -2,8 +2,8 @@
 
 Vectors are plain dicts mapping a key (a blade mask or any orderable
 label) to a Fraction or GaussianRational coefficient. One elimination
-kernel, `SpanBasis`, serves `reps.quotient_structure`'s rank and coordinate
-solves (`express` tags each vector with its index), with no floating point
+kernel, `SpanBasis`, serves `rank_of` (`reps.quotient_structure` calls it)
+and `express` (public, no caller in the package), with no floating point
 anywhere. It keys its rows by pivot, so a reduction costs only the pivots
 it meets. Blade masks mod sign form GF(2)^n under XOR, and one echelon,
 `gf2_echelon`, serves them.

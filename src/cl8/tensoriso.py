@@ -8,9 +8,9 @@ explicit basis-to-basis map is ever built. Images are single blades, so the
 rank is a GF(2) rank of masks. Every generator-map witness is built by one
 routine, `_witness`; the phi/psi split and the chain's matrix link, which are
 not generator maps, rank their spans with the same `_subset_product_rank`.
-The squares and the anticommutation are checked by `algebra.square_sign` and
-`algebra.pairwise_anticommute`, the relation check that also certifies the
-corner ring in `cl8.classify`.
+A witness squares its images with `algebra.square_sign` and, once the rank
+is full (every image is then one blade), reads their anticommutation off
+`algebra.anticommute_mask`; the phi/psi split and the chain keep `MV` products.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .algebra import (
     MV,
     GaussianRational,
     Signature,
+    anticommute_mask,
     omega_square,
     pairwise_anticommute,
     square_sign,
@@ -132,8 +133,8 @@ def _witness(raw, one, target, construction, source=None) -> GeneratorMap:
 
     The images that square to +1 go first (a stable partition), to line up
     with the target convention. Certified means the squares read
-    [1]*p + [-1]*q, the images pairwise anticommute, and their subset
-    products span rank 2^(p+q). source defaults to the target.
+    [1]*p + [-1]*q, their subset products span rank 2^(p+q), and the (then
+    single-blade) images pairwise anticommute. source defaults to the target.
     """
     signed = [(img, square_sign(img, one)) for img in raw]
     signed = [x for x in signed if x[1] == 1] + [x for x in signed if x[1] != 1]
@@ -141,11 +142,11 @@ def _witness(raw, one, target, construction, source=None) -> GeneratorMap:
     squares = [sq for _, sq in signed]
     p, q = target
     rank = _subset_product_rank(images)
-    certified = (
-        squares == [1] * p + [-1] * q
-        and pairwise_anticommute(images)
-        and rank == 1 << (p + q)
-    )
+    certified = squares == [1] * p + [-1] * q and rank == 1 << (p + q)
+    if certified:  # a full rank means every image is one blade c e_M
+        masks = [m for img in images for m in img.terms]
+        certified = all((m & c).bit_count() & 1 for i, c in enumerate(
+            anticommute_mask(a, one.sig) for a in masks) for m in masks[i + 1:])
     return GeneratorMap(
         source_sig=target if source is None else source,
         target_sig=target,
@@ -162,8 +163,8 @@ def _witness(raw, one, target, construction, source=None) -> GeneratorMap:
 # --------------------------------------------------------------------------
 
 
-# the largest total generator count a tensor certificate accepts; its blade
-# images cost n^2 products and an n-row GF(2) echelon, so it could be raised
+# the largest total generator count a tensor certificate accepts; its n blade
+# images cost n squares, n^2 popcounts and an n-row GF(2) echelon: it could grow
 MAX_TENSOR_N = 10
 
 

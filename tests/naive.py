@@ -48,6 +48,11 @@ def naive_blade_product(a, b, p):
     return sign, tuple(out)
 
 
+def indices_of(mask):
+    """The ascending 1-based generator indices of a blade mask."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def naive_blade_square(indices, p):
     sign, rest = naive_blade_product(indices, indices, p)
     assert rest == ()
@@ -132,8 +137,7 @@ def naive_group_order(generators, p):
     """Order of the group generated by -1 and the blades given as int masks,
     by a breadth-first closure over (sign, index tuple) pairs multiplied
     with naive_blade_product."""
-    gens = [(1, tuple(i + 1 for i in range(m.bit_length()) if m >> i & 1))
-            for m in generators]
+    gens = [(1, indices_of(m)) for m in generators]
     gens.append((-1, ()))
     elems = {(1, ()), (-1, ())}
     frontier = list(elems)

@@ -9,6 +9,7 @@ from cl8.algebra import (
     MV,
     GaussianRational,
     Signature,
+    anticommute_mask,
     blade_product,
     central_split,
     even_subalgebra_basis,
@@ -18,11 +19,15 @@ from cl8.algebra import (
 )
 from cl8.tensoriso import ProductAlgebra, TensorMV
 
-from naive import all_blades, naive_blade_product, naive_blade_square, naive_multivector_mul
-
-
-def indices_of(mask):
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+from naive import (
+    all_blades,
+    indices_of,
+    naive_blade_product,
+    naive_blade_square,
+    naive_commute,
+    naive_multivector_mul,
+    naive_tensor_product,
+)
 
 
 SMALL_SIGS = [(p, q) for p in range(5) for q in range(5) if 0 < p + q <= 4]
@@ -250,6 +255,57 @@ def test_grade_parts():
     assert x.grade_part(2) == MV.blade(sig, 0b11, 7)
     assert x.even_part() == MV.scalar(sig, 3) + MV.blade(sig, 0b11, 7)
     assert sorted(x.grades()) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_anticommute_mask_matches_oracle(n):
+    # every mask pair of every Cl(p, n - p)
+    blades = [indices_of(m) for m in range(1 << n)]
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        for b, ib in enumerate(blades):
+            c = anticommute_mask(b, sig)
+            got = [not (a & c).bit_count() & 1 for a in range(1 << n)]
+            assert got == [naive_commute(ia, ib, p) for ia in blades]
+
+
+@pytest.mark.parametrize("graded", [True, False], ids=["graded", "plain"])
+@pytest.mark.parametrize("factors", [((1, 1), (0, 2)), ((1, 0), (3, 1)), ((2, 1), (1, 2))])
+def test_anticommute_mask_on_tensor_products(factors, graded):
+    # commutation read off the oracle's two products, for every mask pair
+    pa = ProductAlgebra([Signature(p, q) for p, q in factors], graded=graded)
+    keys = [tuple(indices_of(m) for m in pa.split(mask)) for mask in range(1 << pa.n)]
+    for b, kb in enumerate(keys):
+        c = anticommute_mask(b, pa)
+        for a, ka in enumerate(keys):
+            commute = (naive_tensor_product({ka: 1}, {kb: 1}, factors, graded)
+                       == naive_tensor_product({kb: 1}, {ka: 1}, factors, graded))
+            assert commute == (not (a & c).bit_count() & 1)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_anticommute_mask_of_omega(n):
+    # omega is central for odd n and anticommutes with every vector for even
+    # n; _sign_flips leaves bits at and above n that the mask must not keep
+    full = (1 << n) - 1
+    for p in range(n + 1):
+        assert anticommute_mask(full, Signature(p, n - p)) == (0 if n % 2 else full)
+
+
+@pytest.mark.parametrize("sig", [
+    Signature(2, 1),
+    ProductAlgebra((Signature(1, 1), Signature(0, 2))),
+    ProductAlgebra((Signature(1, 1), Signature(0, 2)), graded=True),
+], ids=["signature", "plain", "graded"])
+def test_blade_mask_out_of_range_is_refused(sig):
+    top = 1 << sig.n
+    for mask in (top, 1 << 9, -1):
+        with pytest.raises(ValueError, match=f"out of range for {sig.n} generators"):
+            MV.blade(sig, mask)
+        with pytest.raises(ValueError, match=f"out of range for {sig.n} generators"):
+            blade_product(mask, 0, sig)
+        with pytest.raises(ValueError, match=f"out of range for {sig.n} generators"):
+            blade_product(0, mask, sig)
 
 
 def test_blade_order_listing_matches_search_order():

@@ -38,3 +38,25 @@ def test_no_module_imports_a_name_it_never_uses():
         found += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
                   if name not in used]
     assert found == []
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a private top-level function or class that nothing in src/cl8 names
+    # is dead code, even when a test still imports it
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    found = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
+             for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name.startswith("_") and not node.name.startswith("__")
+             and node.name not in named]
+    assert found == []

@@ -2,11 +2,12 @@
 
 import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cl8.algebra import MV, GaussianRational, Signature
+from cl8.algebra import MV, GaussianRational, Signature, pairwise_anticommute, square_sign
 from cl8.tensoriso import (
     MAX_TENSOR_N,
     ProductAlgebra,
@@ -23,7 +24,7 @@ from cl8.tensoriso import (
     _witness,
 )
 
-from naive import naive_subset_product_rank, naive_tensor_product
+from naive import indices_of, naive_subset_product_rank, naive_tensor_product
 
 
 def test_graded_product_koszul_sign():
@@ -85,10 +86,6 @@ def tensor_operands(draw):
     return factors, complexified, graded, draw(terms), draw(terms)
 
 
-def _indices(mask):
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 @settings(max_examples=150, deadline=None)
 @given(tensor_operands())
 def test_tensor_product_matches_naive(case):
@@ -99,15 +96,15 @@ def test_tensor_product_matches_naive(case):
     naive_x, naive_y = {}, {}
     for masks, c in ta:
         x = x + pa.blade(masks, c)
-        key = tuple(_indices(m) for m in masks)
+        key = tuple(indices_of(m) for m in masks)
         naive_x[key] = naive_x.get(key, 0) + c
     for masks, c in tb:
         y = y + pa.blade(masks, c)
-        key = tuple(_indices(m) for m in masks)
+        key = tuple(indices_of(m) for m in masks)
         naive_y[key] = naive_y.get(key, 0) + c
     got = x * y
     assert type(got) is type(x)
-    got_dict = {tuple(_indices(m) for m in pa.split(k)): c for k, c in got.terms.items()}
+    got_dict = {tuple(indices_of(m) for m in pa.split(k)): c for k, c in got.terms.items()}
     assert got_dict == naive_tensor_product(naive_x, naive_y, factors, graded)
 
 
@@ -162,6 +159,33 @@ def test_witness_with_a_non_blade_image_has_rank_0():
     rep = _witness([u, e12], one, (1, 1), None)
     assert rep.squares == [1, -1]
     assert rep.rank == 0 and not rep.certified
+
+
+WITNESS_ALGEBRAS = [
+    Signature(1, 3),
+    Signature(2, 2, complexified=True),
+    ProductAlgebra((Signature(1, 1), Signature(0, 2))),
+    ProductAlgebra((Signature(1, 1), Signature(0, 2)), graded=True),
+]
+
+
+@pytest.mark.parametrize("alg", WITNESS_ALGEBRAS, ids=["real", "complexified", "plain", "graded"])
+def test_witness_certifies_exactly_what_the_relation_check_does(alg):
+    # every set of two or three distinct blades, against the MV-product
+    # relation check; many have full rank and the right squares but a
+    # commuting pair, which only the anticommutation check refuses
+    one = MV(alg, {0: 1})
+    refused_for_commuting = 0
+    for k in (2, 3):
+        for masks in combinations(range(1, 1 << alg.n), k):
+            images = [MV(alg, {m: 1}) for m in masks]
+            squares = [square_sign(img, one) for img in images]
+            target = (squares.count(1), squares.count(-1))
+            rep = _witness(images, one, target, None)
+            full = rep.rank == 1 << k
+            assert rep.certified == (full and pairwise_anticommute(images))
+            refused_for_commuting += full and not rep.certified
+    assert refused_for_commuting > 0
 
 
 def test_graded_tensor_check_basic():
