@@ -15,15 +15,16 @@ the block of i, so generators in different blocks commute. F(b) is
 recomputed per product; there is no sign cache.
 
 Every user-facing constructor validates: `MV(sig, terms)`, `MV.blade`,
-`MV.scalar` and `MV.generator` coerce each coefficient to the signature's
-type (Fraction, or GaussianRational when complexified), reject inexact
-ones and drop zeros. The results of the module's own operations (sums,
-negation, products, grade parts, involutions) are built by the trusted
-`MV._made`, which stores terms that are already clean as they are.
+`MV.scalar` and `MV.generator` refuse a blade mask outside 0 <= m < 2^n,
+coerce each coefficient to the signature's type (Fraction, or
+GaussianRational when complexified), reject inexact ones and drop zeros.
+The results of the module's own operations (sums, negation, products, grade
+parts, involutions) are built by the trusted `MV._made`, which stores terms
+that are already clean as they are.
 
-The same rule, as `anticommute_mask`, decides blade commutation for
-`cl8.classify` and every `cl8.tensoriso` witness. The relation check,
-`square_sign` plus `pairwise_anticommute`, serves multi-term elements.
+The same rule, as `anticommute_mask` and `blades_anticommute`, decides every
+relation between blades in `cl8.classify` and `cl8.tensoriso`. `square_sign`
+squares images that carry i; `pairwise_anticommute` is the `MV`-product oracle.
 """
 
 from __future__ import annotations
@@ -206,6 +207,12 @@ def anticommute_mask(b: int, sig) -> int:
     return c
 
 
+def blades_anticommute(masks, sig) -> bool:
+    """e_a e_b = -e_b e_a, that is beta(a, b) odd, for every pair of masks."""
+    return all((b & anticommute_mask(a, sig)).bit_count() & 1
+               for i, a in enumerate(masks) for b in masks[i + 1:])
+
+
 def _coerce_coeff(sig: Signature, value):
     if sig.complexified:
         if isinstance(value, GaussianRational):
@@ -234,7 +241,10 @@ class MV:
         object.__setattr__(self, "sig", sig)
         clean = {}
         if terms:
+            top = 1 << sig.n
             for mask, c in terms.items():
+                if not 0 <= mask < top:
+                    raise ValueError(f"blade mask {mask:#x} out of range for {sig.n} generators")
                 cc = _coerce_coeff(sig, c)
                 if cc:
                     clean[mask] = cc
@@ -264,8 +274,6 @@ class MV:
 
     @classmethod
     def blade(cls, sig: Signature, mask: int, coeff=1) -> "MV":
-        if not 0 <= mask < (1 << sig.n):
-            raise ValueError(f"blade mask {mask:#x} out of range for {sig.n} generators")
         return cls(sig, {mask: coeff})
 
     @classmethod
@@ -431,7 +439,7 @@ def central_split(alpha: MV) -> tuple:
 
 
 def square_sign(x: MV, one: MV) -> int:
-    """+1 or -1 when x^2 = +-one (1 for a generator image, f for a corner unit), else 0."""
+    """+1 or -1 when x^2 = +-one (1 for a generator image), else 0."""
     sq = x * x
     if sq == one:
         return 1

@@ -4,12 +4,12 @@ division-ring certification.
 Everything here is computed, not looked up, except the coefficient ring
 label itself: the label claimed by the mod-8 table is certified against the
 algebra by constructing f * A * f for a primitive idempotent f and checking
-its products, so a wrong table entry would fail loudly. One path serves R, C
-and H: the corner's units square to -f and pairwise anticommute, checked by
-`algebra.square_sign` and `pairwise_anticommute`. Whether two blades commute
-is read off `algebra.anticommute_mask`, as in every `cl8.tensoriso` witness.
-Every blade span goes through the one GF(2) echelon in `linalg`, and the
-corner and the ideal are ranked by disjoint coset supports, not eliminations.
+its unit relations, so a wrong table entry would fail loudly. One path serves
+R, C and H: the corner's units square to -f and pairwise anticommute, read
+off their blade masks by Q and `algebra.blades_anticommute`, the sign rule of
+every `cl8.tensoriso` witness. Every blade span goes through the one GF(2)
+echelon in `linalg`, and the corner and the ideal are ranked by disjoint
+coset supports, not eliminations.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import (
-    MV, GaussianRational, Signature, anticommute_mask, blade_product, central_split, involute,
-    omega_square, pairwise_anticommute, square_sign, volume_element,
+    MV, GaussianRational, Signature, anticommute_mask, blade_product, blades_anticommute,
+    central_split, involute, omega_square, volume_element,
 )
 from .linalg import gf2_echelon, gf2_reduce
 
@@ -169,42 +169,40 @@ def _coset_transversal(data: IdempotentData):
             yield mask
 
 
-def _span_of_corner(data: IdempotentData):
-    """Representative multivectors spanning f * Cl(p,q) * f.
+def _span_of_corner(data: IdempotentData) -> list:
+    """Blade masks A whose products e_A f span f * Cl(p,q) * f.
 
     If e_A anticommutes with a generator e_T of f, then
     (1 + e_T) e_A (1 + e_T) = e_A (1 - e_T)(1 + e_T) = 0, so f e_A f = 0.
     If e_A commutes with every generator, f e_A f = e_A f f = e_A f.
     Commuting with the generators holds for a whole coset or for none of
-    it, so one product e_A f per commuting coset gives the same reps, in
-    the same order, as f e_A f over all 2^n blades.
+    it, so the first blade of each commuting coset gives the same reps
+    e_A f, in the same order, as f e_A f over all 2^n blades.
     """
-    f, sig = data.f, data.sig
-    betas = [anticommute_mask(g, sig) for g in data.generators]
-    reps = []
-    for mask in _coset_transversal(data):
-        if any((mask & c).bit_count() & 1 for c in betas):
-            continue
-        reps.append(MV.blade(sig, mask) * f)
-        if len(reps) > 4:
-            raise RuntimeError(f"corner algebra dimension exceeds 4 in Cl({sig.p},{sig.q})")
-    return reps
+    betas = [anticommute_mask(g, data.sig) for g in data.generators]
+    return [mask for mask in _coset_transversal(data)
+            if not any((mask & c).bit_count() & 1 for c in betas)]
 
 
-def _certify_corner(reps, f: MV):
-    """Name the division ring spanned by reps = [f, u_1, ...] from its unit
-    relations. Each u_i = e_A f with e_A commuting with f, so u_i^2 = +-f.
-    The corner is R, C or H, by dimension, when every u_i^2 = -f and the
-    u_i pairwise anticommute: Hamilton's relations with f as the unit."""
-    dim = len(reps)
+def _certify_corner(masks, sig) -> tuple:
+    """Name the division ring spanned by the units u_A = e_A f, for the
+    corner masks [0, A_1, ...] of `_span_of_corner`, from their relations.
+
+    e_A commutes with f and f^2 = f, so u_A u_B = e_A f e_B f = e_A e_B f:
+    the units multiply as their blades do (f * Cl * f is a twisted group
+    algebra of Z_2^n). So u_A^2 = Q(A) f and u_A u_B = (-1)^beta(A, B) u_B u_A,
+    and no corner element is multiplied. The corner is R, C or H, by
+    dimension, when every Q(A) = -1 and every beta(A, B) is odd: Hamilton's
+    relations with f as the unit."""
+    dim = len(masks)
     ring = {1: "R", 2: "C", 4: "H"}.get(dim)
     if ring is None:
         raise RuntimeError(f"corner algebra dimension {dim} is not 1, 2, or 4")
-    units = reps[1:]
-    if any(square_sign(u, f) != -1 for u in units):
+    units = masks[1:]
+    if any(blade_product(a, a, sig)[0] != -1 for a in units):
         raise RuntimeError(f"{dim}-dimensional corner is not negative definite: "
                            "a unit does not square to -f")
-    if not pairwise_anticommute(units):
+    if not blades_anticommute(units, sig):
         raise RuntimeError("corner units do not anticommute")
     return dim, ring
 
@@ -224,7 +222,7 @@ def division_ring_of(p: int, q: int) -> tuple:
     sig = Signature(p, q)
     data = primitive_idempotent(p, q)
     f = data.f
-    dim, ring = _certify_corner(_span_of_corner(data), f)
+    dim, ring = _certify_corner(_span_of_corner(data), sig)
     if sig.n % 2 == 0 or omega_square(sig) != 1:
         return dim, ring
     lam_plus, lam_minus, ok = central_split(volume_element(sig))

@@ -10,7 +10,8 @@ routine, `_witness`; the phi/psi split and the chain's matrix link, which are
 not generator maps, rank their spans with the same `_subset_product_rank`.
 A witness squares its images with `algebra.square_sign` and, once the rank
 is full (every image is then one blade), reads their anticommutation off
-`algebra.anticommute_mask`; the phi/psi split and the chain keep `MV` products.
+`algebra.blades_anticommute`. phi and psi are single blades, and so are the
+chain's matrix-link generators: their relations are read off the same masks.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from .algebra import (
     GaussianRational,
     Signature,
     anticommute_mask,
+    blade_product,
+    blades_anticommute,
     omega_square,
-    pairwise_anticommute,
     square_sign,
     volume_element,
 )
@@ -144,9 +146,7 @@ def _witness(raw, one, target, construction, source=None) -> GeneratorMap:
     rank = _subset_product_rank(images)
     certified = squares == [1] * p + [-1] * q and rank == 1 << (p + q)
     if certified:  # a full rank means every image is one blade c e_M
-        masks = [m for img in images for m in img.terms]
-        certified = all((m & c).bit_count() & 1 for i, c in enumerate(
-            anticommute_mask(a, one.sig) for a in masks) for m in masks[i + 1:])
+        certified = blades_anticommute([m for img in images for m in img.terms], one.sig)
     return GeneratorMap(
         source_sig=target if source is None else source,
         target_sig=target,
@@ -322,8 +322,9 @@ def phi_psi_factorization(target, base) -> PhiPsiReport:
     if phi_sq == 0 or psi_sq == 0:
         raise RuntimeError("phi or psi square is not a unit scalar")
     case = _CASE_NAMES[(phi_sq, psi_sq)]
-    commute_ok = all(phi * g == g * phi and psi * g == g * psi for g in base_images)
-    prod_anti = phi * psi == -(psi * phi)
+    (base_mask,), (phi_mask,), (psi_mask,) = chain.terms, phi.terms, psi.terms
+    commute_ok = not base_mask & (anticommute_mask(phi_mask, sig) | anticommute_mask(psi_mask, sig))
+    prod_anti = blades_anticommute((phi_mask, psi_mask), sig)
     # the additive decomposition: base blades times {1, phi, psi, phi psi}
     rank = _subset_product_rank(base_images + [phi, psi])
     passed = commute_ok and prod_anti and rank == 1 << (p + q)
@@ -451,15 +452,12 @@ def _matrix_realization_link() -> ChainLink:
     partners span all 32 real dimensions.
     """
     sig = Signature(4, 1)
-    omega = volume_element(sig)
-    one = MV.scalar(sig, 1)
-    gens = [MV.generator(sig, i) for i in range(1, 5)]
-    ok = (square_sign(omega, one) == -1
-          and all(omega * e == e * omega for e in gens + [MV.generator(sig, 5)])
-          and all(square_sign(g, one) == 1 for g in gens)
-          and pairwise_anticommute(gens))
+    masks = [1 << i for i in range(4)]
+    ok = (omega_square(sig) == -1 and anticommute_mask(0b11111, sig) == 0
+          and all(blade_product(m, m, sig)[0] == 1 for m in masks)
+          and blades_anticommute(masks, sig))
     # blades over the generators times {1, omega}
-    rank = _subset_product_rank(gens + [omega])
+    rank = _subset_product_rank([MV.blade(sig, m) for m in masks] + [volume_element(sig)])
     return ChainLink(
         name="matrix_realization",
         certified=ok and rank == 32,

@@ -303,6 +303,8 @@ def test_blade_mask_out_of_range_is_refused(sig):
         with pytest.raises(ValueError, match=f"out of range for {sig.n} generators"):
             MV.blade(sig, mask)
         with pytest.raises(ValueError, match=f"out of range for {sig.n} generators"):
+            MV(sig, {mask: 1})
+        with pytest.raises(ValueError, match=f"out of range for {sig.n} generators"):
             blade_product(mask, 0, sig)
         with pytest.raises(ValueError, match=f"out of range for {sig.n} generators"):
             blade_product(0, mask, sig)

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cl8.algebra import MV, GaussianRational, Signature, involute
+from cl8.algebra import (
+    MV, GaussianRational, Signature, involute, pairwise_anticommute, square_sign,
+)
 from cl8.classify import (
     MAX_CLASSIFY_N,
     MAX_IDEMPOTENT_N,
@@ -186,7 +188,7 @@ def test_division_ring_consistent_with_type(p, q):
     assert dim == {"R": 1, "C": 2, "H": 4, "R+R": 1, "H+H": 4}[ring]
 
 
-@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("n", [10, 11, 12])
 def test_division_ring_past_nine_generators(n):
     for p in range(n + 1):
         q = n - p
@@ -198,11 +200,17 @@ def test_division_ring_past_nine_generators(n):
 SIGS_TO_7 = [(p, n - p) for n in range(8) for p in range(n + 1)]
 
 
+def _corner_reps(data, masks=None):
+    """The corner reps e_A f of the given masks, by default `_span_of_corner`'s."""
+    masks = _span_of_corner(data) if masks is None else masks
+    return [MV.blade(data.sig, a) * data.f for a in masks]
+
+
 @pytest.mark.parametrize("p,q", SIGS_TO_7)
 def test_corner_and_ideal_reps_match_full_scan(p, q):
     data = primitive_idempotent(p, q)
     sig = Signature(p, q)
-    assert _span_of_corner(data) == naive_corner_reps(data.f, sig)
+    assert _corner_reps(data) == naive_corner_reps(data.f, sig)
     assert minimal_left_ideal(p, q)[0] == naive_left_ideal_reps(data.f, sig)
 
 
@@ -211,7 +219,7 @@ def test_corner_and_ideal_reps_are_independent(n):
     # SpanBasis as the oracle: disjoint coset supports make every rep
     # independent, so the count of the reps is their rank
     for p in range(n + 1):
-        corner = _span_of_corner(primitive_idempotent(p, n - p))
+        corner = _corner_reps(primitive_idempotent(p, n - p))
         ideal, dim = minimal_left_ideal(p, n - p)
         assert rank_of(x.terms for x in corner) == len(corner)
         assert rank_of(x.terms for x in ideal) == len(ideal) == dim
@@ -245,11 +253,6 @@ def test_corner_of_a_blade_is_zero_or_blade_times_f(data):
         assert not f * e * f
 
 
-def _blade_reps(p, q, masks):
-    sig = Signature(p, q)
-    return [MV.blade(sig, m) for m in masks], MV.scalar(sig, 1)
-
-
 @pytest.mark.parametrize("p,q,masks,match", [
     (1, 0, [0, 0b1], "not negative definite"),  # u = e1, u^2 = +1
     (2, 0, [0, 0b01, 0b10, 0b11], "not negative definite"),  # split form
@@ -258,9 +261,8 @@ def _blade_reps(p, q, masks):
     (0, 4, [0, 0b0011, 0b1100, 0b0001], "anticommute"),
 ])
 def test_corner_certificate_refuses_what_is_not_r_c_or_h(p, q, masks, match):
-    reps, one = _blade_reps(p, q, masks)
     with pytest.raises(RuntimeError, match=match):
-        _certify_corner(reps, one)
+        _certify_corner(masks, Signature(p, q))
 
 
 @pytest.mark.parametrize("p,q,masks,want", [
@@ -268,16 +270,14 @@ def test_corner_certificate_refuses_what_is_not_r_c_or_h(p, q, masks, match):
     (0, 2, [0, 0b01, 0b10, 0b11], (4, "H")),
 ])
 def test_corner_certificate_names_c_and_h(p, q, masks, want):
-    reps, one = _blade_reps(p, q, masks)
-    assert _certify_corner(reps, one) == want
+    assert _certify_corner(masks, Signature(p, q)) == want
 
 
-@pytest.mark.parametrize("p,q,masks,products", [
-    (0, 1, [0, 0b1], 1),  # u^2
-    (0, 2, [0, 0b01, 0b10, 0b11], 9),  # 3 u_i^2, then u_i u_j and u_j u_i for 3 pairs
-])
-def test_corner_certificate_forms_each_square_once(monkeypatch, p, q, masks, products):
-    reps, one = _blade_reps(p, q, masks)
+@pytest.mark.parametrize("p,q", [(0, 1), (0, 2), (0, 3), (1, 3), (0, 6), (3, 4)])
+def test_corner_certificate_forms_no_mv_product(monkeypatch, p, q):
+    # the units multiply as their blades do, so the corner is listed and
+    # certified by its masks alone, with no MV product once f is built
+    data = primitive_idempotent(p, q)
     mul, calls = MV.__mul__, []
 
     def counting(self, other):
@@ -286,8 +286,48 @@ def test_corner_certificate_forms_each_square_once(monkeypatch, p, q, masks, pro
         return mul(self, other)
 
     monkeypatch.setattr(MV, "__mul__", counting)
-    _certify_corner(reps, one)
-    assert len(calls) == products
+    masks = _span_of_corner(data)
+    assert _certify_corner(masks, data.sig)[0] == len(masks)
+    assert calls == []
+
+
+def _certifies(masks, sig):
+    try:
+        _certify_corner(masks, sig)
+    except RuntimeError:
+        return False
+    return True
+
+
+def _corner_mask_lists(data):
+    """The corner masks, and variants of them that keep each unit in a
+    commuting coset: a unit swapped for another blade of its coset (same
+    relations), for a generator of f (it squares to +1) or for a blade of
+    another unit's coset (the two commute)."""
+    masks = _span_of_corner(data)
+    yield masks
+    for g in data.generators[:1]:
+        for i in range(1, len(masks)):
+            for swap in [masks[i] ^ g, g] + [m ^ g for m in masks[1:] if m != masks[i]]:
+                yield masks[:i] + [swap] + masks[i + 1:]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_corner_certificate_matches_mv_relations(n):
+    # every cell with p + q <= 10: the masks certify exactly when the units
+    # e_A f pass the MV-product relation check, each square -f and
+    # every pair anticommuting
+    seen = set()
+    for p in range(n + 1):
+        data = primitive_idempotent(p, n - p)
+        for masks in _corner_mask_lists(data):
+            units = _corner_reps(data, masks)[1:]
+            want = (len(masks) in (1, 2, 4)
+                    and all(square_sign(u, data.f) == -1 for u in units)
+                    and pairwise_anticommute(units))
+            assert _certifies(masks, data.sig) == want, (p, n - p, masks)
+            seen.add(want)
+    assert seen == ({True, False} if n >= 3 else {True})
 
 
 def test_corner_certificate_ignores_the_table(monkeypatch):

@@ -60,3 +60,16 @@ def test_every_private_helper_has_a_caller_in_the_package():
              and node.name.startswith("_") and not node.name.startswith("__")
              and node.name not in named]
     assert found == []
+
+
+def test_no_module_calls_the_mv_relation_reference():
+    # pairwise_anticommute decides by MV products what the blade masks decide
+    # by beta; it is the reference the tests hold the masks to, so the code
+    # it checks must not call it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "pairwise_anticommute" in (
+                      getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert found == []

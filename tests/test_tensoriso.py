@@ -332,6 +332,44 @@ def test_phi_psi_product_square_identity():
         assert rep.phi * rep.psi == -(rep.psi * rep.phi)
 
 
+def _phi_psi_inputs(max_n):
+    """Every valid (target, base): an even base, two generators short."""
+    for n in range(2, max_n + 1, 2):
+        for p in range(n + 1):
+            for p0 in range(p + 1):
+                q0 = n - 2 - p0
+                if 0 <= q0 <= n - p:
+                    yield (p, n - p), (p0, q0)
+
+
+def test_phi_psi_relations_match_mv_products(monkeypatch):
+    # commute_ok and product_anticommutes are read off beta masks; every
+    # valid split with p + q <= 8 must agree with explicit MV products. Two
+    # broken embeddings make them False: an odd chain (one base generator
+    # dropped) anticommutes with the base, and phi = psi commutes with itself
+    from cl8 import tensoriso
+
+    embed = tensoriso._embed_base_generators
+    variants = [
+        embed,
+        lambda t, b: (embed(t, b)[0][:-1], embed(t, b)[1]),
+        lambda t, b: (embed(t, b)[0], embed(t, b)[1][:1] * 2),
+    ]
+    seen = set()
+    cases = list(_phi_psi_inputs(8))
+    assert len(cases) == 48  # 3 + 9 + 15 + 21 for n = 2, 4, 6, 8
+    for variant in variants:
+        monkeypatch.setattr(tensoriso, "_embed_base_generators", variant)
+        for target, base in cases:
+            rep = phi_psi_factorization(target, base)
+            phi, psi = rep.phi, rep.psi
+            commute = all(phi * g == g * phi and psi * g == g * psi for g in rep.base_images)
+            anti = phi * psi == -(psi * phi)
+            assert (rep.commute_ok, rep.product_anticommutes) == (commute, anti), (target, base)
+            seen.add((commute, anti))
+    assert seen == {(True, True), (False, True), (True, False)}
+
+
 def test_block_matrix_frozen_images():
     form = block_matrix_form(1, 2)
     assert form.target == Signature(1, 3)
