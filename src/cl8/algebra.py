@@ -14,13 +14,13 @@ product, see `cl8.tensoriso.ProductAlgebra`) counts that parity only inside
 the block of i, so generators in different blocks commute. F(b) is
 recomputed per product; there is no sign cache.
 
-Every user-facing constructor validates: `MV(sig, terms)`, `MV.blade`,
-`MV.scalar` and `MV.generator` refuse a blade mask outside 0 <= m < 2^n,
-coerce each coefficient to the signature's type (Fraction, or
-GaussianRational when complexified), reject inexact ones and drop zeros.
-The results of the module's own operations (sums, negation, products, grade
-parts, involutions) are built by the trusted `MV._made`, which stores terms
-that are already clean as they are.
+Every user-facing constructor validates: `MV(sig, terms)`, `MV.blade`, `MV.scalar`
+and `MV.generator` refuse a blade mask that is not an int in 0 <= m < 2^n, coerce
+each coefficient to the signature's type (Fraction, or GaussianRational when
+complexified), reject inexact ones and drop zeros; `GaussianRational` takes int or
+Fraction parts. The module's own results (sums, negation, products, grade parts,
+involutions, Q(i) arithmetic) are built by the trusted `MV._made` and `_gaussian`,
+which store clean parts as they are; only `BlockForm.matrix_of` calls them outside.
 
 The same rule, as `anticommute_mask` and `blades_anticommute`, decides every
 relation between blades in `cl8.classify` and `cl8.tensoriso`. `square_sign`
@@ -49,17 +49,15 @@ class GaussianRational:
 
     @staticmethod
     def _coerce(other):
-        if isinstance(other, GaussianRational):
+        if type(other) is GaussianRational or isinstance(other, GaussianRational):
             return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other, 0)
-        return None
+        return GaussianRational(other, 0) if isinstance(other, (int, Fraction)) else None
 
     def __add__(self, other):
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational(self.re + w.re, self.im + w.im)
+        return _gaussian(self.re + w.re, self.im + w.im)
 
     __radd__ = __add__
 
@@ -67,19 +65,19 @@ class GaussianRational:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational(self.re - w.re, self.im - w.im)
+        return _gaussian(self.re - w.re, self.im - w.im)
 
     def __rsub__(self, other):
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational(w.re - self.re, w.im - self.im)
+        return _gaussian(w.re - self.re, w.im - self.im)
 
     def __mul__(self, other):
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational(
+        return _gaussian(
             self.re * w.re - self.im * w.im,
             self.re * w.im + self.im * w.re,
         )
@@ -93,7 +91,7 @@ class GaussianRational:
         n = w.re * w.re + w.im * w.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
+        return _gaussian(
             (self.re * w.re + self.im * w.im) / n,
             (self.im * w.re - self.re * w.im) / n,
         )
@@ -105,13 +103,13 @@ class GaussianRational:
         return w / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.re, -self.im)
 
     def __pos__(self):
         return self
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self.re, -self.im)
 
     def __eq__(self, other):
         w = self._coerce(other)
@@ -131,6 +129,18 @@ class GaussianRational:
         if not self.im:
             return f"GaussianRational({self.re})"
         return f"GaussianRational({self.re}, {self.im})"
+
+
+# the slot setters behind _gaussian; GaussianRational.__setattr__ refuses assignment
+_set_re, _set_im = GaussianRational.re.__set__, GaussianRational.im.__set__
+
+
+def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
+    """Trusted constructor of Q(i) results: both parts are already Fractions."""
+    out = object.__new__(GaussianRational)
+    _set_re(out, re)
+    _set_im(out, im)
+    return out
 
 
 class _SignatureFields(NamedTuple):
@@ -243,6 +253,8 @@ class MV:
         if terms:
             top = 1 << sig.n
             for mask, c in terms.items():
+                if isinstance(mask, bool) or not isinstance(mask, int):
+                    raise TypeError(f"blade mask {mask!r} is not an int")
                 if not 0 <= mask < top:
                     raise ValueError(f"blade mask {mask:#x} out of range for {sig.n} generators")
                 cc = _coerce_coeff(sig, c)

@@ -328,3 +328,41 @@ def naive_tensor_product(x, y, factors, graded):
             key = tuple(key)
             out[key] = out.get(key, 0) + sign * ca * cb
     return {k: v for k, v in out.items() if v != 0}
+
+
+def naive_block_matrix(x, p, q):
+    """The 2x2 block form of x in Cl(p, q+1), given as {blade mask: coeff},
+    over the complexified Cl(p, q-1): [[A0 - i A3, -A1 + i A2],
+    [A1 + i A2, A0 + i A3]], each entry a {base mask: (re, im)} dict of
+    Fraction pairs with the zero pairs dropped.
+
+    With m = p + q - 1 base generators, phi = e_1..e_m e_(m+1) and
+    psi = e_1..e_m e_(m+2). A0 is the part of x through neither added
+    generator; A1, A2 and A3 are minus the parts through e_(m+1) only,
+    e_(m+2) only and both, times phi, psi and phi psi, each product taken
+    term by term with naive_blade_product on index tuples."""
+    m = p + q - 1
+    phi = tuple(range(1, m + 2))
+    psi = tuple(range(1, m + 1)) + (m + 2,)
+    s, phi_psi = naive_blade_product(phi, psi, p)
+    factors = [(1, ()), (-1, phi), (-1, psi), (-s, phi_psi)]
+    a = [{}, {}, {}, {}]
+    for mask, c in x.items():
+        idx = indices_of(mask)
+        k = (1 if m + 1 in idx else 0) + (2 if m + 2 in idx else 0)
+        sign, factor = factors[k]
+        s, rest = naive_blade_product(idx, factor, p)
+        assert all(i <= m for i in rest)
+        key = sum(1 << (i - 1) for i in rest)
+        a[k][key] = a[k].get(key, Fraction(0)) + sign * s * Fraction(c)
+
+    def entry(re, re_sign, im, im_sign):
+        out = {}
+        for key in sorted(set(re) | set(im)):
+            pair = (re_sign * re.get(key, Fraction(0)), im_sign * im.get(key, Fraction(0)))
+            if pair != (0, 0):
+                out[key] = pair
+        return out
+
+    return [[entry(a[0], 1, a[3], -1), entry(a[1], -1, a[2], 1)],
+            [entry(a[1], 1, a[2], 1), entry(a[0], 1, a[3], 1)]]

@@ -216,10 +216,51 @@ def test_gaussian_rational_arithmetic():
     assert w.conjugate() == GaussianRational(2, 1)
 
 
-@pytest.mark.parametrize("re,im", [(0.1, 0), (0, 0.5), ("1/3", 0), (0, "1"), (None, 0)])
+@pytest.mark.parametrize("re,im", [(0.1, 0), (0, 0.5), (1.5, 0), ("1/3", 0), (0, "1"), (None, 0)])
 def test_gaussian_rational_parts_are_exact(re, im):
     with pytest.raises(TypeError):
         GaussianRational(re, im)
+
+
+def _gaussian_results(z, w):
+    """Every Q(i) operation on z and w, in both operand orders."""
+    yield from (z + w, w + z, z - w, w - z, z * w, w * z, -z, z.conjugate())
+    if w:
+        yield z / w
+    if z:
+        yield w / z
+
+
+@pytest.mark.parametrize("w", [3, 0, -2, Fraction(-5, 3), Fraction(0), GaussianRational(2, -1),
+                               GaussianRational(Fraction(1, 3), 4), GaussianRational(0)])
+def test_gaussian_rational_results_keep_fraction_parts(w):
+    # the results are built without re-validation, so the arithmetic itself
+    # must keep both parts Fractions, whatever the exact operand types
+    for z in (GaussianRational(Fraction(1, 2), Fraction(3, 4)), GaussianRational(0, -7),
+              GaussianRational(5)):
+        for r in _gaussian_results(z, w):
+            assert type(r) is GaussianRational
+            assert (type(r.re), type(r.im)) == (Fraction, Fraction), (z, w, r)
+
+
+def test_gaussian_rational_equality_and_hash_are_unchanged():
+    z = GaussianRational(Fraction(1, 2), Fraction(3, 4))
+    w = GaussianRational(2, -1)
+    assert z * w / w == z and hash(z * w / w) == hash(z)
+    # a real result equals, and hashes as, its Fraction and int values
+    assert (w + w.conjugate()) == 4 == Fraction(4)
+    assert hash(w + w.conjugate()) == hash(4) == hash(Fraction(4))
+    assert hash(z - z) == hash(0) and z - z == 0
+    assert hash(-z) == hash((Fraction(-1, 2), Fraction(-3, 4)))
+    assert len({z, z + 0, z * 1, GaussianRational(Fraction(1, 2), Fraction(3, 4))}) == 1
+
+
+def test_gaussian_rational_stays_immutable():
+    for z in (GaussianRational(1, 2), GaussianRational(1, 2) * GaussianRational(0, 1)):
+        with pytest.raises(AttributeError):
+            z.re = Fraction(0)
+        with pytest.raises(AttributeError):
+            z.extra = 1
 
 
 def test_complexified_signature_multivectors():
@@ -308,6 +349,16 @@ def test_blade_mask_out_of_range_is_refused(sig):
             blade_product(mask, 0, sig)
         with pytest.raises(ValueError, match=f"out of range for {sig.n} generators"):
             blade_product(0, mask, sig)
+
+
+@pytest.mark.parametrize("mask", [1.0, 1.5, True, False, "1", None, Fraction(1)])
+def test_blade_mask_of_wrong_type_is_refused(mask):
+    # refused before the range check, as Signature refuses a non-int or bool
+    sig = Signature(1, 1)
+    with pytest.raises(TypeError, match="is not an int"):
+        MV(sig, {mask: 1})
+    with pytest.raises(TypeError, match="is not an int"):
+        MV.blade(sig, mask)
 
 
 def test_blade_order_listing_matches_search_order():

@@ -73,3 +73,32 @@ def test_no_module_calls_the_mv_relation_reference():
                   if isinstance(node, ast.Call) and "pairwise_anticommute" in (
                       getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert found == []
+
+
+def _names_with_scope(node, scope=()):
+    """(dotted name of the enclosing class and function defs, node) for every
+    name and attribute reference."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        if isinstance(child, ast.Name):
+            yield ".".join(inner), child.id, child
+        elif isinstance(child, ast.Attribute):
+            yield ".".join(inner), child.attr, child
+        yield from _names_with_scope(child, inner)
+
+
+def test_trusted_constructors_are_used_only_where_listed():
+    # MV._made and algebra._gaussian store their parts without validation;
+    # outside the algebra module only the block form's one-pass matrix may
+    # name them, called or bound
+    allowed = {"tensoriso.py": {"BlockForm.matrix_of"}}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno} {scope}" for scope, name, node in _names_with_scope(tree)
+                  if name in ("_made", "_gaussian") and scope not in allowed.get(path.name, ())]
+    assert found == []

@@ -1,15 +1,19 @@
 """Tensor-product and even-subalgebra isomorphism certificates."""
 
 import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cl8 import tensoriso
 from cl8.algebra import MV, GaussianRational, Signature, pairwise_anticommute, square_sign
 from cl8.tensoriso import (
     MAX_TENSOR_N,
+    MAX_WITNESS_N,
+    BlockForm,
     ProductAlgebra,
     TensorMV,
     block_matrix_form,
@@ -24,7 +28,12 @@ from cl8.tensoriso import (
     _witness,
 )
 
-from naive import indices_of, naive_subset_product_rank, naive_tensor_product
+from naive import (
+    indices_of,
+    naive_block_matrix,
+    naive_subset_product_rank,
+    naive_tensor_product,
+)
 
 
 def test_graded_product_koszul_sign():
@@ -455,6 +464,85 @@ def test_block_form_takes_phi_psi_from_the_factorization():
                 continue
             form = block_matrix_form(p, q)
             assert (form.phi, form.psi) == (phi, psi)
+
+
+QUATERNION_FORMS = [(1, 2), (2, 3), (3, 4), (4, 1), (5, 2)]
+
+
+def _pairs(matrix):
+    return [[{b: (c.re, c.im) for b, c in e.terms.items()} for e in row] for row in matrix]
+
+
+@pytest.mark.parametrize("p,q", QUATERNION_FORMS)
+def test_block_matrix_matches_naive_formula(p, q):
+    # matrix_of reads the entries off blade masks in one pass; the oracle
+    # multiplies each part by phi, psi or phi psi term by term on index lists
+    form = block_matrix_form(p, q)
+    n = form.target.n
+    rng = random.Random(p * 31 + q)
+    elements = [{rng.randrange(1 << n): rng.randint(-3, 3) for _ in range(rng.randint(0, 6))}
+                for _ in range(60)]
+    elements += [{mask: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for mask in range(1 << n)}
+                 for _ in range(3)]
+    elements += [{1 << i: 1} for i in range(n)]
+    for x in elements:
+        m = form.matrix_of(MV(form.target, x))
+        assert _pairs(m) == naive_block_matrix(x, p, q), x
+        assert all((type(c.re), type(c.im)) == (Fraction, Fraction)
+                   for row in m for e in row for c in e.terms.values())
+
+
+def _flip_one(placement, k, j):
+    entry, part, sign = placement[k][j]
+    moved = list(placement[k])
+    moved[j] = (entry, part, -sign)
+    return placement[:k] + (tuple(moved),) + placement[k + 1:]
+
+
+@pytest.mark.parametrize("k,j", [(k, j) for k in range(4) for j in range(2)])
+def test_block_sampling_catches_one_flipped_sign(k, j):
+    # a placement with one wrong sign is not a homomorphism, and the sampled
+    # check must say so rather than pass with nothing checked
+    class Flipped(BlockForm):
+        _PLACEMENT = _flip_one(BlockForm._PLACEMENT, k, j)
+
+    for p, q in ((1, 2), (4, 1)):
+        report = Flipped(p, q).sample_homomorphism(samples=25, seed=11)
+        assert report["checked"] == 25
+        assert report["failures"] > 0 and report["passed"] is False
+        assert block_matrix_form(p, q).sample_homomorphism(samples=25, seed=11)["passed"] is True
+
+
+@pytest.mark.parametrize("build,args", [
+    (even_iso_check, (129, 128)),
+    (even_iso_check, (0, MAX_WITNESS_N + 1)),
+    (phi_psi_factorization, ((129, 128), (128, 127))),
+    (phi_psi_factorization, ((129, 129), (128, 128))),
+    (block_matrix_form, (128, 129)),
+    (block_matrix_form, (MAX_WITNESS_N, 1)),
+])
+def test_witness_builders_refuse_too_many_generators(monkeypatch, build, args):
+    # the refusal comes before any signature or image is built
+    def no_work(*a, **k):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(tensoriso, "Signature", no_work)
+    with pytest.raises(ValueError, match=f"exceed MAX_WITNESS_N = {MAX_WITNESS_N}"):
+        build(*args)
+
+
+def test_witness_builders_accept_the_largest_n():
+    half = MAX_WITNESS_N // 2
+    rep = even_iso_check(half, half)
+    assert rep.certified and rep.target_sig == (half, half - 1)
+    split = phi_psi_factorization((half, half), (half - 1, half - 1))
+    assert split.passed and split.rank == 1 << MAX_WITNESS_N
+    form = block_matrix_form(half - 1, half)
+    assert form.target.n == MAX_WITNESS_N
+    cb = form.base
+    zero, ident = MV.zero(cb), MV.scalar(cb, 1)
+    assert form.matrix_of(form.phi) == [[zero, -ident], [ident, zero]]
+    assert form.sample_homomorphism(samples=3, seed=1)["passed"] is True
 
 
 def test_spin24_chain_links():
