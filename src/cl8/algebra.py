@@ -219,8 +219,8 @@ def anticommute_mask(b: int, sig) -> int:
 
 def blades_anticommute(masks, sig) -> bool:
     """e_a e_b = -e_b e_a, that is beta(a, b) odd, for every pair of masks."""
-    return all((b & anticommute_mask(a, sig)).bit_count() & 1
-               for i, a in enumerate(masks) for b in masks[i + 1:])
+    betas = [anticommute_mask(a, sig) for a in masks]
+    return all((b & c).bit_count() & 1 for i, c in enumerate(betas) for b in masks[i + 1:])
 
 
 def _coerce_coeff(sig: Signature, value):

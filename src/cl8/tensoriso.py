@@ -6,8 +6,11 @@ anticommute, and an exact rank check that their subset products span the
 whole algebra. Those three facts together pin the isomorphism down, so no
 explicit basis-to-basis map is ever built. Images are single blades, so the
 rank is a GF(2) rank of masks. Every generator-map witness is built by one
-routine, `_witness`; the phi/psi split and the chain's matrix link, which are
-not generator maps, rank their spans with the same `_subset_product_rank`.
+routine, `_witness`; the graded, Karoubi and complex tensor products form their
+images in one more, `_product_witness`. The phi/psi split and the chain's
+matrix link, which are not generator maps, rank their spans with the same
+`_subset_product_rank`. Every builder refuses more than `MAX_WITNESS_N`
+generators before it builds a signature.
 A witness squares its images with `algebra.square_sign` and, once the rank
 is full (every image is then one blade), reads their anticommutation off
 `algebra.blades_anticommute`. phi and psi are single blades, and so are the
@@ -166,29 +169,39 @@ def _witness(raw, one, target, construction, source=None) -> GeneratorMap:
 # --------------------------------------------------------------------------
 
 
-# the largest total generator count a tensor certificate accepts; its n blade
-# images cost n squares, n^2 popcounts and an n-row GF(2) echelon: it could grow
-MAX_TENSOR_N = 10
-# the most generators an even, phi/psi or block witness accepts: its images cost
-# n MV products and n^2 popcounts (even_iso_check: 0.16 s at n = 256, 0.9 s at 512)
+# the most generators any witness accepts: n images cost n products (their squares),
+# n anticommute masks, n^2 popcounts and an n-row GF(2) echelon; at n = 256 each
+# builder takes 0.005-0.022 s (Python 3.11, one core of a 2-vCPU VM)
 MAX_WITNESS_N = 256
 
 
-def _check_tensor_size(pq_a, pq_b):
-    if sum(pq_a) + sum(pq_b) > MAX_TENSOR_N:
-        raise ValueError("total dimension too large for exact rank certification")
+def _check_witness_n(n):
+    if n > MAX_WITNESS_N:
+        raise ValueError(f"{n} generators exceed MAX_WITNESS_N = {MAX_WITNESS_N}")
+
+
+def _product_witness(sigs, graded, target, construction, twist=1) -> GeneratorMap:
+    """Certify the generators of a tensor product of sigs as generators of Cl(target).
+
+    Generator g of factor j maps to twist^j e_g; in a plain product it also
+    carries the volume element of every earlier factor, which makes it
+    anticommute with the generators of each earlier factor of even count.
+    """
+    pa = ProductAlgebra(sigs, graded)
+    images, coeff = [], 1
+    for s, off in zip(pa.sigs, pa.offsets):
+        lead = 0 if graded else (1 << off) - 1
+        images += [TensorMV(pa, {lead | 1 << (off + g): coeff}) for g in range(s.n)]
+        coeff = coeff * twist
+    return _witness(images, pa.scalar(1), target, construction)
 
 
 def graded_tensor_check(pq_a, pq_b) -> GeneratorMap:
     """Cl(p,q) graded-tensor Cl(p',q') realizes Cl(p+p', q+q')."""
-    pa_, qa = pq_a
-    pb, qb = pq_b
-    _check_tensor_size(pq_a, pq_b)
-    sig_a, sig_b = Signature(pa_, qa), Signature(pb, qb)
-    pa = ProductAlgebra((sig_a, sig_b), graded=True)
-    images = [pa.blade((1 << i, 0)) for i in range(sig_a.n)]
-    images += [pa.blade((0, 1 << j)) for j in range(sig_b.n)]
-    return _witness(images, pa.scalar(1), (pa_ + pb, qa + qb), "graded")
+    (pa, qa), (pb, qb) = pq_a, pq_b
+    _check_witness_n(pa + qa + pb + qb)
+    sigs = (Signature(pa, qa), Signature(pb, qb))
+    return _product_witness(sigs, True, (pa + pb, qa + qb), "graded")
 
 
 def karoubi_check(pq_a, pq_b) -> GeneratorMap:
@@ -198,40 +211,28 @@ def karoubi_check(pq_a, pq_b) -> GeneratorMap:
     anticommutes with vectors. Its square decides the sign: +1 keeps the
     second signature, -1 swaps p' and q'.
     """
-    pa_, qa = pq_a
-    pb, qb = pq_b
-    _check_tensor_size(pq_a, pq_b)
-    sig_a, sig_b = Signature(pa_, qa), Signature(pb, qb)
+    (pa, qa), (pb, qb) = pq_a, pq_b
+    _check_witness_n(pa + qa + pb + qb)
+    sig_a, sig_b = Signature(pa, qa), Signature(pb, qb)
     if sig_a.n % 2 != 0:
         raise ValueError("first factor must have an even number of generators")
-    w2 = omega_square(sig_a)
-    construction = "positive" if w2 == 1 else "negative"
-    target = (pa_ + pb, qa + qb) if w2 == 1 else (pa_ + qb, qa + pb)
-    pa = ProductAlgebra((sig_a, sig_b), graded=False)
-    omega_mask = (1 << sig_a.n) - 1
-    raw = [pa.blade((1 << i, 0)) for i in range(sig_a.n)]
-    raw += [pa.blade((omega_mask, 1 << j)) for j in range(sig_b.n)]
-    return _witness(raw, pa.scalar(1), target, construction)
+    if omega_square(sig_a) == 1:
+        return _product_witness((sig_a, sig_b), False, (pa + pb, qa + qb), "positive")
+    return _product_witness((sig_a, sig_b), False, (pa + qb, qa + pb), "negative")
 
 
 def complex_tensor_check(m: int) -> GeneratorMap:
     """m plain tensor factors of the complexified plane algebra span rank 4^m.
 
-    Each image carries i times the volume element on every earlier factor,
-    so all 2m images square to +1 and anticommute across factors.
+    Each image carries i^j on factor j and the volume element of every
+    earlier factor, so all 2m images square to +1 and anticommute across
+    factors.
     """
-    if not 1 <= m <= 4:
-        raise ValueError("m must be between 1 and 4")
-    factors = tuple(Signature(2, 0, complexified=True) for _ in range(m))
-    pa = ProductAlgebra(factors, graded=False)
-    i_powers = (1, GaussianRational(0, 1), -1, GaussianRational(0, -1))
-    images = []
-    for j in range(m):
-        lead = (0b11,) * j
-        tail = (0,) * (m - 1 - j)
-        for g in (0b01, 0b10):
-            images.append(pa.blade(lead + (g,) + tail, i_powers[j]))
-    return _witness(images, pa.scalar(1), (2 * m, 0), "complex")
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    _check_witness_n(2 * m)
+    factors = (Signature(2, 0, complexified=True),) * m
+    return _product_witness(factors, False, (2 * m, 0), "complex", GaussianRational(0, 1))
 
 
 # --------------------------------------------------------------------------
@@ -258,8 +259,7 @@ def even_iso_check(p: int, q: int) -> GeneratorMap:
     n = p + q
     if n < 1:
         raise ValueError("need at least one generator")
-    if n > MAX_WITNESS_N:
-        raise ValueError(f"{n} generators exceed MAX_WITNESS_N = {MAX_WITNESS_N}")
+    _check_witness_n(n)
     sig = Signature(p, q)
     if 0 < p != q > 0:
         construction, pinned, others = "B", MV.generator(sig, 1), range(2, n + 1)
@@ -314,8 +314,7 @@ def phi_psi_factorization(target, base) -> PhiPsiReport:
     """
     p, q = target
     p0, q0 = base
-    if p + q > MAX_WITNESS_N:
-        raise ValueError(f"{p + q} generators exceed MAX_WITNESS_N = {MAX_WITNESS_N}")
+    _check_witness_n(p + q)
     if (p0 + q0) % 2 != 0:
         raise ValueError("m not integral: base needs an even number of generators")
     base_idx, added = _embed_base_generators(target, base)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cl8 import algebra
 from cl8.algebra import (
     MV,
     GaussianRational,
@@ -331,6 +332,24 @@ def test_anticommute_mask_of_omega(n):
     full = (1 << n) - 1
     for p in range(n + 1):
         assert anticommute_mask(full, Signature(p, n - p)) == (0 if n % 2 else full)
+
+
+def test_blades_anticommute_reads_one_mask_per_blade(monkeypatch):
+    # beta(., a) is formed once per blade, not once per pair; the verdicts stay
+    calls = []
+
+    def counting(b, sig):
+        calls.append(b)
+        return anticommute_mask(b, sig)
+
+    monkeypatch.setattr(algebra, "anticommute_mask", counting)
+    sig = Signature(3, 2)
+    gens = [1 << i for i in range(5)]
+    assert algebra.blades_anticommute(gens, sig)
+    assert calls == gens
+    calls.clear()
+    assert not algebra.blades_anticommute([0b11, 0b1100, 0b1], sig)  # disjoint bivectors commute
+    assert calls == [0b11, 0b1100, 0b1]
 
 
 @pytest.mark.parametrize("sig", [

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from cl8 import tensoriso
 from cl8.algebra import MV, GaussianRational, Signature, pairwise_anticommute, square_sign
 from cl8.tensoriso import (
-    MAX_TENSOR_N,
     MAX_WITNESS_N,
     BlockForm,
     ProductAlgebra,
@@ -240,22 +239,36 @@ def test_karoubi_requires_even_first_factor():
 
 
 def test_tensor_checks_share_one_size_bound():
-    # (6, 6) x (0, 1) has 13 generators: refused before any product is formed
-    with pytest.raises(ValueError, match="too large"):
-        karoubi_check((6, 6), (0, 1))
-    with pytest.raises(ValueError, match="too large"):
-        graded_tensor_check((6, 4), (0, 1))
-    assert MAX_TENSOR_N == 10
-    assert karoubi_check((4, 4), (2, 0)).rank == 1 << MAX_TENSOR_N
+    # graded and Karoubi witnesses are bounded by MAX_WITNESS_N alone, like the
+    # others (see the refusal tests below), so 11 and 13 generators are certified
+    assert not hasattr(tensoriso, "MAX_TENSOR_N")
+    assert karoubi_check((6, 6), (0, 1)).rank == 1 << 13
+    assert graded_tensor_check((6, 4), (0, 1)).rank == 1 << 11
+    assert karoubi_check((4, 4), (2, 0)).rank == 1 << 10
 
 
-@pytest.mark.parametrize("m,rank", [(1, 4), (2, 16), (3, 64)])
+@pytest.mark.parametrize("m,rank", [(1, 4), (2, 16), (3, 64), (5, 4**5), (8, 4**8)])
 def test_complex_tensor_chain(m, rank):
     rep = complex_tensor_check(m)
     assert rep.certified
     assert rep.rank == rank
     assert len(rep.images) == 2 * m
     assert rep.squares == [1] * (2 * m)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_complex_tensor_images_past_four_factors(m):
+    # the MV-product reference holds every image, and factor j carries i^(j mod 4)
+    # times the volume element of every earlier factor
+    rep = complex_tensor_check(m)
+    one = rep.images[0].sig.scalar(1)
+    assert all(square_sign(img, one) == 1 for img in rep.images)
+    assert pairwise_anticommute(rep.images)
+    i_powers = [GaussianRational(1), GaussianRational(0, 1),
+                GaussianRational(-1), GaussianRational(0, -1)]
+    for k, img in enumerate(rep.images):
+        j, g = divmod(k, 2)
+        assert img.terms == {(1 << 2 * j) - 1 | 1 << (2 * j + g): i_powers[j % 4]}
 
 
 EVEN_CASES = [
@@ -520,6 +533,9 @@ def test_block_sampling_catches_one_flipped_sign(k, j):
     (phi_psi_factorization, ((129, 129), (128, 128))),
     (block_matrix_form, (128, 129)),
     (block_matrix_form, (MAX_WITNESS_N, 1)),
+    (graded_tensor_check, ((129, 0), (128, 0))),
+    (karoubi_check, ((128, 0), (0, 129))),
+    (complex_tensor_check, (129,)),
 ])
 def test_witness_builders_refuse_too_many_generators(monkeypatch, build, args):
     # the refusal comes before any signature or image is built
@@ -543,6 +559,11 @@ def test_witness_builders_accept_the_largest_n():
     zero, ident = MV.zero(cb), MV.scalar(cb, 1)
     assert form.matrix_of(form.phi) == [[zero, -ident], [ident, zero]]
     assert form.sample_homomorphism(samples=3, seed=1)["passed"] is True
+    for rep in (graded_tensor_check((half, 0), (0, half)),
+                karoubi_check((half // 2, half // 2), (half // 2, half // 2)),
+                complex_tensor_check(half)):
+        assert rep.certified and rep.rank == 1 << MAX_WITNESS_N
+        assert len(rep.images) == MAX_WITNESS_N
 
 
 def test_spin24_chain_links():
