@@ -12,7 +12,10 @@ generators of b below generator i, XORed with whether b holds generator i
 and it squares to -1. A descriptor with a nonzero `cuts` mask (a tensor
 product, see `cl8.tensoriso.ProductAlgebra`) counts that parity only inside
 the block of i, so generators in different blocks commute. F(b) is
-recomputed per product; there is no sign cache.
+recomputed per product; there is no sign cache. Every product runs in
+`_product_terms` (Fraction, GaussianRational or int terms); a blade e_a times x,
+such as an ideal rep e_A f, permutes x's terms with the signs of one transposed
+mask G = anticommute_mask(a) ^ F(a): popcount(b & G) = popcount(a & F(b)).
 
 Every user-facing constructor validates: `MV(sig, terms)`, `MV.blade`, `MV.scalar`
 and `MV.generator` refuse a blade mask that is not an int in 0 <= m < 2^n, coerce
@@ -180,10 +183,10 @@ def _sign_flips(b: int, sig) -> int:
 
     A prefix parity of b << 1 by doubling shifts, restarted at each cut,
     XORed with b's generators that square to -1."""
-    cuts = sig.cuts
+    cuts, n = sig.cuts, sig.n
     x = (b << 1) & ~cuts
     shift = 1
-    while shift < sig.n:
+    while shift < n:
         x ^= (x << shift) & ~cuts
         cuts |= cuts << shift
         shift <<= 1
@@ -221,6 +224,37 @@ def blades_anticommute(masks, sig) -> bool:
     """e_a e_b = -e_b e_a, that is beta(a, b) odd, for every pair of masks."""
     betas = [anticommute_mask(a, sig) for a in masks]
     return all((b & c).bit_count() & 1 for i, c in enumerate(betas) for b in masks[i + 1:])
+
+
+def _product_terms(left: dict, right: dict, sig) -> dict:
+    """Terms of left * right, for Fraction, GaussianRational or int terms.
+
+    A one-term left e_a times more terms reads each sign as popcount(b & G),
+    G = beta(., a) ^ F(a) (F transposed, one mask per product); its masks a ^ b
+    are distinct, so nothing is accumulated or tested for zero, and ca = 1 is
+    not multiplied."""
+    if len(left) == 1 and len(right) > 1:
+        (a, ca), = left.items()
+        g = anticommute_mask(a, sig) ^ _sign_flips(a, sig)
+        if ca == 1:
+            return {a ^ b: -cb if (b & g).bit_count() & 1 else cb for b, cb in right.items()}
+        neg = -ca
+        return {a ^ b: (neg if (b & g).bit_count() & 1 else ca) * cb for b, cb in right.items()}
+    out = {}
+    right = [(b, cb, _sign_flips(b, sig)) for b, cb in right.items()]
+    for a, ca in left.items():
+        for b, cb, flips in right:
+            mask = a ^ b
+            c = ca * cb
+            if (a & flips).bit_count() & 1:
+                c = -c
+            cur = out.get(mask)
+            nv = c if cur is None else cur + c
+            if nv:
+                out[mask] = nv
+            else:
+                out.pop(mask, None)
+    return out
 
 
 def _coerce_coeff(sig: Signature, value):
@@ -326,22 +360,7 @@ class MV:
     def __mul__(self, other):
         if isinstance(other, MV):
             self._check_sig(other)
-            out = {}
-            sig = self.sig
-            right = [(b, cb, _sign_flips(b, sig)) for b, cb in other.terms.items()]
-            for a, ca in self.terms.items():
-                for b, cb, flips in right:
-                    mask = a ^ b
-                    c = ca * cb
-                    if (a & flips).bit_count() & 1:
-                        c = -c
-                    cur = out.get(mask)
-                    nv = c if cur is None else cur + c
-                    if nv:
-                        out[mask] = nv
-                    else:
-                        out.pop(mask, None)
-            return self._made(out)
+            return self._made(_product_terms(self.terms, other.terms, self.sig))
         if isinstance(other, (int, Fraction, GaussianRational)):
             c0 = _coerce_coeff(self.sig, other)
             out = {m: c * c0 for m, c in self.terms.items()}

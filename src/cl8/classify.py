@@ -19,8 +19,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import (
-    MV, GaussianRational, Signature, anticommute_mask, blade_product, blades_anticommute,
-    central_split, involute, omega_square, volume_element,
+    MV, GaussianRational, Signature, _product_terms, anticommute_mask, blade_product,
+    blades_anticommute, central_split, involute, omega_square, volume_element,
 )
 from .linalg import gf2_echelon, gf2_reduce
 
@@ -91,15 +91,16 @@ class IdempotentData(NamedTuple):
         return self.f.sig
 
 
-def _blade_order(n: int) -> list:
-    """Every blade mask of an n-generator algebra, in (grade, mask) order."""
-    return sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
-
-
 #: Largest p + q accepted by primitive_idempotent, and so by
 #: division_ring_of and minimal_left_ideal: their scans walk all 2^(p+q)
 #: blade masks. 16 admits the full mod-8 period p + q <= 15.
 MAX_IDEMPOTENT_N = 16
+
+
+@lru_cache(maxsize=MAX_IDEMPOTENT_N + 1)
+def _blade_order(n: int) -> tuple:
+    """Every blade mask of an n-generator algebra, in (grade, mask) order."""
+    return tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
 
 
 @lru_cache(maxsize=128)
@@ -109,9 +110,11 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
     k = q - r_{q-p}. The scan walks every blade mask in (grade, mask) order
     and keeps those that square to +1, commute with everything already kept,
     and are independent over GF(2), so with -1 they generate +-e_A over their
-    span, of order 2^(k + 1); f is checked idempotent with a term on each of
-    the span's 2^k blades. p + q is refused above MAX_IDEMPOTENT_N before
-    anything is allocated; the big-q claims are arithmetic and never call this.
+    span, of order 2^(k + 1). f is formed and checked as 2^k f, whose terms
+    are int +-1: a term on each of the span's 2^k blades, and
+    (2^k f)^2 = 2^k (2^k f), which is f f = f. p + q is refused above
+    MAX_IDEMPOTENT_N before anything is allocated; the big-q claims are
+    arithmetic and never call this.
     """
     sig = Signature(p, q)
     n = p + q
@@ -136,12 +139,13 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
             rows = gf2_echelon(kept)
         if len(kept) != k:
             raise RuntimeError(f"no commuting square-+1 blade set of size {k} in Cl({p},{q})")
-    f = MV.scalar(sig, 1)
-    half = Fraction(1, 2)
+    scaled = {0: 1}  # 2^k f, with int coefficients +-1
     for mask in kept:
-        f = f * (MV.scalar(sig, half) + MV.blade(sig, mask, half))
-    if not (f * f == f and len(f.terms) == 1 << k):
+        scaled = _product_terms(scaled, {0: 1, mask: 1}, sig)
+    square = _product_terms(scaled, scaled, sig)
+    if not (len(scaled) == 1 << k and square == {m: c << k for m, c in scaled.items()}):
         raise RuntimeError(f"constructed f is not an idempotent on 2^{k} blades in Cl({p},{q})")
+    f = MV(sig, {m: Fraction(c, 1 << k) for m, c in scaled.items()})
     return IdempotentData(f=f, generators=tuple(kept), k=k, group_order=2 << len(rows))
 
 

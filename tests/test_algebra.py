@@ -1,6 +1,7 @@
 """Exact blade arithmetic against an independent list-based oracle."""
 
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -350,6 +351,75 @@ def test_blades_anticommute_reads_one_mask_per_blade(monkeypatch):
     calls.clear()
     assert not algebra.blades_anticommute([0b11, 0b1100, 0b1], sig)  # disjoint bivectors commute
     assert calls == [0b11, 0b1100, 0b1]
+
+
+SIGN_MASK_ALGEBRAS = [Signature(p, n - p) for n in range(7) for p in range(n + 1)] + [
+    ProductAlgebra([Signature(p, q) for p, q in factors], graded=graded)
+    for factors in (((1, 1), (0, 2)), ((2, 1), (1, 2)), ((1, 0), (0, 1), (2, 0)))
+    for graded in (False, True)]
+
+
+def _algebra_id(sig):
+    if isinstance(sig, Signature):
+        return f"Cl{sig.p}{sig.q}"
+    kind = "graded" if sig.graded else "plain"
+    return kind + "-" + "x".join(f"Cl{s.p}{s.q}" for s in sig.sigs)
+
+
+@pytest.mark.parametrize("sig", SIGN_MASK_ALGEBRAS, ids=_algebra_id)
+def test_transposed_sign_mask(sig):
+    # popcount(a & F(b)) = popcount(b & (beta(., a) ^ F(a))) for every mask
+    # pair: beta is F plus its transpose, cuts included
+    top = 1 << sig.n
+    flips = [algebra._sign_flips(m, sig) for m in range(top)]
+    for a in range(top):
+        g = anticommute_mask(a, sig) ^ flips[a]
+        assert all((a & flips[b]).bit_count() % 2 == (b & g).bit_count() % 2
+                   for b in range(top))
+
+
+def _random_mv(rng, sig, size):
+    terms = {}
+    for _ in range(size):
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        terms[rng.randrange(1 << sig.n)] = (
+            GaussianRational(c, Fraction(rng.randint(-2, 2), 2)) if sig.complexified else c)
+    return MV(sig, terms)
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("complexified", [False, True], ids=["real", "complexified"])
+def test_one_term_product_matches_naive(n, complexified):
+    # every blade, with coefficient 1 and with another one, times a random
+    # multivector of every Cl(p, n - p)
+    rng = random.Random(n)
+    coeffs = [1, Fraction(-3, 2)] + [GaussianRational(0, 1)] * complexified
+    for p in range(n + 1):
+        sig = Signature(p, n - p, complexified)
+        y = _random_mv(rng, sig, 8)
+        ys = {indices_of(m): c for m, c in y.terms.items()}
+        for a in range(1 << n):
+            for c in coeffs:
+                got = MV.blade(sig, a, c) * y
+                want = naive_multivector_mul({indices_of(a): c}, ys, p)
+                assert {indices_of(m): v for m, v in got.terms.items()} == want
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["plain", "graded"])
+@pytest.mark.parametrize("factors", [((1, 1), (0, 2)), ((2, 1), (1, 2))])
+def test_one_term_tensor_product_matches_naive(factors, graded):
+    pa = ProductAlgebra([Signature(p, q) for p, q in factors], graded=graded)
+    rng = random.Random(pa.n)
+    y = _random_mv(rng, pa, 10)
+
+    def keyed(terms):
+        return {tuple(indices_of(m) for m in pa.split(mask)): c for mask, c in terms.items()}
+
+    for a in range(1 << pa.n):
+        for c in (1, Fraction(5, 3)):
+            got = TensorMV(pa, {a: c}) * y
+            assert keyed(got.terms) == naive_tensor_product(keyed({a: c}), keyed(y.terms),
+                                                            factors, graded)
 
 
 @pytest.mark.parametrize("sig", [

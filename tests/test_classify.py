@@ -188,7 +188,7 @@ def test_division_ring_consistent_with_type(p, q):
     assert dim == {"R": 1, "C": 2, "H": 4, "R+R": 1, "H+H": 4}[ring]
 
 
-@pytest.mark.parametrize("n", [10, 11, 12])
+@pytest.mark.parametrize("n", [10, 11, 12, 13])
 def test_division_ring_past_nine_generators(n):
     for p in range(n + 1):
         q = n - p
@@ -237,6 +237,44 @@ def test_idempotent_refuses_dependent_generators(monkeypatch):
             primitive_idempotent(2, 5)
     finally:
         primitive_idempotent.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_idempotent_matches_fraction_construction(n):
+    # f is built as 2^k f in ints; the oracle is the product of (1 + e_T)/2
+    # over the same generators, in Fractions, term order included
+    half = Fraction(1, 2)
+    for p in range(n + 1):
+        data = primitive_idempotent(p, n - p)
+        want = MV.scalar(data.sig, 1)
+        for mask in data.generators:
+            want = want * (MV.scalar(data.sig, half) + MV.blade(data.sig, mask, half))
+        assert list(data.f.terms.items()) == list(want.terms.items())
+        assert all(type(c) is Fraction for c in data.f.terms.values())
+
+
+@pytest.mark.parametrize("p,q", [(3, 1), (2, 5), (4, 4)])
+def test_idempotent_refuses_a_full_support_that_is_not_idempotent(monkeypatch, p, q):
+    # with every blade taken to commute, the kept blades do not all commute;
+    # their product still has a term on each of the 2^k blades, so only the
+    # square check refuses it
+    from cl8 import classify
+
+    product_terms, products = classify._product_terms, []
+
+    def recording(left, right, sig):
+        products.append(left)
+        return product_terms(left, right, sig)
+
+    monkeypatch.setattr(classify, "anticommute_mask", lambda mask, sig: 0)
+    monkeypatch.setattr(classify, "_product_terms", recording)
+    primitive_idempotent.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="idempotent on 2"):
+            primitive_idempotent(p, q)
+    finally:
+        primitive_idempotent.cache_clear()
+    assert len(products[-1]) == 1 << (q - radon_hurwitz(q - p))
 
 
 @settings(max_examples=200, deadline=None)
