@@ -4,7 +4,8 @@ A basis blade is a bitmask over the generators: bit i (counting from 0)
 stands for the generator e_{i+1}. Generators e_1 .. e_p square to +1 and
 e_{p+1} .. e_{p+q} square to -1. Coefficients are Fractions for a real
 signature and GaussianRationals (pairs of Fractions) once the algebra is
-complexified, so every product in this module is exact.
+complexified, so every product in this module is exact. A Q(i) product forms
+only the partial products of its nonzero parts.
 
 One sign rule serves every algebra in the package: e_a e_b equals
 (-1)^popcount(a & F(b)) e_(a^b), where bit i of F(b) is the parity of the
@@ -27,7 +28,8 @@ which store clean parts as they are; only `BlockForm.matrix_of` calls them outsi
 
 The same rule, as `anticommute_mask` and `blades_anticommute`, decides every
 relation between blades in `cl8.classify` and `cl8.tensoriso`. `square_sign`
-squares images that carry i; `pairwise_anticommute` is the `MV`-product oracle.
+squares images that carry i, and reads a one-blade square c^2 Q(m) off its mask;
+`pairwise_anticommute` is the `MV`-product oracle.
 """
 
 from __future__ import annotations
@@ -77,13 +79,20 @@ class GaussianRational:
         return _gaussian(w.re - self.re, w.im - self.im)
 
     def __mul__(self, other):
+        """(a + bi)(c + di), forming only the partial products of nonzero parts."""
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return _gaussian(
-            self.re * w.re - self.im * w.im,
-            self.re * w.im + self.im * w.re,
-        )
+        a, b, c, d = self.re, self.im, w.re, w.im
+        if not b:  # a(c + di)
+            return _gaussian(a * c, a * d if d else d)
+        if not d:  # (a + bi)c
+            return _gaussian(a * c if a else a, b * c)
+        if not a:  # bi(c + di)
+            return _gaussian(-(b * d), b * c if c else c)
+        if not c:  # (a + bi)di
+            return _gaussian(-(b * d), a * d)
+        return _gaussian(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -470,13 +479,18 @@ def central_split(alpha: MV) -> tuple:
 
 
 def square_sign(x: MV, one: MV) -> int:
-    """+1 or -1 when x^2 = +-one (1 for a generator image), else 0."""
-    sq = x * x
-    if sq == one:
-        return 1
-    if sq == -one:
-        return -1
-    return 0
+    """+1 or -1 when x^2 = +-one (1 for a generator image), else 0.
+
+    A one-blade x = c e_m squares to c^2 Q(m), Q(m) = blade_product(m, m)'s sign,
+    so its square is read off the mask with no product."""
+    if len(x.terms) != 1:
+        sq = x * x
+        return 1 if sq == one else -1 if sq == -one else 0
+    if x.sig != one.sig:
+        return 0
+    (m, c), = x.terms.items()
+    sq = c * c if blade_product(m, m, x.sig)[0] > 0 else -(c * c)
+    return 1 if one.terms == {0: sq} else -1 if one.terms == {0: -sq} else 0
 
 
 def pairwise_anticommute(xs) -> bool:

@@ -11,10 +11,11 @@ images in one more, `_product_witness`. The phi/psi split and the chain's
 matrix link, which are not generator maps, rank their spans with the same
 `_subset_product_rank`. Every builder refuses more than `MAX_WITNESS_N`
 generators before it builds a signature.
-A witness squares its images with `algebra.square_sign` and, once the rank
-is full (every image is then one blade), reads their anticommutation off
-`algebra.blades_anticommute`. phi and psi are single blades, and so are the
-chain's matrix-link generators: their relations are read off the same masks.
+A witness squares its images with `algebra.square_sign`, which reads a one-blade
+square off its mask with no product, and, once the rank is full (every image is
+then one blade), reads their anticommutation off `algebra.blades_anticommute`.
+phi and psi are single blades, and so are the chain's matrix-link generators:
+their relations are read off the same masks.
 """
 
 from __future__ import annotations
@@ -409,31 +410,27 @@ class BlockForm:
             x = self._random_element(rng, n)
             y = self._random_element(rng, n)
             left = self.matrix_of(x * y)
-            right = _matmul2(self.matrix_of(x), self.matrix_of(y), self.base)
+            right = _matmul2(self.matrix_of(x), self.matrix_of(y))
             if left != right:
                 failures += 1
         return {"passed": failures == 0, "checked": samples, "failures": failures}
 
     def _random_element(self, rng, n) -> MV:
-        x = MV.zero(self.target)
+        """2 to 5 random blades with coefficients in -3..3, summed as MV addition
+        would: a mask keeps its place while its sum is nonzero and leaves at zero."""
+        terms = {}
         for _ in range(rng.randint(2, 5)):
             mask = rng.randrange(1 << n)
-            coeff = rng.randint(-3, 3)
-            x = x + MV.blade(self.target, mask, coeff)
-        return x
+            c = terms.get(mask, 0) + rng.randint(-3, 3)
+            if c:
+                terms[mask] = c
+            else:
+                terms.pop(mask, None)
+        return MV(self.target, terms)
 
 
-def _matmul2(a, b, sig):
-    out = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            acc = MV.zero(sig)
-            for k in range(2):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def _matmul2(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
 
 
 def block_matrix_form(p: int, q: int) -> BlockForm:

@@ -291,6 +291,13 @@ def ring_from_type(t):
     return {0: "R", 1: "R+R", 2: "R", 3: "C", 4: "H", 5: "H+H", 6: "H", 7: "C"}[t]
 
 
+def naive_gaussian_mul(z, w):
+    """(a + bi)(c + di) for parts given as (a, b) and (c, d): all four partial
+    products, whatever is zero."""
+    (a, b), (c, d) = z, w
+    return (a * c - b * d, a * d + b * c)
+
+
 def naive_multivector_mul(x, y, p):
     """Multiply two multivectors given as {index-tuple: Fraction} dicts."""
     out = {}

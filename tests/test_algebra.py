@@ -17,8 +17,10 @@ from cl8.algebra import (
     even_subalgebra_basis,
     involute,
     omega_square,
+    square_sign,
     volume_element,
 )
+from cl8.classify import primitive_idempotent
 from cl8.tensoriso import ProductAlgebra, TensorMV
 
 from naive import (
@@ -27,6 +29,7 @@ from naive import (
     naive_blade_product,
     naive_blade_square,
     naive_commute,
+    naive_gaussian_mul,
     naive_multivector_mul,
     naive_tensor_product,
 )
@@ -243,6 +246,34 @@ def test_gaussian_rational_results_keep_fraction_parts(w):
         for r in _gaussian_results(z, w):
             assert type(r) is GaussianRational
             assert (type(r.re), type(r.im)) == (Fraction, Fraction), (z, w, r)
+
+
+# a nonzero part: an int-valued Fraction or a general one; zeros come from the pattern
+_nonzero_parts = st.one_of(st.integers(-9, 9).map(Fraction),
+                           st.fractions(min_value=-5, max_value=5, max_denominator=12)).filter(bool)
+
+
+def _assert_product(got, want):
+    assert type(got) is GaussianRational
+    assert (got.re, got.im) == want
+    assert (type(got.re), type(got.im)) == (Fraction, Fraction)
+
+
+@pytest.mark.parametrize("zeros", range(16), ids=lambda z: f"zeros{z:04b}")
+@settings(max_examples=20, deadline=None)
+@given(parts=st.tuples(_nonzero_parts, _nonzero_parts, _nonzero_parts, _nonzero_parts))
+def test_gaussian_product_matches_four_partial_products(zeros, parts):
+    # bit i of zeros sets part i of (a, b, c, d) to 0, so every zero pattern of
+    # (a + bi)(c + di) meets each shortcut; int and Fraction right operands and
+    # the reflected product go through the same shortcuts
+    a, b, c, d = (Fraction(0) if zeros >> i & 1 else x for i, x in enumerate(parts))
+    z, w = GaussianRational(a, b), GaussianRational(c, d)
+    _assert_product(z * w, naive_gaussian_mul((a, b), (c, d)))
+    _assert_product(w * z, naive_gaussian_mul((c, d), (a, b)))
+    _assert_product(z.__rmul__(w), naive_gaussian_mul((c, d), (a, b)))
+    for k in (c, c.numerator):  # a Fraction and an int
+        _assert_product(z * k, naive_gaussian_mul((a, b), (Fraction(k), Fraction(0))))
+        _assert_product(k * z, naive_gaussian_mul((Fraction(k), Fraction(0)), (a, b)))
 
 
 def test_gaussian_rational_equality_and_hash_are_unchanged():
@@ -517,3 +548,56 @@ def test_structure_helpers_keep_the_type(cls, sig):
     assert _clean_of_type(x.odd_part(), cls, sig)
     assert x.even_part() + x.odd_part() == x
     assert sum(parts, cls(sig)) == x
+
+
+def _square_sign_by_product(x, one):
+    """The square of x against +-one by MV product and negation."""
+    sq = x * x
+    return 1 if sq == one else -1 if sq == -one else 0
+
+
+def _square_sign_cases():
+    """(descriptor, coefficients, ones): every blade of the descriptor times each
+    coefficient is squared against each one, a scalar, f or a foreign unit."""
+    i = GaussianRational(0, 1)
+    for n in range(6):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            ones = [MV.scalar(sig, 1), MV.scalar(sig, -1), MV.scalar(sig, 4), MV.zero(sig),
+                    MV.scalar(Signature(p, n - p, True), 1), MV.scalar(Signature(p, n - p + 1), 1)]
+            yield pytest.param(sig, (1, -1, 2, Fraction(1, 2)), ones, id=f"Cl({p},{n - p})")
+            if n <= 4:
+                csig = Signature(p, n - p, True)
+                yield pytest.param(csig, (1, -1, i, -i), [
+                    MV.scalar(csig, 1), MV.scalar(csig, -1), MV.scalar(sig, 1)],
+                    id=f"C-Cl({p},{n - p})")
+    for factors in (((1, 1), (0, 2)), ((2, 1), (1, 1)), ((2, 0, True), (2, 0, True))):
+        sigs = [Signature(*f) for f in factors]
+        for graded in (False, True):
+            pa = ProductAlgebra(sigs, graded)
+            other = ProductAlgebra(sigs, not graded)
+            yield pytest.param(pa, (1, -1, i, -i) if pa.complexified else (1, -1, 3), [
+                pa.scalar(1), pa.scalar(-1), MV.scalar(pa, 1), other.scalar(1)],
+                id=f"{'graded' if graded else 'plain'}{factors}")
+    for p, q in ((0, 2), (2, 2), (1, 3), (3, 1), (0, 5)):
+        f = primitive_idempotent(p, q).f
+        yield pytest.param(f.sig, (1, -1, Fraction(1, 4)), [f, -f], id=f"f-Cl({p},{q})")
+
+
+@pytest.mark.parametrize("sig,coeffs,ones", list(_square_sign_cases()))
+def test_one_blade_square_sign_matches_the_product(sig, coeffs, ones, monkeypatch):
+    # a one-blade image c e_m squares to c^2 Q(m), read off its mask; it must
+    # agree with x * x compared against +-one as MVs, and form no product
+    cls = TensorMV if isinstance(sig, ProductAlgebra) else MV
+    xs = [cls(sig, {m: c}) for m in range(1 << sig.n) for c in coeffs]
+    multi = [cls(sig, {0: 1, m: c}) for m in range(1, 1 << sig.n, 3) for c in coeffs]
+    want = [[_square_sign_by_product(x, one) for one in ones] for x in xs]
+    want_multi = [[_square_sign_by_product(x, one) for one in ones] for x in multi]
+    assert any(v for row in want for v in row) or all(len(one.terms) > 1 for one in ones)
+    assert [[square_sign(x, one) for one in ones] for x in multi] == want_multi
+
+    def no_product(*args):
+        raise AssertionError("a one-blade square formed a product")
+
+    monkeypatch.setattr(algebra, "_product_terms", no_product)
+    assert [[square_sign(x, one) for one in ones] for x in xs] == want

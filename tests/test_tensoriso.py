@@ -440,6 +440,25 @@ def test_block_matrix_homomorphism_sampling():
     assert report["failures"] == 0
 
 
+# SHA-256 of the (mask, coefficient) lists, in term order, of the elements the
+# block samples draw: BlockForm(p, q)._random_element for x then y of each of 100
+# samples, seeds 0-3. Recorded when each element was built as a chain of MV sums;
+# any change to which samples `cl8 verify block` and the benchmark check changes it.
+BLOCK_SAMPLE_DIGEST = "c7198aeb9b256a535f2a25751404b4c1aedffeef0d3fa5d37162c44ea9f599d4"
+
+
+def test_block_sample_stream_is_frozen():
+    h = hashlib.sha256()
+    for p, q in ((1, 2), (2, 3), (3, 4), (4, 1)):
+        form = BlockForm(p, q)
+        for seed in range(4):
+            rng = random.Random(seed)
+            for _ in range(2 * 100):
+                x = form._random_element(rng, form.target.n)
+                h.update(repr([(m, str(c)) for m, c in x.terms.items()]).encode() + b"\n")
+    assert h.hexdigest() == BLOCK_SAMPLE_DIGEST
+
+
 def test_block_matrix_other_signature():
     form = block_matrix_form(2, 3)
     assert form.target == Signature(2, 4)
