@@ -9,7 +9,7 @@ R, C and H: the corner's units square to -f and pairwise anticommute, read
 off their blade masks by Q and `algebra.blades_anticommute`, the sign rule of
 every `cl8.tensoriso` witness. Every blade span goes through the one GF(2)
 echelon in `linalg`, and the corner and the ideal are ranked by disjoint
-coset supports, not eliminations.
+coset supports, not eliminations, from one walk over the blades per idempotent.
 """
 
 from __future__ import annotations
@@ -154,43 +154,39 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
 # --------------------------------------------------------------------------
 
 
-def _coset_transversal(data: IdempotentData):
-    """The first blade mask of each coset of the generators' GF(2) span,
-    in (grade, mask) order.
+@lru_cache(maxsize=128)
+def _cosets(data: IdempotentData) -> tuple:
+    """(ideal masks, corner masks) of f, from one walk in (grade, mask) order.
 
-    e_T f = f for every generator T, and e_A e_T = +-e_(A^T), so e_A f is
-    the same up to sign for every A in one coset, whose key is gf2_reduce.
+    An ideal mask is the first blade of a coset of the generators' GF(2)
+    span, keyed by gf2_reduce. e_T f = f for every generator T and
+    e_A e_T = +-e_(A^T), so e_A f is the same up to sign across a coset.
     f has a term on each blade of the span (primitive_idempotent checks it),
-    so e_A f has one on each blade of A + span: products from distinct cosets
-    have disjoint supports, so they are independent and their count is their rank.
+    so e_A f has one on each blade of A + span: distinct cosets have
+    disjoint supports, so their products are independent and their count
+    is their rank. A corner mask is an ideal mask whose coset commutes with
+    every generator (commuting holds for a whole coset or for none of it):
+    there f e_A f = e_A f f = e_A f, while on an anticommuting coset
+    (1 + e_T) e_A (1 + e_T) = e_A (1 - e_T)(1 + e_T) = 0, so f e_A f = 0.
+    So both lists give the reps, in order, of the full 2^n blade scans.
     """
     rows = gf2_echelon(data.generators)
+    betas = [anticommute_mask(g, data.sig) for g in data.generators]
     keys = set()
+    ideal, corner = [], []
     for mask in _blade_order(data.sig.n):
         key = gf2_reduce(rows, mask)
         if key not in keys:
             keys.add(key)
-            yield mask
-
-
-def _span_of_corner(data: IdempotentData) -> list:
-    """Blade masks A whose products e_A f span f * Cl(p,q) * f.
-
-    If e_A anticommutes with a generator e_T of f, then
-    (1 + e_T) e_A (1 + e_T) = e_A (1 - e_T)(1 + e_T) = 0, so f e_A f = 0.
-    If e_A commutes with every generator, f e_A f = e_A f f = e_A f.
-    Commuting with the generators holds for a whole coset or for none of
-    it, so the first blade of each commuting coset gives the same reps
-    e_A f, in the same order, as f e_A f over all 2^n blades.
-    """
-    betas = [anticommute_mask(g, data.sig) for g in data.generators]
-    return [mask for mask in _coset_transversal(data)
-            if not any((mask & c).bit_count() & 1 for c in betas)]
+            ideal.append(mask)
+            if not any((mask & c).bit_count() & 1 for c in betas):
+                corner.append(mask)
+    return tuple(ideal), tuple(corner)
 
 
 def _certify_corner(masks, sig) -> tuple:
     """Name the division ring spanned by the units u_A = e_A f, for the
-    corner masks [0, A_1, ...] of `_span_of_corner`, from their relations.
+    corner masks [0, A_1, ...] of `_cosets`, from their relations.
 
     e_A commutes with f and f^2 = f, so u_A u_B = e_A f e_B f = e_A e_B f:
     the units multiply as their blades do (f * Cl * f is a twisted group
@@ -223,10 +219,9 @@ def division_ring_of(p: int, q: int) -> tuple:
     doubled in the label. Otherwise the algebra is simple and the corner is
     R, C, or H.
     """
-    sig = Signature(p, q)
     data = primitive_idempotent(p, q)
-    f = data.f
-    dim, ring = _certify_corner(_span_of_corner(data), sig)
+    f, sig = data.f, data.sig
+    dim, ring = _certify_corner(_cosets(data)[1], sig)
     if sig.n % 2 == 0 or omega_square(sig) != 1:
         return dim, ring
     lam_plus, lam_minus, ok = central_split(volume_element(sig))
@@ -244,14 +239,11 @@ def division_ring_of(p: int, q: int) -> tuple:
 def minimal_left_ideal(p: int, q: int):
     """Spanning set for Cl(p,q) * f and its dimension 2^n / 2^k.
 
-    e_A f is the same up to sign across a coset of the generators' GF(2)
-    span, so one product per coset (the first blade of each in (grade, mask)
-    order) gives the same reps as e_A f over all 2^n blades. They are
-    independent (see `_coset_transversal`), and there must be 2^(n-k) of them.
+    One product e_A f per ideal mask of `_cosets`, one per coset of the
+    generators' GF(2) span: independent, and there must be 2^(n-k) of them.
     """
-    sig = Signature(p, q)
     data = primitive_idempotent(p, q)
-    reps = [MV.blade(sig, mask) * data.f for mask in _coset_transversal(data)]
+    reps = [MV.blade(data.sig, mask) * data.f for mask in _cosets(data)[0]]
     if len(reps) != (1 << (p + q)) >> data.k:
         raise RuntimeError(f"ideal dimension {len(reps)} != 2^{p + q} / 2^{data.k} "
                            f"in Cl({p},{q})")

@@ -2,11 +2,11 @@
 
 Vectors are plain dicts mapping a key (a blade mask or any orderable
 label) to a Fraction or GaussianRational coefficient. One elimination
-kernel, `SpanBasis`, serves `rank_of` (`reps.quotient_structure` calls it)
-and `express` (public, no caller in the package), with no floating point
-anywhere. It keys its rows by pivot, so a reduction costs only the pivots
-it meets. Blade masks mod sign form GF(2)^n under XOR, and one echelon,
-`gf2_echelon`, serves them.
+kernel, `SpanBasis`, serves `rank_of` and `express`, with no floating point
+anywhere: public API and the tests' rank oracle, which no certificate in
+the package calls. It keys its rows by pivot, so a reduction costs only
+the pivots it meets. Blade masks mod sign form GF(2)^n under XOR, and one
+echelon, `gf2_echelon`, serves them.
 """
 
 from __future__ import annotations

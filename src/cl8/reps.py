@@ -4,7 +4,8 @@ Everything here is bookkeeping over (l, l_dot) pairs: spin, degree, the
 real/quaternionic field tag, quotient flags along the mod-8 walk, spin
 chains, and the block grids. No representation matrices are constructed;
 only `quotient_structure` computes in the algebra, and it imports
-`algebra` and `linalg` when it runs, so the label commands load neither.
+`algebra` when it runs, so the label commands do not load it. It ranks its
+kernel by disjoint blade-pair supports, with no elimination.
 """
 
 from __future__ import annotations
@@ -124,30 +125,36 @@ def bw_rep_walk(cycles: int) -> list:
     return walk
 
 
+# the largest q accepted by quotient_structure, checked before Cl(0, q) is
+# built: one full mod-8 period, the range of classify.MAX_IDEMPOTENT_N
+MAX_QUOTIENT_Q = 15
+
+
 def quotient_structure(q: int) -> dict:
     """Split the odd-step algebra through its central idempotents.
 
     lambda_plus and lambda_minus are (1 +- alpha)/2, from `central_split`,
-    where alpha is the volume element normalized to square +1; when
-    omega^2 = -1 (q = 1 mod 4) the normalization needs the complex unit,
-    matching the i that appears in the one-generator split R + iR. The
-    kernel of the fold-down map is spanned by b - alpha*b over all blades b
-    and must have half the total dimension.
+    where alpha = unit * e_full is the volume element normalized to square
+    +1; when omega^2 = -1 (q = 1 mod 4) the unit is the complex i, matching
+    the i that appears in the one-generator split R + iR. The kernel of the
+    fold-down map is spanned by b - alpha*b over all blades b and must have
+    half the total dimension. alpha*e_b = c_b e_(b^full), c_b = unit * sign[b],
+    so b's vector lies on the pair {b, b^full}; pairs have disjoint supports,
+    and a pair's two vectors are proportional exactly when c_b c_(b^full) = 1.
     """
-    from .algebra import MV, GaussianRational, Signature, central_split, omega_square, volume_element
-    from .linalg import rank_of
-
     if q % 2 == 0:
         raise ValueError("q must be odd")
+    if q > MAX_QUOTIENT_Q:
+        raise ValueError(f"q = {q} exceeds MAX_QUOTIENT_Q = {MAX_QUOTIENT_Q}")
+    from .algebra import MV, GaussianRational, Signature, blade_product, central_split, omega_square
+
     sig = Signature(0, q, complexified=True)
-    omega = volume_element(sig)
-    alpha = omega if omega_square(sig) == 1 else omega * GaussianRational(0, 1)
-    lam_plus, lam_minus, split_ok = central_split(alpha)
-    kernel_vectors = []
-    for mask in range(1 << q):
-        b = MV.blade(sig, mask)
-        kernel_vectors.append((b - alpha * b).terms)
-    kernel_dim = rank_of(kernel_vectors)
+    full = (1 << q) - 1
+    unit = 1 if omega_square(sig) == 1 else GaussianRational(0, 1)
+    lam_plus, lam_minus, split_ok = central_split(MV.blade(sig, full, unit))
+    sign = [blade_product(full, b, sig)[0] for b in range(1 << q)]
+    kernel_dim = sum(1 if unit * unit * sign[b] * sign[b ^ full] == 1 else 2
+                     for b in range(1 << (q - 1)))
     return {
         "lambda_plus": lam_plus,
         "lambda_minus": lam_minus,

@@ -12,7 +12,7 @@ from cl8.classify import (
     MAX_CLASSIFY_N,
     MAX_IDEMPOTENT_N,
     _certify_corner,
-    _span_of_corner,
+    _cosets,
     algebra_type,
     formal_dimension_identity,
     dirac_from_hestenes,
@@ -201,8 +201,8 @@ SIGS_TO_7 = [(p, n - p) for n in range(8) for p in range(n + 1)]
 
 
 def _corner_reps(data, masks=None):
-    """The corner reps e_A f of the given masks, by default `_span_of_corner`'s."""
-    masks = _span_of_corner(data) if masks is None else masks
+    """The corner reps e_A f of the given masks, by default `_cosets`' corner masks."""
+    masks = list(_cosets(data)[1]) if masks is None else masks
     return [MV.blade(data.sig, a) * data.f for a in masks]
 
 
@@ -324,7 +324,7 @@ def test_corner_certificate_forms_no_mv_product(monkeypatch, p, q):
         return mul(self, other)
 
     monkeypatch.setattr(MV, "__mul__", counting)
-    masks = _span_of_corner(data)
+    masks = list(_cosets(data)[1])
     assert _certify_corner(masks, data.sig)[0] == len(masks)
     assert calls == []
 
@@ -342,7 +342,7 @@ def _corner_mask_lists(data):
     commuting coset: a unit swapped for another blade of its coset (same
     relations), for a generator of f (it squares to +1) or for a blade of
     another unit's coset (the two commute)."""
-    masks = _span_of_corner(data)
+    masks = list(_cosets(data)[1])
     yield masks
     for g in data.generators[:1]:
         for i in range(1, len(masks)):
@@ -395,18 +395,32 @@ def test_idempotent_size_and_caches_are_bounded():
         minimal_left_ideal(9, 9)
     assert primitive_idempotent.cache_info().maxsize == 128
     assert division_ring_of.cache_info().maxsize == 128
+    assert _cosets.cache_info().maxsize == 128
+
+
+def test_corner_and_ideal_share_one_coset_walk():
+    # on a cold cell, division_ring_of walks the 2^n blades once through
+    # _cosets, and minimal_left_ideal reads the ideal masks off that walk
+    division_ring_of.cache_clear()
+    _cosets.cache_clear()
+    division_ring_of(2, 5)
+    minimal_left_ideal(2, 5)
+    info = _cosets.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_cached_idempotent_generators_are_immutable():
-    # primitive_idempotent's cache hands one IdempotentData to every caller,
-    # so its generators must not be mutable through any of them
+    # primitive_idempotent's and _cosets' caches hand one result to every
+    # caller, so neither the generators nor the masks may be mutable
     data = primitive_idempotent(1, 3)
-    corner = _span_of_corner(data)
+    corner = list(_cosets(data)[1])
     ideal = minimal_left_ideal(1, 3)
     with pytest.raises(AttributeError):
         data.generators.append(6)
+    with pytest.raises(AttributeError):
+        _cosets(data)[1].append(6)
     assert primitive_idempotent(1, 3).generators == (0b0001,)
-    assert _span_of_corner(primitive_idempotent(1, 3)) == corner
+    assert list(_cosets(primitive_idempotent(1, 3))[1]) == corner
     assert minimal_left_ideal(1, 3) == ideal
 
 

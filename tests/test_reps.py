@@ -6,9 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cl8 import algebra
+from cl8.algebra import MV, GaussianRational, Signature, volume_element
 from cl8.classify import algebra_type
+from cl8.linalg import rank_of
 from cl8.reps import (
     MAX_CHAIN_SUM,
+    MAX_QUOTIENT_Q,
     MAX_REP_SUM,
     bw_rep_walk,
     chain_algebra_sequence,
@@ -128,7 +132,7 @@ def test_bw_rep_walk_structure():
             assert (e.l, e.l_dot, e.field) == (prev.l, prev.l_dot, prev.field)
 
 
-@pytest.mark.parametrize("q,dim", [(1, 1), (3, 4), (5, 16)])
+@pytest.mark.parametrize("q,dim", [(1, 1), (3, 4), (5, 16), (MAX_QUOTIENT_Q, 1 << 14)])
 def test_quotient_structure(q, dim):
     rep = quotient_structure(q)
     assert rep["kernel_dim"] == dim
@@ -145,6 +149,42 @@ def test_quotient_structure(q, dim):
 def test_quotient_structure_rejects_even():
     with pytest.raises(ValueError):
         quotient_structure(4)
+
+
+def _eliminated_kernel_dim(q):
+    """rank_of over the explicit vectors b - alpha*b, alpha read with
+    algebra.omega_square as quotient_structure reads it."""
+    sig = Signature(0, q, complexified=True)
+    omega = volume_element(sig)
+    alpha = omega if algebra.omega_square(sig) == 1 else omega * GaussianRational(0, 1)
+    return rank_of((MV.blade(sig, b) - alpha * MV.blade(sig, b)).terms for b in range(1 << q))
+
+
+@pytest.mark.parametrize("wrong_sign", [False, True])
+@pytest.mark.parametrize("q", range(1, 12, 2))
+def test_quotient_pair_count_matches_elimination(monkeypatch, q, wrong_sign):
+    # the kernel is counted by blade pairs; the oracle eliminates the vectors.
+    # With omega^2 read with the wrong sign, alpha^2 = -1, no pair's two
+    # vectors are proportional, and the kernel is the whole algebra
+    if wrong_sign:
+        omega_square = algebra.omega_square
+        monkeypatch.setattr(algebra, "omega_square", lambda sig: -omega_square(sig))
+    rep = quotient_structure(q)
+    want = _eliminated_kernel_dim(q)
+    assert want == (1 << q if wrong_sign else 1 << (q - 1))
+    assert (rep["kernel_dim"], rep["quotient_dim"]) == (want, (1 << q) - want)
+    assert rep["passed"] is not wrong_sign
+
+
+@pytest.mark.parametrize("q", [MAX_QUOTIENT_Q + 2, 41, 2 ** 61 + 1])
+def test_quotient_structure_refuses_q_above_the_bound_at_once(monkeypatch, q):
+    # the refusal comes before any signature is built
+    def no_signature(*args, **kwargs):
+        raise AssertionError("a Signature was built")
+
+    monkeypatch.setattr(algebra, "Signature", no_signature)
+    with pytest.raises(ValueError, match="MAX_QUOTIENT_Q = 15"):
+        quotient_structure(q)
 
 
 def test_spin_chain_seven_plet():

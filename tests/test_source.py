@@ -75,6 +75,24 @@ def test_no_module_calls_the_mv_relation_reference():
     assert found == []
 
 
+def test_only_linalg_names_the_rational_eliminator():
+    # every certificate ranks by disjoint supports: rank_of, express and
+    # SpanBasis stay public API and the tests' oracle, and no other module
+    # of the package names them, called, bound or imported
+    eliminator = {"rank_of", "express", "SpanBasis"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{getattr(node, 'lineno', '')} {name}"
+                  for node in ast.walk(tree)
+                  for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                               node.name if isinstance(node, ast.alias) else None)
+                  if name in eliminator]
+    assert found == []
+
+
 def _names_with_scope(node, scope=()):
     """(dotted name of the enclosing class and function defs, node) for every
     name and attribute reference."""
