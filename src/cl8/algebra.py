@@ -27,9 +27,9 @@ involutions, Q(i) arithmetic) are built by the trusted `MV._made` and `_gaussian
 which store clean parts as they are; only `BlockForm.matrix_of` calls them outside.
 
 The same rule, as `anticommute_mask` and `blades_anticommute`, decides every
-relation between blades in `cl8.classify` and `cl8.tensoriso`. `square_sign`
-squares images that carry i, and reads a one-blade square c^2 Q(m) off its mask;
-`pairwise_anticommute` is the `MV`-product oracle.
+relation between blades in `cl8.classify` and `cl8.tensoriso`, and the center in
+`central_split`. `square_sign` squares images that carry i, and reads a one-blade
+square c^2 Q(m) off its mask; `pairwise_anticommute` is the `MV`-product oracle.
 """
 
 from __future__ import annotations
@@ -464,17 +464,17 @@ def omega_square(sig: Signature) -> int:
 def central_split(alpha: MV) -> tuple:
     """(lambda_plus, lambda_minus, ok) for lambda+- = (1 +- alpha)/2.
 
-    ok means alpha commutes with every generator and lambda+- are orthogonal
-    idempotents (so alpha^2 = 1): the algebra splits into two components.
+    ok means alpha is central and lambda+- are orthogonal idempotents, so the algebra
+    splits in two. Both are read off masks: e_i maps distinct masks to distinct masks,
+    so alpha commutes with e_i exactly when each term m does (bit i of beta(., m) is 0);
+    lambda+-^2 - lambda+- = -lambda+ lambda- = (alpha^2 - 1)/4, zero iff alpha^2 = 1.
     """
     sig = alpha.sig
     one = MV.scalar(sig, 1)
     half = Fraction(1, 2)
     lam_plus = (one + alpha) * half
     lam_minus = (one - alpha) * half
-    gens = (MV.generator(sig, i) for i in range(1, sig.n + 1))
-    ok = (lam_plus * lam_plus == lam_plus and lam_minus * lam_minus == lam_minus
-          and not lam_plus * lam_minus and all(alpha * e == e * alpha for e in gens))
+    ok = square_sign(alpha, one) == 1 and not any(anticommute_mask(m, sig) for m in alpha.terms)
     return lam_plus, lam_minus, ok
 
 

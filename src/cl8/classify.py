@@ -7,8 +7,9 @@ algebra by constructing f * A * f for a primitive idempotent f and checking
 its unit relations, so a wrong table entry would fail loudly. One path serves
 R, C and H: the corner's units square to -f and pairwise anticommute, read
 off their blade masks by Q and `algebra.blades_anticommute`, the sign rule of
-every `cl8.tensoriso` witness. Every blade span goes through the one GF(2)
-echelon in `linalg`, and the corner and the ideal are ranked by disjoint
+every `cl8.tensoriso` witness, and so is the split of the center: `central_split`
+by Q and beta, and f's component by its support. Every blade span goes through the
+one GF(2) echelon in `linalg`, and the corner and the ideal are ranked by disjoint
 coset supports, not eliminations, from one walk over the blades per idempotent.
 """
 
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 from .algebra import (
     MV, GaussianRational, Signature, _product_terms, anticommute_mask, blade_product,
-    blades_anticommute, central_split, involute, omega_square, volume_element,
+    blades_anticommute, central_split, omega_square, volume_element,
 )
 from .linalg import gf2_echelon, gf2_reduce
 
@@ -211,25 +212,23 @@ def _certify_corner(masks, sig) -> tuple:
 def division_ring_of(p: int, q: int) -> tuple:
     """(dim of f*A*f, ring label), certified by exact computation.
 
-    The algebra alone decides the shape, never the mod-8 table. When n is
-    odd and the volume element squares to +1, the center splits:
-    `central_split` certifies the volume element central and its two
-    projectors orthogonal idempotents, they absorb f and its grade-involution
-    mirror into opposite components, and the corner ring of one component is
-    doubled in the label. Otherwise the algebra is simple and the corner is
-    R, C, or H.
+    The algebra alone decides the shape, never the mod-8 table. When n is odd
+    and omega = e_full squares to +1, `central_split` certifies the center split
+    and the corner ring of one component is doubled in the label. f has a term on
+    each blade of its generators' span S, and e_s f = c_s f there, so f omega = +-f (one
+    projector (1 +- omega)/2 absorbs f) exactly when full is in S, a term of f; else
+    f omega's support misses S. The grade involution is an automorphism taking omega
+    to -omega for odd n, so f's mirror lies in the other component. Otherwise the
+    algebra is simple and the corner is R, C, or H.
     """
     data = primitive_idempotent(p, q)
     f, sig = data.f, data.sig
     dim, ring = _certify_corner(_cosets(data)[1], sig)
     if sig.n % 2 == 0 or omega_square(sig) != 1:
         return dim, ring
-    lam_plus, lam_minus, ok = central_split(volume_element(sig))
-    if not ok:
+    if not central_split(volume_element(sig))[2]:
         raise RuntimeError(f"volume element does not split the center of Cl({p},{q})")
-    mirror = involute(f, "grade_involution")
-    if not any(f * lam == f and mirror * other == mirror
-               for lam, other in ((lam_plus, lam_minus), (lam_minus, lam_plus))):
+    if (1 << sig.n) - 1 not in f.terms:
         raise RuntimeError(f"f and its mirror are not in opposite components of Cl({p},{q})")
     if ring not in ("R", "H"):
         raise RuntimeError(f"semisimple component ring {ring} unexpected in Cl({p},{q})")

@@ -133,10 +133,10 @@ MAX_QUOTIENT_Q = 15
 def quotient_structure(q: int) -> dict:
     """Split the odd-step algebra through its central idempotents.
 
-    lambda_plus and lambda_minus are (1 +- alpha)/2, from `central_split`,
-    where alpha = unit * e_full is the volume element normalized to square
-    +1; when omega^2 = -1 (q = 1 mod 4) the unit is the complex i, matching
-    the i that appears in the one-generator split R + iR. The kernel of the
+    lambda_plus and lambda_minus are (1 +- alpha)/2 from `central_split`, which
+    reads its ok off alpha's one mask; alpha = unit * e_full is the volume element
+    normalized to square +1; when omega^2 = -1 (q = 1 mod 4) the unit is the
+    complex i, the i of the one-generator split R + iR. The kernel of the
     fold-down map is spanned by b - alpha*b over all blades b and must have
     half the total dimension. alpha*e_b = c_b e_(b^full), c_b = unit * sign[b],
     so b's vector lies on the pair {b, b^full}; pairs have disjoint supports,

@@ -5,8 +5,10 @@ lists, bubble sorts, exhaustive searches) so that it shares no code and
 no clever tricks with the package under test. The exceptions use the
 package's MV product and SpanBasis: the pair of full 2^n blade scans for
 the corner f*Cl*f and the ideal Cl*f, which stand in for the commutant and
-coset shortcuts that cl8.classify takes, and the subset-product rank, which
-stands in for the GF(2) rank that cl8.tensoriso reads off blade masks.
+coset shortcuts that cl8.classify takes, the subset-product rank, which
+stands in for the GF(2) rank that cl8.tensoriso reads off blade masks, and
+the central-split products, which stand in for the Q and beta test of
+central_split and the support test that places f in a component.
 """
 
 from fractions import Fraction
@@ -182,6 +184,26 @@ def naive_left_ideal_reps(f, sig):
     """The spanning set of Cl * f from e_A * f over all 2^n blades, in
     (grade, mask) order, keeping each product that is new to the span."""
     return _new_to_span(MV.blade(sig, m) * f for m in _masks_by_grade(sig.n))
+
+
+def naive_central_split_ok(alpha):
+    """central_split's ok by MV products: lambda+-^2 = lambda+-,
+    lambda+ lambda- = 0, and alpha e_i = e_i alpha for every generator."""
+    sig = alpha.sig
+    one = MV.scalar(sig, 1)
+    lam_plus = (one + alpha) * Fraction(1, 2)
+    lam_minus = (one - alpha) * Fraction(1, 2)
+    gens = [MV.generator(sig, i) for i in range(1, sig.n + 1)]
+    return (lam_plus * lam_plus == lam_plus and lam_minus * lam_minus == lam_minus
+            and not lam_plus * lam_minus and all(alpha * e == e * alpha for e in gens))
+
+
+def naive_opposite_components(f, lam_plus, lam_minus):
+    """f * lam = f for one central projector lam, and the grade-involution
+    mirror of f (odd-grade terms negated) absorbed by the other."""
+    mirror = MV(f.sig, {m: -c if len(indices_of(m)) % 2 else c for m, c in f.terms.items()})
+    return any(f * lam == f and mirror * other == mirror
+               for lam, other in ((lam_plus, lam_minus), (lam_minus, lam_plus)))
 
 
 def naive_reduce(rows, vec):

@@ -1,6 +1,7 @@
 """Exact blade arithmetic against an independent list-based oracle."""
 
 from fractions import Fraction
+import itertools
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from naive import (
     indices_of,
     naive_blade_product,
     naive_blade_square,
+    naive_central_split_ok,
     naive_commute,
     naive_gaussian_mul,
     naive_multivector_mul,
@@ -132,6 +134,99 @@ def test_central_split(p, q, mask, ok):
     one = MV.scalar(sig, 1)
     assert lam_plus + lam_minus == one
     assert lam_plus - lam_minus == alpha
+
+
+SPLIT_COEFFS = [1, -1, 2, Fraction(1, 2)]
+SPLIT_COEFFS_I = SPLIT_COEFFS + [GaussianRational(0, 1), GaussianRational(0, -1),
+                                 GaussianRational(1, 1)]
+
+
+def _assert_split_matches_oracle(sig, masks):
+    # central_split's mask test against the MV-product formula, for c e_m
+    coeffs = SPLIT_COEFFS_I if sig.complexified else SPLIT_COEFFS
+    for mask in masks:
+        for c in coeffs:
+            alpha = MV(sig, {mask: c})
+            assert central_split(alpha)[2] is naive_central_split_ok(alpha), (mask, c)
+
+
+@pytest.mark.parametrize("complexified", [False, True])
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in range(6) for p in range(n + 1)])
+def test_central_split_matches_product_oracle_on_every_blade(p, q, complexified):
+    sig = Signature(p, q, complexified)
+    _assert_split_matches_oracle(sig, range(1 << sig.n))
+
+
+@pytest.mark.parametrize("sigs", [
+    [Signature(2, 1), Signature(1, 0)],
+    [Signature(1, 1), Signature(0, 1, True)],
+    [Signature(0, 1), Signature(1, 1), Signature(1, 0)],
+])
+@pytest.mark.parametrize("graded", [False, True])
+def test_central_split_matches_product_oracle_on_product_algebras(sigs, graded):
+    alg = ProductAlgebra(sigs, graded)
+    _assert_split_matches_oracle(alg, range(1 << alg.n))
+
+
+def test_central_split_matches_product_oracle_on_sums():
+    # 0 and +-1; the 16 central involutions sum(s_ab (1 + a w1)(1 + b w2)/4) of
+    # a plain product of two odd factors with w^2 = +1, among them
+    # (1 + w1 + w2 - w1 w2)/2; 1 - 2f, an involution whose first term (the
+    # scalar) is central and whose others are not; and random sums
+    sig = Signature(2, 1)
+    for alpha, want in [(MV(sig, {}), False), (MV.scalar(sig, 1), True),
+                        (MV.scalar(sig, -1), True)]:
+        assert central_split(alpha)[2] is naive_central_split_ok(alpha) is want
+    alg = ProductAlgebra([Signature(2, 1), Signature(1, 0)])
+    one, w1, w2 = TensorMV(alg, {0: 1}), TensorMV(alg, {0b0111: 1}), TensorMV(alg, {0b1000: 1})
+    parts = [(one + w1 * a) * (one + w2 * b) * Fraction(1, 4) for a in (1, -1) for b in (1, -1)]
+    alphas = []
+    for signs in itertools.product((1, -1), repeat=4):
+        alpha = TensorMV(alg, {})
+        for s, part in zip(signs, parts):
+            alpha = alpha + part * s
+        alphas.append(alpha)
+    half = Fraction(1, 2)
+    assert TensorMV(alg, {0: half, 0b0111: half, 0b1000: half, 0b1111: -half}) in alphas
+    for alpha in alphas:
+        assert central_split(alpha)[2] is naive_central_split_ok(alpha) is True
+    data = primitive_idempotent(2, 2)
+    reflection = MV.scalar(data.sig, 1) - data.f * 2
+    assert data.k == 2 and next(iter(reflection.terms)) == 0
+    assert reflection * reflection == MV.scalar(data.sig, 1)
+    assert central_split(reflection)[2] is naive_central_split_ok(reflection) is False
+    rng = random.Random(23)
+    for sig in [Signature(p, q, c) for p, q in [(1, 0), (0, 3), (2, 1), (1, 3), (3, 2)]
+                for c in (False, True)]:
+        coeffs = SPLIT_COEFFS_I if sig.complexified else SPLIT_COEFFS
+        full = (1 << sig.n) - 1
+        for _ in range(40):
+            masks = rng.sample(range(1 << sig.n), rng.randint(2, min(4, 1 << sig.n)))
+            if rng.random() < 0.5:
+                masks = [0, full]
+            alpha = MV(sig, {m: rng.choice(coeffs) for m in masks})
+            assert central_split(alpha)[2] is naive_central_split_ok(alpha), alpha.terms
+
+
+def test_central_split_of_one_blade_forms_no_mv_product(monkeypatch):
+    # a one-blade alpha is decided by Q(m) and beta(., m) alone
+    mul, calls = MV.__mul__, []
+
+    def counting(self, other):
+        if isinstance(other, MV):
+            calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(MV, "__mul__", counting)
+    alg = ProductAlgebra([Signature(2, 1), Signature(1, 0)])
+    alphas = [TensorMV(alg, {0b0111: 1}), TensorMV(alg, {0b1000: -1})]
+    for sig in [Signature(1, 0), Signature(0, 3), Signature(2, 3, True), Signature(8, 7)]:
+        alphas += [volume_element(sig), MV.generator(sig, 1), MV.scalar(sig, 2)]
+    oks = [central_split(alpha)[2] for alpha in alphas]
+    assert calls == []
+    monkeypatch.undo()
+    assert oks == [naive_central_split_ok(alpha) for alpha in alphas]
+    assert oks.count(True) == 6
 
 
 def test_volume_element_anticommutes_with_vectors_for_even_n():

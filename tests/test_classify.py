@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cl8.algebra import (
-    MV, GaussianRational, Signature, involute, pairwise_anticommute, square_sign,
+    MV, GaussianRational, Signature, central_split, involute, omega_square,
+    pairwise_anticommute, square_sign, volume_element,
 )
 from cl8.classify import (
     MAX_CLASSIFY_N,
@@ -31,6 +32,7 @@ from naive import (
     naive_group_order,
     naive_idempotent_generators,
     naive_left_ideal_reps,
+    naive_opposite_components,
     radon_hurwitz_reference,
     ring_from_type,
 )
@@ -188,13 +190,107 @@ def test_division_ring_consistent_with_type(p, q):
     assert dim == {"R": 1, "C": 2, "H": 4, "R+R": 1, "H+H": 4}[ring]
 
 
-@pytest.mark.parametrize("n", [10, 11, 12, 13])
+@pytest.mark.parametrize("n", range(10, 16))
 def test_division_ring_past_nine_generators(n):
+    # n = 10..15 closes one full mod-8 period above p + q <= 9
     for p in range(n + 1):
         q = n - p
         dim, ring = division_ring_of(p, q)
-        assert ring == ring_from_type((p - q) % 8), (p, q)
+        assert ring == ring_from_type((p - q) % 8) == algebra_type(p, q).ring, (p, q)
         assert dim == {"R": 1, "C": 2, "H": 4, "R+R": 1, "H+H": 4}[ring]
+        assert minimal_left_ideal(p, q)[1] == 1 << (n - primitive_idempotent(p, q).k)
+
+
+#: The 36 cells with p + q <= 15 whose center splits: n odd and omega^2 = +1.
+SPLIT_CELLS = [(p, n - p) for n in range(1, 16, 2) for p in range(n + 1)
+               if omega_square(Signature(p, n - p)) == 1]
+
+
+def test_split_cells_are_the_r_r_and_h_h_cells():
+    assert len(SPLIT_CELLS) == 36
+    assert all((p - q) % 4 == 1 for p, q in SPLIT_CELLS)
+
+
+@pytest.mark.parametrize("p,q", SPLIT_CELLS)
+def test_split_membership_matches_product_oracle(p, q):
+    # for f and for each idempotent on a prefix of f's generators, a term on
+    # the full blade says exactly that one projector (1 +- omega)/2 absorbs
+    # it and the other absorbs its mirror
+    data = primitive_idempotent(p, q)
+    sig, full = data.sig, (1 << (p + q)) - 1
+    lam_plus, lam_minus, ok = central_split(volume_element(sig))
+    assert ok
+    part = MV.scalar(sig, 1)
+    for mask in data.generators:
+        assert (full in part.terms) is naive_opposite_components(part, lam_plus, lam_minus)
+        part = part * (MV.scalar(sig, 1) + MV.blade(sig, mask)) * Fraction(1, 2)
+    assert part == data.f
+    assert full in data.f.terms and naive_opposite_components(data.f, lam_plus, lam_minus)
+
+
+@pytest.mark.parametrize("p,q", SPLIT_CELLS)
+def test_split_certificate_forms_no_mv_product(monkeypatch, p, q):
+    # once f is built, the split is decided on masks: central_split reads the
+    # one-blade omega, and f's component is a membership test
+    data = primitive_idempotent(p, q)
+    _cosets(data)
+    division_ring_of.cache_clear()
+    mul, calls = MV.__mul__, []
+
+    def counting(self, other):
+        if isinstance(other, MV):
+            calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(MV, "__mul__", counting)
+    assert division_ring_of(p, q)[1] in ("R+R", "H+H")
+    assert calls == []
+
+
+def _split_refusals(monkeypatch, name, replace):
+    """division_ring_of on every split cell with classify.<name> swapped for
+    replace(the real one): the message of each refusal, or None where it
+    certified."""
+    from cl8 import classify
+
+    monkeypatch.setattr(classify, name, replace(getattr(classify, name)))
+    division_ring_of.cache_clear()
+    primitive_idempotent.cache_clear()
+    messages = []
+    try:
+        for p, q in SPLIT_CELLS:
+            try:
+                division_ring_of(p, q)
+                messages.append(None)
+            except RuntimeError as exc:
+                messages.append(str(exc))
+    finally:
+        monkeypatch.undo()
+        division_ring_of.cache_clear()
+        primitive_idempotent.cache_clear()
+        _cosets.cache_clear()
+    return messages
+
+
+def test_split_refuses_f_without_its_full_term(monkeypatch):
+    def without_full(real):
+        def idempotent(p, q):
+            data = real(p, q)
+            terms = dict(data.f.terms)
+            del terms[(1 << (p + q)) - 1]
+            return data._replace(f=MV(data.sig, terms))
+        return idempotent
+
+    messages = _split_refusals(monkeypatch, "primitive_idempotent", without_full)
+    assert messages == [f"f and its mirror are not in opposite components of Cl({p},{q})"
+                        for p, q in SPLIT_CELLS]
+
+
+def test_split_refuses_a_center_that_does_not_split(monkeypatch):
+    messages = _split_refusals(monkeypatch, "central_split",
+                               lambda real: lambda alpha: (*real(alpha)[:2], False))
+    assert messages == [f"volume element does not split the center of Cl({p},{q})"
+                        for p, q in SPLIT_CELLS]
 
 
 SIGS_TO_7 = [(p, n - p) for n in range(8) for p in range(n + 1)]
