@@ -7,15 +7,15 @@ whole algebra. Those three facts together pin the isomorphism down, so no
 explicit basis-to-basis map is ever built. Images are single blades, so the
 rank is a GF(2) rank of masks. Every generator-map witness is built by one
 routine, `_witness`; the graded, Karoubi and complex tensor products form their
-images in one more, `_product_witness`. The phi/psi split and the chain's
-matrix link, which are not generator maps, rank their spans with the same
-`_subset_product_rank`. Every builder refuses more than `MAX_WITNESS_N`
-generators before it builds a signature.
+images in one more, `_product_witness`, and every link of the conformal chain is
+one of these witnesses. The phi/psi split, the one certificate that is not a
+generator map, ranks its span with the same `_subset_product_rank`. Every
+builder refuses more than `MAX_WITNESS_N` generators before it builds a signature.
 A witness squares its images with `algebra.square_sign`, which reads a one-blade
 square off its mask with no product, and, once the rank is full (every image is
 then one blade), reads their anticommutation off `algebra.blades_anticommute`.
-phi and psi are single blades, and so are the chain's matrix-link generators:
-their relations are read off the same masks.
+The even images, phi and psi are +-1 times one blade named off masks by
+`algebra.blade_product`; the only `MV` products here are the block samples.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .algebra import (
     blades_anticommute,
     omega_square,
     square_sign,
-    volume_element,
 )
 from .linalg import gf2_echelon
 
@@ -250,9 +249,9 @@ def even_iso_target(p: int, q: int) -> tuple:
 def even_iso_check(p: int, q: int) -> GeneratorMap:
     """Realize the even subalgebra of Cl(p,q) as a smaller Clifford algebra.
 
-    Images are e_i * e_j for one pinned generator e_j, and (e_i e_j)^2 =
-    -e_i^2 e_j^2. When 0 < p != q > 0 the target is Cl(q, p-1), and
-    construction B pins the plus generator e_1, which flips every other
+    Images are e_i e_j = +-e_(i^j) for one pinned generator e_j, named by
+    `blade_product`, and (e_i e_j)^2 = -e_i^2 e_j^2. When 0 < p != q > 0 the
+    target is Cl(q, p-1): construction B pins the plus e_1, flipping every other
     square. Otherwise construction A pins e_n: a minus e_n keeps the squares
     (target Cl(p, q-1)), and for q = 0 the plus e_n flips them (Cl(0, p-1)).
     `_witness` still checks the squares, the anticommutation and the rank.
@@ -263,10 +262,10 @@ def even_iso_check(p: int, q: int) -> GeneratorMap:
     _check_witness_n(n)
     sig = Signature(p, q)
     if 0 < p != q > 0:
-        construction, pinned, others = "B", MV.generator(sig, 1), range(2, n + 1)
+        construction, pin, others = "B", 1, range(2, n + 1)
     else:
-        construction, pinned, others = "A", MV.generator(sig, n), range(1, n)
-    raw = [MV.generator(sig, i) * pinned for i in others]
+        construction, pin, others = "A", 1 << (n - 1), range(1, n)
+    raw = [MV.blade(sig, m, s) for s, m in (blade_product(1 << (i - 1), pin, sig) for i in others)]
     return _witness(raw, MV.scalar(sig, 1), even_iso_target(p, q), construction, source=(p, q))
 
 
@@ -320,19 +319,13 @@ def phi_psi_factorization(target, base) -> PhiPsiReport:
         raise ValueError("m not integral: base needs an even number of generators")
     base_idx, added = _embed_base_generators(target, base)
     sig = Signature(p, q)
-    one = MV.scalar(sig, 1)
     base_images = [MV.generator(sig, i) for i in base_idx]
-    chain = one
-    for g in base_images:
-        chain = chain * g
-    phi = chain * MV.generator(sig, added[0])
-    psi = chain * MV.generator(sig, added[1])
-    phi_sq = square_sign(phi, one)
-    psi_sq = square_sign(psi, one)
-    if phi_sq == 0 or psi_sq == 0:
-        raise RuntimeError("phi or psi square is not a unit scalar")
+    base_mask = sum(1 << (i - 1) for i in base_idx)  # increasing: their product is +e_base
+    phi_sign, phi_mask = blade_product(base_mask, 1 << (added[0] - 1), sig)
+    psi_sign, psi_mask = blade_product(base_mask, 1 << (added[1] - 1), sig)
+    phi, psi = MV.blade(sig, phi_mask, phi_sign), MV.blade(sig, psi_mask, psi_sign)
+    phi_sq, psi_sq = (blade_product(m, m, sig)[0] for m in (phi_mask, psi_mask))  # Q(mask)
     case = _CASE_NAMES[(phi_sq, psi_sq)]
-    (base_mask,), (phi_mask,), (psi_mask,) = chain.terms, phi.terms, psi.terms
     commute_ok = not base_mask & (anticommute_mask(phi_mask, sig) | anticommute_mask(psi_mask, sig))
     prod_anti = blades_anticommute((phi_mask, psi_mask), sig)
     # the additive decomposition: base blades times {1, phi, psi, phi psi}
@@ -403,6 +396,8 @@ class BlockForm:
         return [m[:2], m[2:]]
 
     def sample_homomorphism(self, samples: int = 100, seed: int = 0) -> dict:
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples}")
         rng = random.Random(seed)
         n = self.target.n
         failures = 0
@@ -454,64 +449,30 @@ class ChainReport(NamedTuple):
     links: list
 
 
-def _matrix_realization_link() -> ChainLink:
-    """Real witness that Cl(4,1) carries a complex structure on 16 units.
-
-    The volume element is central with square -1, the four plus generators
-    anticommute, and blades over them together with their volume-element
-    partners span all 32 real dimensions.
-    """
-    sig = Signature(4, 1)
-    masks = [1 << i for i in range(4)]
-    ok = (omega_square(sig) == -1 and anticommute_mask(0b11111, sig) == 0
-          and all(blade_product(m, m, sig)[0] == 1 for m in masks)
-          and blades_anticommute(masks, sig))
-    # blades over the generators times {1, omega}
-    rank = _subset_product_rank([MV.blade(sig, m) for m in masks] + [volume_element(sig)])
-    return ChainLink(
-        name="matrix_realization",
-        certified=ok and rank == 32,
-        rank=rank,
-        detail="central omega with omega^2=-1 plus four +1 generators",
-    )
-
-
-def _complexified_realization_link() -> ChainLink:
-    """Witness for the complexified spacetime algebra as a 4-generator
-    complex Clifford algebra: e1, i e2, i e3, i e4 all square to +1."""
-    sig = Signature(1, 3, complexified=True)
-    i = GaussianRational(0, 1)
-    images = [MV.generator(sig, 1)]
-    images += [MV.generator(sig, j) * i for j in (2, 3, 4)]
-    rep = _witness(images, MV.scalar(sig, 1), (4, 0), "complexified")
-    return ChainLink(
-        name="complexified_realization",
-        certified=rep.certified,
-        rank=rep.rank,
-        detail="generators e1, i e2, i e3, i e4 of the complexified algebra",
-    )
-
-
 def spin24_chain() -> ChainReport:
     """Certify every link from the conformal even subalgebra down to the
-    quaternionic factorization of the spacetime algebra."""
-    links = []
-    even = even_iso_check(2, 4)
-    links.append(ChainLink(
-        name="even_subalgebra",
-        certified=even.certified and even.target_sig == (4, 1),
-        rank=even.rank,
-        detail="even part of Cl(2,4) realized as Cl(4,1)",
-    ))
-    links.append(_matrix_realization_link())
-    links.append(_complexified_realization_link())
-    kar = karoubi_check((1, 1), (0, 2))
-    links.append(ChainLink(
-        name="karoubi_product",
-        certified=kar.certified and kar.target_sig == (1, 3),
-        rank=kar.rank,
-        detail="Cl(1,1) tensor Cl(0,2) realizes Cl(1,3)",
-    ))
+    quaternionic factorization of the spacetime algebra.
+
+    Each link is one witness that must reach its target. The matrix link is
+    the Karoubi witness for Cl(4,0) tensor Cl(0,1), images e1..e4 and e1234 (x) f:
+    the volume element of Cl(4,1) maps to f, the central complex unit.
+    """
+    csig = Signature(1, 3, complexified=True)
+    i = GaussianRational(0, 1)
+    complexified = [MV.generator(csig, 1)] + [MV.generator(csig, j) * i for j in (2, 3, 4)]
+    table = (
+        ("even_subalgebra", even_iso_check(2, 4), (4, 1),
+         "even part of Cl(2,4) realized as Cl(4,1)"),
+        ("matrix_realization", karoubi_check((4, 0), (0, 1)), (4, 1),
+         "central omega with omega^2=-1 plus four +1 generators"),
+        ("complexified_realization",
+         _witness(complexified, MV.scalar(csig, 1), (4, 0), "complexified"), (4, 0),
+         "generators e1, i e2, i e3, i e4 of the complexified algebra"),
+        ("karoubi_product", karoubi_check((1, 1), (0, 2)), (1, 3),
+         "Cl(1,1) tensor Cl(0,2) realizes Cl(1,3)"),
+    )
+    links = [ChainLink(name, rep.certified and rep.target_sig == target, rep.rank, detail)
+             for name, rep, target, detail in table]
     return ChainReport(ok=all(l.certified for l in links), links=links)
 
 

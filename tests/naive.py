@@ -6,9 +6,11 @@ no clever tricks with the package under test. The exceptions use the
 package's MV product and SpanBasis: the pair of full 2^n blade scans for
 the corner f*Cl*f and the ideal Cl*f, which stand in for the commutant and
 coset shortcuts that cl8.classify takes, the subset-product rank, which
-stands in for the GF(2) rank that cl8.tensoriso reads off blade masks, and
+stands in for the GF(2) rank that cl8.tensoriso reads off blade masks,
 the central-split products, which stand in for the Q and beta test of
-central_split and the support test that places f in a component.
+central_split and the support test that places f in a component, and the
+generator products behind phi, psi, the even images and the chain's matrix
+link, which stand in for the blades cl8.tensoriso names by blade_product.
 """
 
 from fractions import Fraction
@@ -196,6 +198,42 @@ def naive_central_split_ok(alpha):
     gens = [MV.generator(sig, i) for i in range(1, sig.n + 1)]
     return (lam_plus * lam_plus == lam_plus and lam_minus * lam_minus == lam_minus
             and not lam_plus * lam_minus and all(alpha * e == e * alpha for e in gens))
+
+
+def naive_phi_psi(sig, base_idx, added):
+    """(phi, psi, phi^2, psi^2) by MV products: the base generators multiplied
+    in the order given, times each added generator; a square is +1 or -1 when
+    it equals +-1, else 0."""
+    one = MV.scalar(sig, 1)
+    chain = one
+    for i in base_idx:
+        chain = chain * MV.generator(sig, i)
+    phi, psi = (chain * MV.generator(sig, a) for a in added)
+    squares = [1 if x * x == one else -1 if x * x == -one else 0 for x in (phi, psi)]
+    return phi, psi, *squares
+
+
+def naive_even_images(sig, pinned, others):
+    """The even-subalgebra images e_i * e_pinned by MV products, i in others."""
+    return [MV.generator(sig, i) * MV.generator(sig, pinned) for i in others]
+
+
+def naive_matrix_link_facts(gens, one):
+    """The matrix link's facts by MV products, for five generator images:
+    omega, their product in order, squares to -1 and commutes with each
+    image, the first four square to +1 and pairwise anticommute, and the
+    subset products of the first four and omega span the returned rank."""
+    omega = one
+    for g in gens:
+        omega = omega * g
+    plus = gens[:4]
+    return {
+        "omega_sq": omega * omega == -one,
+        "omega_central": all(omega * g == g * omega for g in gens),
+        "plus_squares": all(g * g == one for g in plus),
+        "anticommute": all(x * y == -(y * x) for x, y in combinations(plus, 2)),
+        "rank": naive_subset_product_rank(plus + [omega], one),
+    }
 
 
 def naive_opposite_components(f, lam_plus, lam_minus):

@@ -22,6 +22,11 @@ def test_sweep_over_zero_cases_fails(build):
     assert any(line.startswith("FAIL") for line in rep["lines"])
 
 
+def test_block_suite_refuses_zero_samples():
+    # "0 sampled products" must not print as a PASS
+    with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+        suites.block_suite(samples=0)
+
 
 def test_theorem3_brute_line_fails_on_a_non_primitive_idempotent(monkeypatch):
     # One generator dropped leaves f idempotent but not primitive, while .k

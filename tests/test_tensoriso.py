@@ -30,6 +30,9 @@ from cl8.tensoriso import (
 from naive import (
     indices_of,
     naive_block_matrix,
+    naive_even_images,
+    naive_matrix_link_facts,
+    naive_phi_psi,
     naive_subset_product_rank,
     naive_tensor_product,
 )
@@ -306,6 +309,22 @@ def test_even_iso_selection_rule_all_small():
             assert rep.certified
 
 
+def test_even_images_match_generator_products():
+    # each image e_i e_pin is named by blade_product off the masks; the oracle
+    # multiplies the generators, and _witness puts the +1 squares first
+    for n in range(1, 9):
+        for p in range(n + 1):
+            rep = even_iso_check(p, n - p)
+            sig = Signature(p, n - p)
+            one = MV.scalar(sig, 1)
+            if rep.construction == "B":
+                raw = naive_even_images(sig, 1, range(2, n + 1))
+            else:
+                raw = naive_even_images(sig, n, range(1, n))
+            want = [x for x in raw if x * x == one] + [x for x in raw if x * x != one]
+            assert rep.images == want, (p, n - p)
+
+
 PHI_PSI_CASES = [
     ((1, 3), (1, 1), -1, -1, "quaternion"),
     ((2, 2), (1, 1), 1, -1, "anti"),
@@ -365,10 +384,11 @@ def _phi_psi_inputs(max_n):
 
 
 def test_phi_psi_relations_match_mv_products(monkeypatch):
-    # commute_ok and product_anticommutes are read off beta masks; every
-    # valid split with p + q <= 8 must agree with explicit MV products. Two
-    # broken embeddings make them False: an odd chain (one base generator
-    # dropped) anticommutes with the base, and phi = psi commutes with itself
+    # phi, psi, their squares, commute_ok and product_anticommutes are read off
+    # masks; every valid split with p + q <= 8 must agree with explicit MV
+    # products. Two broken embeddings make the relations False: an odd chain (one
+    # base generator dropped) anticommutes with the base, and phi = psi commutes
+    # with itself
     from cl8 import tensoriso
 
     embed = tensoriso._embed_base_generators
@@ -385,6 +405,8 @@ def test_phi_psi_relations_match_mv_products(monkeypatch):
         for target, base in cases:
             rep = phi_psi_factorization(target, base)
             phi, psi = rep.phi, rep.psi
+            oracle = naive_phi_psi(Signature(*target), *variant(target, base))
+            assert (phi, psi, rep.phi_sq, rep.psi_sq) == oracle, (target, base)
             commute = all(phi * g == g * phi and psi * g == g * psi for g in rep.base_images)
             anti = phi * psi == -(psi * phi)
             assert (rep.commute_ok, rep.product_anticommutes) == (commute, anti), (target, base)
@@ -457,6 +479,21 @@ def test_block_sample_stream_is_frozen():
                 x = form._random_element(rng, form.target.n)
                 h.update(repr([(m, str(c)) for m, c in x.terms.items()]).encode() + b"\n")
     assert h.hexdigest() == BLOCK_SAMPLE_DIGEST
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_block_sampler_refuses_no_samples(monkeypatch, samples):
+    # a sampled check with nothing sampled must not pass; the refusal comes
+    # before any sample is drawn or multiplied
+    from cl8 import algebra
+
+    def no_product(*args):
+        raise AssertionError("a sample was multiplied")
+
+    form = BlockForm(1, 2)
+    monkeypatch.setattr(algebra, "_product_terms", no_product)
+    with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+        form.sample_homomorphism(samples=samples)
 
 
 def test_block_matrix_other_signature():
@@ -601,6 +638,55 @@ def test_spin24_chain_links():
     assert report.links[1].rank == 32
     assert report.links[2].rank == 16
     assert report.links[3].rank == 16
+
+
+def test_matrix_link_is_the_karoubi_witness():
+    # the matrix link once checked Cl(4,1)'s own generators by hand: omega central
+    # with omega^2 = -1, e1..e4 squaring to +1 and anticommuting, and rank 32 for
+    # {e1..e4, omega}. The Karoubi witness for Cl(4,0) (x) Cl(0,1) carries the same
+    # facts, with e1234 (x) f as the fifth image and f as omega's image
+    rep = karoubi_check((4, 0), (0, 1))
+    assert (rep.construction, rep.target_sig, rep.squares, rep.rank, rep.certified) == (
+        "positive", (4, 1), [1, 1, 1, 1, -1], 32, True)
+    assert [img.terms for img in rep.images] == [{1 << g: 1} for g in range(4)] + [{0b11111: 1}]
+    sig = Signature(4, 1)
+    old = naive_matrix_link_facts([MV.generator(sig, i) for i in range(1, 6)], MV.scalar(sig, 1))
+    new = naive_matrix_link_facts(rep.images, rep.images[0].sig.scalar(1))
+    assert old == new == {"omega_sq": True, "omega_central": True, "plus_squares": True,
+                          "anticommute": True, "rank": 32}
+    link = spin24_chain().links[1]
+    assert (link.name, link.certified, link.rank) == ("matrix_realization", True, rep.rank)
+
+
+def test_chain_link_needs_its_target(monkeypatch):
+    # a certified witness for the wrong algebra does not certify its link
+    real = tensoriso.karoubi_check
+    monkeypatch.setattr(tensoriso, "karoubi_check",
+                        lambda a, b: real(a, b)._replace(target_sig=(5, 0)))
+    report = spin24_chain()
+    assert [link.certified for link in report.links] == [True, False, True, False]
+    assert [link.rank for link in report.links] == [32, 32, 16, 16]
+    assert report.ok is False
+
+
+def test_certificate_builders_form_no_mv_product(monkeypatch):
+    # every image, phi and psi is named off blade masks, so with the product
+    # kernel refusing, every builder and the whole chain still certify
+    from cl8 import algebra
+
+    def no_product(*args):
+        raise AssertionError("a certificate formed an MV product")
+
+    monkeypatch.setattr(algebra, "_product_terms", no_product)
+    reps = [graded_tensor_check(a, b) for a in FACTOR_SIGS for b in FACTOR_SIGS]
+    reps += [karoubi_check((1, 1), (0, 2)), karoubi_check((4, 0), (0, 1)), complex_tensor_check(3)]
+    reps += [even_iso_check(p, n - p) for n in range(1, 9) for p in range(n + 1)]
+    assert all(rep.certified for rep in reps)
+    assert all(phi_psi_factorization(t, b).passed for t, b in _phi_psi_inputs(8))
+    form = BlockForm(1, 2)
+    assert form.phi.terms == {0b0111: 1} and form.psi.terms == {0b1011: 1}
+    report = spin24_chain()
+    assert report.ok and all(link.certified for link in report.links)
 
 
 # SHA-256 of the witness set below, one line per witness:
