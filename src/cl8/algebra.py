@@ -24,12 +24,14 @@ each coefficient to the signature's type (Fraction, or GaussianRational when
 complexified), reject inexact ones and drop zeros; `GaussianRational` takes int or
 Fraction parts. The module's own results (sums, negation, products, grade parts,
 involutions, Q(i) arithmetic) are built by the trusted `MV._made` and `_gaussian`,
-which store clean parts as they are; only `BlockForm.matrix_of` calls them outside.
+which store clean parts as they are; only `BlockForm.matrix_of` calls them outside,
+and the block samples call neither: they stay in int terms.
 
 The same rule, as `anticommute_mask` and `blades_anticommute`, decides every
 relation between blades in `cl8.classify` and `cl8.tensoriso`, and the center in
-`central_split`. `square_sign` squares images that carry i, and reads a one-blade
-square c^2 Q(m) off its mask; `pairwise_anticommute` is the `MV`-product oracle.
+`central_split`. `square_sign` reads a one-blade square c^2 Q(m) off its mask, and
+Q(m) alone for c = +-1 against the unit scalar; `pairwise_anticommute` is the
+`MV`-product oracle.
 """
 
 from __future__ import annotations
@@ -124,6 +126,8 @@ class GaussianRational:
         return _gaussian(self.re, -self.im)
 
     def __eq__(self, other):
+        if type(other) is int:  # the unit and zero tests, with no coercion
+            return self.re == other and self.im == 0
         w = self._coerce(other)
         if w is None:
             return NotImplemented
@@ -482,14 +486,18 @@ def square_sign(x: MV, one: MV) -> int:
     """+1 or -1 when x^2 = +-one (1 for a generator image), else 0.
 
     A one-blade x = c e_m squares to c^2 Q(m), Q(m) = blade_product(m, m)'s sign,
-    so its square is read off the mask with no product."""
+    so its square is read off the mask with no product; for c = +-1 against the unit
+    scalar, as for every witness image of +-1 times a blade, it is Q(m) itself."""
     if len(x.terms) != 1:
         sq = x * x
         return 1 if sq == one else -1 if sq == -one else 0
     if x.sig != one.sig:
         return 0
     (m, c), = x.terms.items()
-    sq = c * c if blade_product(m, m, x.sig)[0] > 0 else -(c * c)
+    q = blade_product(m, m, x.sig)[0]
+    if (c == 1 or c == -1) and one.terms == {0: 1}:
+        return q
+    sq = c * c if q > 0 else -(c * c)
     return 1 if one.terms == {0: sq} else -1 if one.terms == {0: -sq} else 0
 
 

@@ -15,7 +15,9 @@ A witness squares its images with `algebra.square_sign`, which reads a one-blade
 square off its mask with no product, and, once the rank is full (every image is
 then one blade), reads their anticommutation off `algebra.blades_anticommute`.
 The even images, phi and psi are +-1 times one blade named off masks by
-`algebra.blade_product`; the only `MV` products here are the block samples.
+`algebra.blade_product`, and nothing here forms an `MV` product: the block
+samples multiply int term dicts with `algebra._product_terms`, the complexified
+base written as Cl(p, q-1) (x) Cl(0, 1).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .algebra import (
     GaussianRational,
     Signature,
     _gaussian,
+    _product_terms,
     _sign_flips,
     anticommute_mask,
     blade_product,
@@ -351,7 +354,10 @@ class BlockForm:
     phi and psi come from phi_psi_factorization: the two top blades through the
     added generators. The quaternion-case matrices [[0,-1],[1,0]] and [[0,i],[i,0]]
     turn the four-component split into block entries A0 -+ i A3 and -+A1 + i A2,
-    which `matrix_of` reads off the blade masks of x in one pass, with no MV product.
+    which `_entries` reads off the blade masks of x in one pass, with no product, as
+    term dicts over `_plane` = Cl(p, q-1) (x) Cl(0, 1): i is a generator of its own at
+    bit m2, so the real part of a coefficient on base blade b sits on mask b and the
+    imaginary part on b | i. `matrix_of` folds each pair into one Q(i) coefficient.
     """
 
     # part k of x (two top mask bits) times factor blade 1, phi, psi or phi psi, negated
@@ -369,6 +375,7 @@ class BlockForm:
         self.m2 = p + q - 1  # number of base generators, always even here
         self.target = Signature(p, q + 1)
         self.base = Signature(p, q - 1, complexified=True)
+        self._plane = ProductAlgebra((Signature(p, q - 1), Signature(0, 1)))  # i = e_(m2+1)
         if split.case != "quaternion":
             raise ValueError("wrong factorization case: phi and psi must square to -1")
         self.phi, self.psi = split.phi, split.psi
@@ -378,41 +385,55 @@ class BlockForm:
         self._factors = [(f, _sign_flips(f, self.target), odd)
                          for f, odd in ((0, 0), (phi, 1), (psi, 1), (both, sign > 0))]
 
-    def matrix_of(self, x: MV) -> list:
-        if x.sig != self.target:
-            raise ValueError("element is not in the target algebra")
-        zero = Fraction(0)
-        entries = ({}, {}, {}, {})  # base mask -> [re, im]; x's terms are nonzero, so are they
-        for mask, c in x.terms.items():
+    def _entries(self, terms: dict) -> tuple:
+        """The four entries, row-major, of the element with these terms; each term
+        lands on its own two slots, so nonzero terms give nonzero entries."""
+        entries = ({}, {}, {}, {})
+        for mask, c in terms.items():
             k = mask >> self.m2
             f, flips, odd = self._factors[k]
             if ((mask & flips).bit_count() ^ odd) & 1:
                 c = -c
             for e, part, sign in self._PLACEMENT[k]:
-                pair = entries[e].setdefault(mask ^ f, [zero, zero])
-                pair[part] = c if sign > 0 else -c
-        made = MV.zero(self.base)._made
-        m = [made({b: _gaussian(re, im) for b, (re, im) in e.items()}) for e in entries]
+                entries[e][(mask ^ f) | part << self.m2] = c if sign > 0 else -c
+        return entries
+
+    def matrix_of(self, x: MV) -> list:
+        if x.sig != self.target:
+            raise ValueError("element is not in the target algebra")
+        zero, i = Fraction(0), 1 << self.m2
+        made = MV.zero(self.base)._made  # base blade b & ~i: re on it, im on b | i
+        m = [made({b & ~i: _gaussian(e.get(b & ~i, zero), e.get(b | i, zero)) for b in e})
+             for e in self._entries(x.terms)]
         return [m[:2], m[2:]]
 
     def sample_homomorphism(self, samples: int = 100, seed: int = 0) -> dict:
+        """M(xy) = M(x) M(y) on random int elements x, y, both sides in int terms."""
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
         rng = random.Random(seed)
-        n = self.target.n
+        n, target, plane = self.target.n, self.target, self._plane
         failures = 0
         for _ in range(samples):
             x = self._random_element(rng, n)
             y = self._random_element(rng, n)
-            left = self.matrix_of(x * y)
-            right = _matmul2(self.matrix_of(x), self.matrix_of(y))
+            left = list(self._entries(_product_terms(x, y, target)))
+            a, b = self._entries(x), self._entries(y)
+            right = []
+            for i, j in ((0, 0), (0, 1), (2, 0), (2, 1)):
+                out = _product_terms(a[i], b[j], plane)
+                for mask, c in _product_terms(a[i + 1], b[j + 2], plane).items():
+                    c += out.pop(mask, 0)
+                    if c:
+                        out[mask] = c
+                right.append(out)
             if left != right:
                 failures += 1
         return {"passed": failures == 0, "checked": samples, "failures": failures}
 
-    def _random_element(self, rng, n) -> MV:
-        """2 to 5 random blades with coefficients in -3..3, summed as MV addition
-        would: a mask keeps its place while its sum is nonzero and leaves at zero."""
+    def _random_element(self, rng, n) -> dict:
+        """The terms of 2 to 5 random blades with coefficients in -3..3, summed as MV
+        addition would: a mask keeps its place while its sum is nonzero, leaves at zero."""
         terms = {}
         for _ in range(rng.randint(2, 5)):
             mask = rng.randrange(1 << n)
@@ -421,11 +442,7 @@ class BlockForm:
                 terms[mask] = c
             else:
                 terms.pop(mask, None)
-        return MV(self.target, terms)
-
-
-def _matmul2(a, b):
-    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+        return terms
 
 
 def block_matrix_form(p: int, q: int) -> BlockForm:

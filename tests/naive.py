@@ -10,9 +10,12 @@ stands in for the GF(2) rank that cl8.tensoriso reads off blade masks,
 the central-split products, which stand in for the Q and beta test of
 central_split and the support test that places f in a component, and the
 generator products behind phi, psi, the even images and the chain's matrix
-link, which stand in for the blades cl8.tensoriso names by blade_product.
+link, which stand in for the blades cl8.tensoriso names by blade_product,
+and the block samples, which multiply the block form's MV matrices over Q(i)
+where cl8.tensoriso multiplies int entries with the product kernel.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -433,3 +436,29 @@ def naive_block_matrix(x, p, q):
 
     return [[entry(a[0], 1, a[3], -1), entry(a[1], -1, a[2], 1)],
             [entry(a[1], 1, a[2], 1), entry(a[0], 1, a[3], 1)]]
+
+
+def naive_block_sample(form, samples, seed):
+    """form.sample_homomorphism the MV way: draw x and y as sums of 2 to 5 random
+    blades with coefficients in -3..3, then compare form.matrix_of(x * y) with the
+    2x2 product of form.matrix_of(x) and form.matrix_of(y), taken with Q(i) MV
+    products."""
+    rng = random.Random(seed)
+    n = form.target.n
+
+    def draw():
+        x = MV.zero(form.target)
+        for _ in range(rng.randint(2, 5)):
+            mask = rng.randrange(1 << n)
+            x = x + MV.blade(form.target, mask, rng.randint(-3, 3))
+        return x
+
+    failures = 0
+    for _ in range(samples):
+        x = draw()
+        y = draw()
+        a, b = form.matrix_of(x), form.matrix_of(y)
+        right = [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+        if form.matrix_of(x * y) != right:
+            failures += 1
+    return {"passed": failures == 0, "checked": samples, "failures": failures}

@@ -383,6 +383,21 @@ def test_gaussian_rational_equality_and_hash_are_unchanged():
     assert len({z, z + 0, z * 1, GaussianRational(Fraction(1, 2), Fraction(3, 4))}) == 1
 
 
+def test_gaussian_rational_equals_an_int_as_its_coercion(monkeypatch):
+    parts = (-1, 0, 1, 2, Fraction(1, 2))
+    zs = [GaussianRational(re, im) for re in parts for im in parts]
+    ints = range(-2, 3)
+    want = [[z == GaussianRational(k) for k in ints] for z in zs]
+    assert sum(map(sum, want)) == 4 and [z == True for z in zs] == [r[3] for r in want]
+
+    def no_coerce(other):
+        raise AssertionError("an int was coerced")
+
+    monkeypatch.setattr(GaussianRational, "_coerce", staticmethod(no_coerce))
+    assert [[z == k for k in ints] for z in zs] == want
+    assert [[z != k for k in ints] for z in zs] == [[not v for v in r] for r in want]
+
+
 def test_gaussian_rational_stays_immutable():
     for z in (GaussianRational(1, 2), GaussianRational(1, 2) * GaussianRational(0, 1)):
         with pytest.raises(AttributeError):
@@ -663,7 +678,7 @@ def _square_sign_cases():
             yield pytest.param(sig, (1, -1, 2, Fraction(1, 2)), ones, id=f"Cl({p},{n - p})")
             if n <= 4:
                 csig = Signature(p, n - p, True)
-                yield pytest.param(csig, (1, -1, i, -i), [
+                yield pytest.param(csig, (1, -1, i, -i, 2, Fraction(1, 2)), [
                     MV.scalar(csig, 1), MV.scalar(csig, -1), MV.scalar(sig, 1)],
                     id=f"C-Cl({p},{n - p})")
     for factors in (((1, 1), (0, 2)), ((2, 1), (1, 1)), ((2, 0, True), (2, 0, True))):
@@ -671,7 +686,8 @@ def _square_sign_cases():
         for graded in (False, True):
             pa = ProductAlgebra(sigs, graded)
             other = ProductAlgebra(sigs, not graded)
-            yield pytest.param(pa, (1, -1, i, -i) if pa.complexified else (1, -1, 3), [
+            coeffs = (1, -1, 2, Fraction(1, 2)) + ((i, -i) if pa.complexified else (3,))
+            yield pytest.param(pa, coeffs, [
                 pa.scalar(1), pa.scalar(-1), MV.scalar(pa, 1), other.scalar(1)],
                 id=f"{'graded' if graded else 'plain'}{factors}")
     for p, q in ((0, 2), (2, 2), (1, 3), (3, 1), (0, 5)):
@@ -696,3 +712,31 @@ def test_one_blade_square_sign_matches_the_product(sig, coeffs, ones, monkeypatc
 
     monkeypatch.setattr(algebra, "_product_terms", no_product)
     assert [[square_sign(x, one) for one in ones] for x in xs] == want
+
+
+def test_unit_blade_square_is_read_without_a_coefficient_product(monkeypatch):
+    # +-e_m against the unit scalar squares to Q(m) and i e_m to -Q(m); the
+    # first is decided with no coefficient product at all
+    i = GaussianRational(0, 1)
+    units, imaginary = [], []
+    for sig in (Signature(2, 3), Signature(2, 3, True),
+                ProductAlgebra((Signature(1, 1), Signature(0, 2, True))),
+                ProductAlgebra((Signature(1, 1), Signature(2, 0)), graded=True)):
+        cls = TensorMV if isinstance(sig, ProductAlgebra) else MV
+        one = cls(sig, {0: 1})
+        for m in range(1 << sig.n):
+            q = blade_product(m, m, sig)[0]
+            units += [(cls(sig, {m: c}), one, q) for c in (1, -1)]
+            if sig.complexified:
+                imaginary.append((cls(sig, {m: i}), one, -q))
+    cases = units + imaginary
+    assert {q for *_, q in cases} == {1, -1} and len(imaginary) == 32 + 16
+    assert [_square_sign_by_product(x, one) for x, one, _ in cases] == [q for *_, q in cases]
+    assert [square_sign(x, one) for x, one, _ in imaginary] == [q for *_, q in imaginary]
+
+    def no_mul(*args):
+        raise AssertionError("a unit coefficient was squared")
+
+    monkeypatch.setattr(Fraction, "__mul__", no_mul)
+    monkeypatch.setattr(GaussianRational, "__mul__", no_mul)
+    assert [square_sign(x, one) for x, one, _ in units] == [q for *_, q in units]

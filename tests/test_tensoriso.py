@@ -30,6 +30,7 @@ from cl8.tensoriso import (
 from naive import (
     indices_of,
     naive_block_matrix,
+    naive_block_sample,
     naive_even_images,
     naive_matrix_link_facts,
     naive_phi_psi,
@@ -464,8 +465,9 @@ def test_block_matrix_homomorphism_sampling():
 
 # SHA-256 of the (mask, coefficient) lists, in term order, of the elements the
 # block samples draw: BlockForm(p, q)._random_element for x then y of each of 100
-# samples, seeds 0-3. Recorded when each element was built as a chain of MV sums;
-# any change to which samples `cl8 verify block` and the benchmark check changes it.
+# samples, seeds 0-3. Recorded when each element was built as a chain of MV sums
+# (it now draws the int term dict those sums held); any change to which samples
+# `cl8 verify block` and the benchmark check changes it.
 BLOCK_SAMPLE_DIGEST = "c7198aeb9b256a535f2a25751404b4c1aedffeef0d3fa5d37162c44ea9f599d4"
 
 
@@ -477,7 +479,7 @@ def test_block_sample_stream_is_frozen():
             rng = random.Random(seed)
             for _ in range(2 * 100):
                 x = form._random_element(rng, form.target.n)
-                h.update(repr([(m, str(c)) for m, c in x.terms.items()]).encode() + b"\n")
+                h.update(repr([(m, str(c)) for m, c in x.items()]).encode() + b"\n")
     assert h.hexdigest() == BLOCK_SAMPLE_DIGEST
 
 
@@ -492,8 +494,22 @@ def test_block_sampler_refuses_no_samples(monkeypatch, samples):
 
     form = BlockForm(1, 2)
     monkeypatch.setattr(algebra, "_product_terms", no_product)
+    monkeypatch.setattr(tensoriso, "_product_terms", no_product)
     with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
         form.sample_homomorphism(samples=samples)
+
+
+def test_block_sampler_forms_no_mv_product_or_gaussian(monkeypatch):
+    # the samples run on int term dicts with the product kernel alone
+    def refuse(*args):
+        raise AssertionError("the sampler left the int kernel")
+
+    form = BlockForm(1, 2)
+    monkeypatch.setattr(MV, "__mul__", refuse)
+    monkeypatch.setattr(tensoriso, "_gaussian", refuse)
+    assert form.sample_homomorphism(25) == {"passed": True, "checked": 25, "failures": 0}
+    with pytest.raises(AssertionError, match="left the int kernel"):
+        form.matrix_of(form.phi)
 
 
 def test_block_matrix_other_signature():
@@ -580,6 +596,26 @@ def test_block_sampling_catches_one_flipped_sign(k, j):
         assert report["checked"] == 25
         assert report["failures"] > 0 and report["passed"] is False
         assert block_matrix_form(p, q).sample_homomorphism(samples=25, seed=11)["passed"] is True
+
+
+@pytest.mark.parametrize("p,q", QUATERNION_FORMS)
+def test_block_sampler_matches_the_mv_oracle(p, q):
+    # the int-kernel samples give the dict the Q(i) MV products give, for the
+    # form and for every placement with one flipped sign, so a miscounted
+    # failure shows
+    forms = [BlockForm(p, q)]
+    for k in range(4):
+        for j in range(2):
+            class Flipped(BlockForm):
+                _PLACEMENT = _flip_one(BlockForm._PLACEMENT, k, j)
+            forms.append(Flipped(p, q))
+    failures = set()
+    for form in forms:
+        for seed in (0, 3, 11):
+            got = form.sample_homomorphism(samples=20, seed=seed)
+            assert got == naive_block_sample(form, 20, seed), (type(form), seed)
+            failures.add(got["failures"])
+    assert 0 in failures and len(failures) > 2
 
 
 @pytest.mark.parametrize("build,args", [
@@ -678,6 +714,7 @@ def test_certificate_builders_form_no_mv_product(monkeypatch):
         raise AssertionError("a certificate formed an MV product")
 
     monkeypatch.setattr(algebra, "_product_terms", no_product)
+    monkeypatch.setattr(tensoriso, "_product_terms", no_product)
     reps = [graded_tensor_check(a, b) for a in FACTOR_SIGS for b in FACTOR_SIGS]
     reps += [karoubi_check((1, 1), (0, 2)), karoubi_check((4, 0), (0, 1)), complex_tensor_check(3)]
     reps += [even_iso_check(p, n - p) for n in range(1, 9) for p in range(n + 1)]
