@@ -295,7 +295,3 @@ def block_json(block: RepBlock) -> str:
     ]
     return json.dumps({"order": block.order, "bound": block.bound, "nodes": nodes},
                       sort_keys=True)
-
-
-def walk_text(walk: list) -> str:
-    return " -> ".join(label_token(e) for e in walk)

@@ -11,10 +11,9 @@ importing this module (as `cl8 verify` does for the names in SUITES) loads
 no library code: `classification` and `radon` load `classify`; `theorem3`
 and `cycles` load `periodicity`; `chevalley`, `karoubi`, `even`, `phipsi`,
 `block` and `chain24` load `tensoriso`; `reps` loads `reps` and
-`classify`. A function-local import looks its names up at call time, so
-a rebound library function (traced or stubbed) takes effect here too. The
-numeric suite is the only float code here; it imports `pauli`, and with it
-numpy.
+`classify`; `numeric` loads `pauli`. A function-local import looks its
+names up at call time, so a rebound library function (traced or stubbed)
+takes effect here too.
 """
 
 from __future__ import annotations
@@ -243,10 +242,10 @@ def numeric_suite(seed: int = 0) -> dict:
     checks = []
     cover = pauli.sl2c_double_cover_check(samples=100, seed=seed)
     checks.append((cover["passed"],
-                   f"double cover on 100 samples, max drift {cover['max_norm_drift']:.3e}"))
+                   f"double cover on 100 SL(2,Z[i]) samples, max drift {cover['max_norm_drift']}"))
     max_null, max_round = pauli._null_and_bloch_defects(seed + 1, 200)
-    checks.append((max_null < 1e-9, f"null outer products, max |S^2| = {max_null:.3e}"))
-    checks.append((max_round < 1e-12, f"Bloch round trips, max defect {max_round:.3e}"))
+    checks.append((max_null == 0, f"null outer products on 200 samples, max defect {max_null}"))
+    checks.append((max_round == 0, f"Bloch round trips on 200 samples, max defect {max_round}"))
     return _suite("numeric_layer", checks)
 
 

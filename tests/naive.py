@@ -12,12 +12,17 @@ central_split and the support test that places f in a component, and the
 generator products behind phi, psi, the even images and the chain's matrix
 link, which stand in for the blades cl8.tensoriso names by blade_product,
 and the block samples, which multiply the block form's MV matrices over Q(i)
-where cl8.tensoriso multiplies int entries with the product kernel.
+where cl8.tensoriso multiplies int entries with the product kernel. The
+numeric layer's oracle is numpy: it recomputes cl8.pauli's exact Z[i]
+samples in float64, as the numeric layer did before it was exact, and keeps
+the old numpy twistor formulas.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+
+import numpy as np
 
 from cl8.algebra import MV
 from cl8.linalg import SpanBasis, rank_of
@@ -462,3 +467,85 @@ def naive_block_sample(form, samples, seed):
         if form.matrix_of(x * y) != right:
             failures += 1
     return {"passed": failures == 0, "checked": samples, "failures": failures}
+
+
+# --- the numeric layer in numpy float64 -------------------------------------
+
+NP_SIGMA = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                    dtype=complex)
+
+
+def np_matrix(m):
+    """A flat 2x2 matrix over Z[i], (m00, m01, m10, m11) of (re, im) pairs, in complex128."""
+    return np.array([complex(*z) for z in m]).reshape(2, 2)
+
+
+def _np_gap(u, v, scale):
+    return float(np.max(np.abs(np.asarray(u) - np.asarray(v)))) / scale
+
+
+def _np_size(m):
+    return 1.0 + float(np.max(np.abs(m)))
+
+
+def np_cover(a, b, X):
+    """(a X a^H, largest relative defect) of the double-cover identities on one
+    exact sample, in float64: det a = det b = 1, det(aXa^H) = det X, aXa^H
+    Hermitian, (-a)X(-a)^H = aXa^H and a(bXb^H)a^H = (ab)X(ab)^H. Each defect
+    is scaled by the size of what it compares (squared for a determinant)."""
+    a, b, X = (np_matrix(m) for m in (a, b, X))
+
+    def act(g, Z):
+        return g @ Z @ g.conj().T
+
+    Y = act(a, X)
+    composed, direct = act(a, act(b, X)), act(a @ b, X)
+    defect = max(_np_gap(np.linalg.det(a), 1, _np_size(a) ** 2),
+                 _np_gap(np.linalg.det(b), 1, _np_size(b) ** 2),
+                 _np_gap(np.linalg.det(Y), np.linalg.det(X), _np_size(Y) ** 2),
+                 _np_gap(Y, Y.conj().T, _np_size(Y)),
+                 _np_gap(act(-a, X), Y, _np_size(Y)),
+                 _np_gap(composed, direct, max(_np_size(composed), _np_size(direct))))
+    return Y, defect
+
+
+def np_null_defect(xi):
+    """The old float check on one Gaussian-integer xi: the four-vector of
+    sqrt(2) outer(conj xi, xi) is real and null, relative to its size."""
+    xi = np.array([complex(*z) for z in xi])
+    S = np.sqrt(2.0) * np.outer(xi.conj(), xi)
+    x = np.array([(S[0, 0] + S[1, 1]) / 2, (S[0, 1] + S[1, 0]) / 2,
+                  (S[1, 0] - S[0, 1]) / 2j, (S[0, 0] - S[1, 1]) / 2])
+    r = x.real
+    return max(float(np.max(np.abs(x.imag))) / _np_size(x),
+               abs(r[0] ** 2 - r[1] ** 2 - r[2] ** 2 - r[3] ** 2) / _np_size(x) ** 2)
+
+
+def np_bloch(psi):
+    """(n P, largest defect) for the normalised state of a Gaussian-integer psi
+    in float64: P = tr(rho sigma), rho = (I + P.sigma)/2, tr rho^2 = 1 and |P| = 1."""
+    v = np.array([complex(*z) for z in psi])
+    n = float(np.vdot(v, v).real)
+    rho = np.outer(v, v.conj()) / n
+    P = np.array([np.trace(rho @ NP_SIGMA[j]).real for j in (1, 2, 3)])
+    back = (NP_SIGMA[0] + np.tensordot(P, NP_SIGMA[1:], axes=1)) / 2
+    defect = max(float(np.max(np.abs(back - rho))), abs(np.trace(rho @ rho).real - 1),
+                 abs(float(P @ P) - 1))
+    return n * P, defect
+
+
+def np_twistor_incidence(x, pi):
+    """omega = (i/sqrt(2)) K(x) pi, both off-diagonals of K carrying +i x2."""
+    x = np.asarray(x, dtype=float)
+    pi = np.asarray(pi, dtype=complex)
+    kernel = np.array([
+        [x[0] + x[3], x[1] + 1j * x[2]],
+        [x[1] + 1j * x[2], x[0] - x[3]],
+    ])
+    return (1j / np.sqrt(2.0)) * kernel @ pi
+
+
+def np_twistor_norm(omega, pi):
+    omega = np.asarray(omega, dtype=complex)
+    pi = np.asarray(pi, dtype=complex)
+    return float((omega @ pi.conj() + omega.conj() @ pi).real)

@@ -5,6 +5,7 @@ own PASS line on success and the assert message pinpoints any failure.
 """
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import numpy as np
 from cl8.algebra import MV
 from cl8.classify import algebra_type, division_ring_of, primitive_idempotent, radon_hurwitz
 from cl8.pauli import (
+    _null_and_bloch_defects,
     bloch_vector,
     density_from_bloch,
     herm_to_vector,
@@ -21,6 +23,7 @@ from cl8.pauli import (
     qubit_density,
     random_sl2,
     sl2c_act,
+    sl2c_double_cover_check,
     spinor_outer,
     vector_to_herm,
 )
@@ -187,33 +190,37 @@ def test_criterion_10_quotients():
 
 def test_criterion_11_numeric_layer():
     t0 = time.monotonic()
-    rng = np.random.default_rng(2024)
+    rng = random.Random(2024)
     max_det_drift = 0.0
     for _ in range(1000):
         a = random_sl2(rng)
-        x = rng.normal(size=4)
+        x = [rng.gauss(0, 1) for _ in range(4)]
         X = vector_to_herm(x)
         Y = sl2c_act(a, X)
-        drift = abs(np.linalg.det(Y).real - np.linalg.det(X).real)
-        assert drift <= 1e-9 * (1 + abs(np.linalg.det(X).real))
+        drift = abs(np.linalg.det(np.array(Y)).real - np.linalg.det(np.array(X)).real)
+        assert drift <= 1e-9 * (1 + abs(np.linalg.det(np.array(X)).real))
         max_det_drift = max(max_det_drift, drift)
-        np.testing.assert_allclose(sl2c_act(-a, X), Y, atol=1e-12)
+        minus_a = tuple(tuple(-v for v in row) for row in a)
+        np.testing.assert_allclose(sl2c_act(minus_a, X), Y, atol=1e-12)
     for _ in range(1000):
-        xi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        x = spinor_outer(xi, xi.conj())
-        norm2 = float(np.dot(x.real, x.real))
-        assert abs(lorentz_norm(x.real)) <= 1e-12 * max(norm2, 1.0)
+        xi = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)]
+        x = [v.real for v in spinor_outer(xi, [z.conjugate() for z in xi])]
+        norm2 = float(np.dot(x, x))
+        assert abs(lorentz_norm(x)) <= 1e-12 * max(norm2, 1.0)
     for _ in range(1000):
-        v = rng.normal(size=4)
-        a0, b0 = complex(v[0], v[1]), complex(v[2], v[3])
-        s = np.sqrt(abs(a0) ** 2 + abs(b0) ** 2)
+        a0, b0 = complex(rng.gauss(0, 1), rng.gauss(0, 1)), complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        s = math.sqrt(abs(a0) ** 2 + abs(b0) ** 2)
         rho = qubit_density(a0 / s, b0 / s)
         P = bloch_vector(rho)
-        assert np.max(np.abs(density_from_bloch(P) - rho)) <= 1e-12
+        assert np.max(np.abs(np.subtract(density_from_bloch(P), rho))) <= 1e-12
         assert abs(purity(rho) - (1 + np.dot(P, P)) / 2) <= 1e-12
+    # the exact checks behind the numeric suite, on 1000 Z[i] samples each
+    assert sl2c_double_cover_check(samples=1000, seed=2024)["max_norm_drift"] == 0
+    assert _null_and_bloch_defects(2024, 1000) == (0, 0)
     elapsed = time.monotonic() - t0
     assert elapsed <= 5.0, f"numeric suite took {elapsed:.1f}s"
-    report(11, f"det invariance, sign equivalence, null outer, Bloch round trip x1000 ({elapsed:.2f}s)")
+    report(11, f"det invariance, sign equivalence, null outer, Bloch round trip x1000, "
+               f"float and exact ({elapsed:.2f}s)")
 
 
 def test_criterion_12_determinism():

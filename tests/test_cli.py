@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from cl8 import cli
 from cl8.classify import MAX_CLASSIFY_N, algebra_type
 from cl8.cli import MAX_SWEEP_CELLS, build_parser, check_sweep, main
 from cl8.periodicity import clock_json, clock_text
@@ -191,7 +192,7 @@ def test_spinor_subcommand(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["passed"] is True
-    assert data["max_null_defect"] <= 1e-12
+    assert data["max_null_defect"] == 0 and data["max_imag"] == 0
 
 
 def test_twistor_explicit_point(capsys):
@@ -275,13 +276,26 @@ def test_config_ignores_keys_the_command_lacks(tmp_path, capsys, argv, line):
     (["cycle"], "r", "2", "1"),
     (["clock"], "format", "json", "text"),
 ])
-def test_config_value_applies_and_a_flag_beats_it(tmp_path, capsys, argv, key, in_file, in_flag):
+def test_config_value_applies_and_a_flag_beats_it(tmp_path, capsys, monkeypatch,
+                                                  argv, key, in_file, in_flag):
+    # record the value each command ran with: the exact sampled checks print
+    # the same zero defects for every seed, so for --seed only this shows it
+    ran_with = []
+    real_run = cli.run
+
+    def recording(args, produce):
+        code = real_run(args, produce)
+        ran_with.append(str(getattr(args, key)))
+        return code
+
+    monkeypatch.setattr(cli, "run", recording)
     cfg = write_config(tmp_path, f"{key}={in_file}\n")
     from_file = run(capsys, [*argv, "--config", cfg])
     assert from_file == run(capsys, [*argv, f"--{key}", in_file])
     both = run(capsys, [*argv, "--config", cfg, f"--{key}", in_flag])
     assert both == run(capsys, [*argv, f"--{key}", in_flag])
-    assert both != from_file
+    assert ran_with == [in_file, in_file, in_flag, in_flag]
+    assert both != from_file or key == "seed"
 
 
 def test_config_output_applies_and_the_flag_beats_it(tmp_path, capsys):
@@ -438,35 +452,40 @@ def cl8_subprocess(*args, timeout=60):
 
 
 def test_exact_modules_import_without_numpy():
-    res = cl8_subprocess("-c", "import sys, cl8.cli, cl8.suites; "
+    res = cl8_subprocess("-c", "import sys, cl8.cli, cl8.suites, cl8.pauli; "
                                "print(sorted(m for m in sys.modules if m.startswith('numpy')))")
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv, loads_numpy", [
-    (["classify", "1", "3"], False),
-    (["verify", "cycles"], False),
-    (["qubit", "--samples", "1"], True),
+@pytest.mark.parametrize("argv", [
+    ["classify", "1", "3"],
+    ["verify", "cycles"],
+    ["qubit", "--samples", "1"],
+    ["spinor", "--samples", "1"],
+    ["twistor"],
+    ["verify", "numeric"],
+    ["verify", "all"],
 ])
-def test_only_float_commands_load_numpy(argv, loads_numpy):
+def test_no_command_loads_numpy(argv):
     res = cl8_subprocess("-X", "importtime", "-m", "cl8.cli", *argv)
     assert res.returncode == 0, res.stderr
     loaded = {l.split("|")[-1].strip() for l in res.stderr.splitlines()
               if l.startswith("import time:")}
-    assert ("numpy" in loaded) is loads_numpy
+    assert "numpy" not in loaded
     # each command loads only the library module it runs, and the records
-    # need no dataclasses; inspect comes only with numpy, which imports it
+    # need no dataclasses or inspect
     assert "dataclasses" not in loaded
-    assert ("inspect" in loaded) is loads_numpy
-    unused = {"classify": {"cl8.tensoriso", "cl8.reps", "cl8.periodicity"},
-              "verify": {"cl8.tensoriso"}}.get(argv[0], set())
+    assert "inspect" not in loaded
+    unused = {("classify", "1", "3"): {"cl8.tensoriso", "cl8.reps", "cl8.periodicity"},
+              ("verify", "cycles"): {"cl8.tensoriso"}}.get(tuple(argv), set())
     assert not unused & loaded
 
 
 # SHA-256 of the stdout of the commands below, in order, each followed by its
-# exit code. Recorded while numpy was still imported by every command; the
-# float commands and the reports must keep their bytes when it is not.
+# exit code. Recorded when the sampled checks became exact: their defects
+# print as ints, and of the reports only the [numeric_layer] lines changed;
+# twistor kept its bytes.
 FLOAT_AND_REPORT_ARGVS = [
     [cmd, *extra, "--seed", seed, "--format", fmt]
     for seed in ("0", "7") for fmt in ("text", "json")
@@ -476,7 +495,7 @@ FLOAT_AND_REPORT_ARGVS = [
     for point in ([], ["--x=1.5,-0.25,0.75,2", "--pi=0.3,-0.1,0.5,0.9"])
     for fmt in ("text", "json")
 ]
-FLOAT_AND_REPORT_DIGEST = "a063e8c835fe62d47550e43c70c0fecacd519aa697a1859758a8460f796147b3"
+FLOAT_AND_REPORT_DIGEST = "37ac5da4193a7b0fbc24cd80cf218f641125c6354d83183a95d2ee718d1e6f8a"
 
 
 def test_float_commands_and_reports_are_frozen(capsys):
@@ -489,14 +508,14 @@ def test_float_commands_and_reports_are_frozen(capsys):
 
 
 # SHA-256 of every command's stdout with no optional flag (and the classify
-# sweep in csv and json), each followed by its exit code. Recorded while each
-# command still restored its own defaults from None.
+# sweep in csv and json), each followed by its exit code. Re-recorded when
+# spinor and qubit became exact; every other command kept its bytes.
 DEFAULT_ARGVS = [
     ["classify"], ["classify", "--format", "csv"], ["classify", "--format", "json"],
     ["idempotent", "2", "2"], ["chessboard"], ["clock"], ["cycle"], ["verify", "theorem3"],
     ["rep", "1", "2"], ["chain", "0", "3"], ["block"], ["spinor"], ["twistor"], ["qubit"],
 ]
-DEFAULT_DIGEST = "0dab929e0c7a3ef903ce99fc0a8c777ba20130bf91abad36aa4a669ab088dbc1"
+DEFAULT_DIGEST = "ffc51f443de32e821839a4aee2e16201ee2d8071e13b6aa92f737023bd911b91"
 
 
 def test_defaults_are_frozen(capsys):

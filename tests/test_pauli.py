@@ -1,8 +1,12 @@
 """Hermitian-matrix encoding of vectors, spinor outer products, twistors, qubits."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 
+from cl8 import pauli
 from cl8.pauli import (
     MAX_SAMPLES,
     SIGMA,
@@ -24,23 +28,40 @@ from cl8.pauli import (
     vector_to_herm,
 )
 
+from naive import (
+    NP_SIGMA,
+    np_bloch,
+    np_cover,
+    np_matrix,
+    np_null_defect,
+    np_twistor_incidence,
+    np_twistor_norm,
+)
 
-RT2 = np.sqrt(2.0)
+
+RT2 = math.sqrt(2.0)
+
+
+def normals(rng, n):
+    return [rng.gauss(0, 1) for _ in range(n)]
+
+
+def complex_normals(rng, n):
+    return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
 
 
 def test_sigma_matrices():
-    assert SIGMA.shape == (4, 2, 2)
-    np.testing.assert_array_equal(SIGMA[0], np.eye(2))
-    np.testing.assert_array_equal(SIGMA[1], np.array([[0, 1], [1, 0]]))
-    np.testing.assert_array_equal(SIGMA[2], np.array([[0, -1j], [1j, 0]]))
-    np.testing.assert_array_equal(SIGMA[3], np.array([[1, 0], [0, -1]]))
+    assert len(SIGMA) == 4
+    assert all(len(m) == 2 and all(len(row) == 2 for row in m) for m in SIGMA)
+    np.testing.assert_array_equal(np.array(SIGMA), NP_SIGMA)
+    np.testing.assert_array_equal(np.array(SIGMA[0]), np.eye(2))
 
 
 def test_vector_to_herm_layout():
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    X = vector_to_herm(x)
+    x = (1.0, 2.0, 3.0, 4.0)
+    X = np.array(vector_to_herm(x))
     np.testing.assert_allclose(X, np.array([[5.0, 2.0 - 3.0j], [2.0 + 3.0j, -3.0]]))
-    np.testing.assert_allclose(X, sum(x[i] * SIGMA[i] for i in range(4)))
+    np.testing.assert_allclose(X, sum(x[i] * NP_SIGMA[i] for i in range(4)))
     assert abs(np.linalg.det(X).real - lorentz_norm(x)) < 1e-12
 
 
@@ -52,116 +73,160 @@ def test_vector_to_herm_layout():
     ((2, 1, 1, 1), 1.0),
 ])
 def test_lorentz_norm_signature(x, norm):
-    assert abs(lorentz_norm(np.array(x, dtype=float)) - norm) < 1e-12
+    assert abs(lorentz_norm(x) - norm) < 1e-12
 
 
 def test_herm_round_trip():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for _ in range(50):
-        x = rng.normal(size=4)
+        x = normals(rng, 4)
         np.testing.assert_allclose(herm_to_vector(vector_to_herm(x)), x, atol=1e-12)
 
 
 def test_sl2c_act_preserves_norm():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for _ in range(50):
         a = random_sl2(rng)
-        x = rng.normal(size=4)
+        x = normals(rng, 4)
         X2 = sl2c_act(a, vector_to_herm(x))
         y = herm_to_vector(X2)
         assert abs(lorentz_norm(y) - lorentz_norm(x)) < 1e-9
         # the image stays hermitian
-        np.testing.assert_allclose(X2, X2.conj().T, atol=1e-10)
+        np.testing.assert_allclose(np.array(X2), np.array(X2).conj().T, atol=1e-10)
 
 
 def test_sl2c_act_rejects_non_unimodular():
-    a = np.array([[2.0, 0.0], [0.0, 1.0]])
+    a = ((2.0, 0.0), (0.0, 1.0))
     with pytest.raises(ValueError):
-        sl2c_act(a, vector_to_herm(np.array([1.0, 0, 0, 0])))
+        sl2c_act(a, vector_to_herm((1.0, 0, 0, 0)))
 
 
 def test_sl2c_act_identity_and_sign():
-    rng = np.random.default_rng(29)
-    X = vector_to_herm(rng.normal(size=4))
-    np.testing.assert_allclose(sl2c_act(np.eye(2), X), X, atol=1e-14)
-    np.testing.assert_allclose(sl2c_act(-np.eye(2), X), X, atol=1e-14)
+    rng = random.Random(29)
+    X = vector_to_herm(normals(rng, 4))
+    one, minus_one = ((1, 0), (0, 1)), ((-1, 0), (0, -1))
+    np.testing.assert_allclose(sl2c_act(one, X), X, atol=1e-14)
+    np.testing.assert_allclose(sl2c_act(minus_one, X), X, atol=1e-14)
     a = random_sl2(rng)
-    np.testing.assert_allclose(sl2c_act(a, X), sl2c_act(-a, X), atol=1e-12)
-    boost = np.diag([np.exp(0.3), np.exp(-0.3)])
+    minus_a = tuple(tuple(-v for v in row) for row in a)
+    np.testing.assert_allclose(sl2c_act(a, X), sl2c_act(minus_a, X), atol=1e-12)
+    boost = ((math.exp(0.3), 0), (0, math.exp(-0.3)))
     Y = sl2c_act(boost, X)
-    assert abs(np.linalg.det(Y).real - np.linalg.det(X).real) < 1e-12
+    assert abs(np.linalg.det(np.array(Y)).real - np.linalg.det(np.array(X)).real) < 1e-12
+
+
+def test_random_sl2_is_unimodular():
+    rng = random.Random(31)
+    for _ in range(50):
+        a = random_sl2(rng)
+        assert abs(a[0][0] * a[1][1] - a[0][1] * a[1][0] - 1) < 1e-12
 
 
 def test_spinor_outer_frozen_values():
-    xi = np.array([1.0, 0.0], dtype=complex)
-    x = spinor_outer(xi, xi.conj())
-    np.testing.assert_allclose(x, np.array([1 / RT2, 0, 0, 1 / RT2]), atol=1e-12)
-    xi = np.array([0.0, 1.0], dtype=complex)
-    x = spinor_outer(xi, xi.conj())
-    np.testing.assert_allclose(x, np.array([1 / RT2, 0, 0, -1 / RT2]), atol=1e-12)
-    xi = np.array([1.0, 1.0], dtype=complex)
-    x = spinor_outer(xi, xi.conj())
-    np.testing.assert_allclose(x, np.array([RT2, RT2, 0, 0]), atol=1e-12)
+    xi = (1.0, 0.0)
+    np.testing.assert_allclose(spinor_outer(xi, xi), (1 / RT2, 0, 0, 1 / RT2), atol=1e-12)
+    xi = (0.0, 1.0)
+    np.testing.assert_allclose(spinor_outer(xi, xi), (1 / RT2, 0, 0, -1 / RT2), atol=1e-12)
+    xi = (1.0, 1.0)
+    np.testing.assert_allclose(spinor_outer(xi, xi), (RT2, RT2, 0, 0), atol=1e-12)
 
 
 def test_spinor_outer_conjugate_pair_is_real_and_null():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(100):
-        xi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        x = spinor_outer(xi, xi.conj())
-        assert np.max(np.abs(x.imag)) < 1e-12
-        assert abs(lorentz_norm(x.real)) < 1e-9
+        xi = complex_normals(rng, 2)
+        x = spinor_outer(xi, [z.conjugate() for z in xi])
+        assert max(abs(v.imag) for v in x) < 1e-12
+        assert abs(lorentz_norm([v.real for v in x])) < 1e-9
 
 
 def test_spinor_outer_reconstructs_hermitian_matrix():
-    rng = np.random.default_rng(13)
+    rng = random.Random(13)
     for _ in range(20):
-        xi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        xi = np.array(complex_normals(rng, 2))
         x = spinor_outer(xi, xi.conj())
-        X = vector_to_herm(x.real)
+        X = vector_to_herm([v.real for v in x])
         np.testing.assert_allclose(X, RT2 * np.outer(xi.conj(), xi), atol=1e-10)
 
 
 def test_twistor_incidence_frozen():
-    x = np.array([RT2, 0.0, 0.0, 0.0])
-    pi = np.array([1.0 + 2.0j, -0.5j])
+    x = (RT2, 0.0, 0.0, 0.0)
+    pi = (1.0 + 2.0j, -0.5j)
     omega = twistor_incidence(x, pi)
-    np.testing.assert_allclose(omega, 1j * pi, atol=1e-12)
-    x = np.array([0.0, RT2, 0.0, 0.0])
+    np.testing.assert_allclose(omega, [1j * p for p in pi], atol=1e-12)
+    x = (0.0, RT2, 0.0, 0.0)
     omega = twistor_incidence(x, pi)
-    np.testing.assert_allclose(omega, 1j * pi[::-1], atol=1e-12)
+    np.testing.assert_allclose(omega, [1j * p for p in pi[::-1]], atol=1e-12)
 
 
 def test_twistor_incidence_uses_symmetric_off_diagonals():
     # both off-diagonal entries of the incidence kernel carry +i x2
-    x = np.array([0.0, 0.0, RT2, 0.0])
-    pi = np.array([1.0, 0.0], dtype=complex)
-    omega = twistor_incidence(x, pi)
-    np.testing.assert_allclose(omega, np.array([0.0, 1j * 1j * RT2 * 1.0 / RT2]), atol=1e-12)
+    x = (0.0, 0.0, RT2, 0.0)
+    omega = twistor_incidence(x, (1.0, 0.0))
+    np.testing.assert_allclose(omega, (0.0, 1j * 1j * RT2 * 1.0 / RT2), atol=1e-12)
 
 
 def test_incidence_is_bilinear():
-    rng = np.random.default_rng(17)
+    rng = random.Random(17)
     for _ in range(50):
-        x, y = rng.normal(size=4), rng.normal(size=4)
-        p1 = rng.normal(size=2) + 1j * rng.normal(size=2)
-        p2 = rng.normal(size=2) + 1j * rng.normal(size=2)
+        x, y = np.array(normals(rng, 4)), np.array(normals(rng, 4))
+        p1, p2 = np.array(complex_normals(rng, 2)), np.array(complex_normals(rng, 2))
         np.testing.assert_allclose(
             twistor_incidence(x, p1 + p2),
-            twistor_incidence(x, p1) + twistor_incidence(x, p2), atol=1e-12)
+            np.add(twistor_incidence(x, p1), twistor_incidence(x, p2)), atol=1e-12)
         np.testing.assert_allclose(
             twistor_incidence(x + y, p1),
-            twistor_incidence(x, p1) + twistor_incidence(y, p1), atol=1e-12)
-    zero = twistor_incidence(np.zeros(4), p1)
-    np.testing.assert_allclose(zero, np.zeros(2), atol=0)
+            np.add(twistor_incidence(x, p1), twistor_incidence(y, p1)), atol=1e-12)
+    assert twistor_incidence((0, 0, 0, 0), p1) == (0, 0)
 
 
 def test_twistor_norm_signature():
     assert twistor_form_signature() == (2, 2)
-    omega = np.array([1.0, 0.0], dtype=complex)
-    pi = np.array([1.0, 0.0], dtype=complex)
-    assert abs(twistor_norm(omega, pi) - 2.0) < 1e-12
-    assert abs(twistor_norm(omega, -pi) + 2.0) < 1e-12
+    assert abs(twistor_norm((1.0, 0.0), (1.0, 0.0)) - 2.0) < 1e-12
+    assert abs(twistor_norm((1.0, 0.0), (-1.0, 0.0)) + 2.0) < 1e-12
+
+
+def _sizes(x, pi):
+    """Per omega component, and for the norm, the summed sizes of the terms."""
+    k01 = abs(complex(x[1], x[2]))
+    rows = [(abs(x[0] + x[3]), k01), (k01, abs(x[0] - x[3]))]
+    return [(r0 * abs(pi[0]) + r1 * abs(pi[1])) / RT2 for r0, r1 in rows]
+
+
+def _twistor_points():
+    # the two points the CLI digests freeze, then random points over six decades
+    yield (RT2, 0.0, 0.0, 0.0), (1.0, 0.0)
+    yield (1.5, -0.25, 0.75, 2.0), (complex(0.3, -0.1), complex(0.5, 0.9))
+    rng = random.Random(41)
+    for _ in range(500):
+        yield ([rng.uniform(-2, 2) * 10.0 ** rng.randint(-3, 3) for _ in range(4)],
+               [c * 10.0 ** rng.randint(-3, 3) for c in complex_normals(rng, 2)])
+
+
+def test_twistor_agrees_with_numpy_to_a_relative_1e15():
+    # the float twistor keeps the old numpy formulas; it may differ in the
+    # last bit of a sum, so each value is compared relative to the summed
+    # sizes of its terms
+    for x, pi in _twistor_points():
+        omega, expect = twistor_incidence(x, pi), np_twistor_incidence(x, pi)
+        for got, want, size in zip(omega, expect, _sizes(x, pi)):
+            assert abs(got - want) <= 1e-15 * size, (x, pi)
+        norm_size = 2 * sum(abs(w) * abs(p) for w, p in zip(expect, pi))
+        assert abs(twistor_norm(omega, pi) - np_twistor_norm(expect, pi)) <= 1e-15 * norm_size
+
+
+def test_inertia_matches_eigenvalue_signs():
+    rng = random.Random(43)
+    for n in range(1, 6):
+        for _ in range(40):
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                # zero diagonals half the time, so every pivot rule runs
+                m[i][i] = rng.choice([0, 0, 0, rng.randint(-3, 3)])
+                for j in range(i + 1, n):
+                    m[i][j] = m[j][i] = rng.choice([0, rng.randint(-3, 3)])
+            eig = np.linalg.eigvalsh(np.array(m, dtype=float))
+            assert pauli._inertia(m) == (int(np.sum(eig > 1e-9)), int(np.sum(eig < -1e-9))), m
 
 
 QUBIT_CASES = [
@@ -175,9 +240,9 @@ QUBIT_CASES = [
 @pytest.mark.parametrize("ab,P", QUBIT_CASES)
 def test_qubit_bloch_vectors(ab, P):
     rho = qubit_density(*ab)
-    np.testing.assert_allclose(bloch_vector(rho), np.array(P), atol=1e-12)
+    np.testing.assert_allclose(bloch_vector(rho), P, atol=1e-12)
     assert abs(purity(rho) - 1.0) < 1e-12
-    np.testing.assert_allclose(density_from_bloch(np.array(P)), rho, atol=1e-12)
+    np.testing.assert_allclose(density_from_bloch(P), rho, atol=1e-12)
 
 
 def test_qubit_density_requires_normalization():
@@ -186,23 +251,21 @@ def test_qubit_density_requires_normalization():
 
 
 def test_mixed_state_purity():
-    rho = density_from_bloch(np.array([0.0, 0.0, 0.0]))
+    rho = density_from_bloch((0.0, 0.0, 0.0))
     np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-15)
     assert abs(purity(rho) - 0.5) < 1e-12
-    P = np.array([0.3, 0.0, 0.4])
+    P = (0.3, 0.0, 0.4)
     rho = density_from_bloch(P)
     assert abs(purity(rho) - (1 + 0.25) / 2) < 1e-12
     np.testing.assert_allclose(bloch_vector(rho), P, atol=1e-12)
 
 
 def test_random_qubits_round_trip():
-    rng = np.random.default_rng(23)
+    rng = random.Random(23)
     for _ in range(200):
-        v = rng.normal(size=4)
-        a, b = complex(v[0], v[1]), complex(v[2], v[3])
-        norm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        a, b = a / norm, b / norm
-        rho = qubit_density(a, b)
+        a, b = complex_normals(rng, 2)
+        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        rho = qubit_density(a / norm, b / norm)
         P = bloch_vector(rho)
         assert abs(np.dot(P, P) - 1.0) < 1e-9
         np.testing.assert_allclose(density_from_bloch(P), rho, atol=1e-12)
@@ -211,26 +274,107 @@ def test_random_qubits_round_trip():
 
 def test_double_cover_report():
     report = sl2c_double_cover_check(samples=50, seed=3)
-    assert report["passed"] is True
-    assert report["checked"] == 50
-    assert report["max_norm_drift"] < 1e-9
+    assert report == {"passed": True, "checked": 50, "max_norm_drift": 0}
 
 
-def test_null_outer_defects_take_a_seed_or_a_generator():
-    first = null_outer_defects(4, 10)
-    assert first[0] < 1e-12 and first[1] < 1e-12
-    rng = np.random.default_rng(4)
-    assert null_outer_defects(rng, 10) == first
+def test_null_outer_defects_take_a_seed_or_a_generator(monkeypatch):
+    seen = []
+    real = pauli._null_defects
+    monkeypatch.setattr(pauli, "_null_defects", lambda xi: seen.append(xi) or real(xi))
+    assert null_outer_defects(4, 10) == (0, 0)
+    rng = random.Random(4)
+    assert null_outer_defects(rng, 10) == (0, 0)
+    # a seed draws what random.Random(seed) draws
+    assert seen[10:] == seen[:10]
     # the generator is advanced in place, so a second call draws new samples
-    assert null_outer_defects(rng, 10) != first
+    null_outer_defects(rng, 10)
+    assert seen[20:] != seen[:10]
 
 
 def test_bloch_roundtrip_report():
     report = bloch_roundtrip_check(samples=20, seed=9)
-    assert report["passed"] is True
-    assert report["checked"] == 20
-    assert report["max_roundtrip_defect"] < 1e-12
-    assert report["max_purity_defect"] < 1e-12
+    assert report == {"passed": True, "checked": 20, "max_roundtrip_defect": 0,
+                      "max_purity_defect": 0}
+
+
+def test_exact_samples_are_gaussian_integers_of_det_one():
+    rng = random.Random(47)
+    for _ in range(50):
+        a = pauli._sl2_sample(rng)
+        assert all(type(v) is int for z in a for v in z)
+        assert pauli._zdet(a) == (1, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 8])
+def test_float64_recomputes_the_exact_samples(seed):
+    # numpy redoes each exact sample in float64, as the float checks did
+    rng = random.Random(seed)
+    for _ in range(50):
+        a, b, X = pauli._cover_sample(rng)
+        assert pauli._cover_defect(a, b, X) == 0
+        Y, defect = np_cover(a, b, X)
+        assert defect < 1e-12
+        np.testing.assert_allclose(np_matrix(pauli._act(a, X)), Y, rtol=1e-12)
+        xi = (pauli._zpart(rng), pauli._zpart(rng))
+        assert pauli._null_defects(xi) == (0, 0)
+        assert np_null_defect(xi) < 1e-12
+        psi = pauli._state_sample(rng)
+        assert pauli._bloch_defects(psi) == (0, 0)
+        nP, defect = np_bloch(psi)
+        assert defect < 1e-12
+        exact = pauli._zbloch(pauli._ket_bra(psi))
+        assert all(z[1] == 0 for z in exact)
+        np.testing.assert_allclose([z[0] for z in exact], nP, rtol=1e-12, atol=1e-12)
+
+
+def _det_two(real):
+    return lambda rng: pauli._zmatmul(real(rng), ((2, 0), (0, 0), (0, 0), (1, 0)))
+
+
+def _transposed(real):
+    return lambda a, X: pauli._zmatmul(pauli._zmatmul(a, X), (a[0], a[2], a[1], a[3]))
+
+
+def _no_conj(real):
+    return lambda psi: tuple(pauli._zmul(u, v) for u in psi for v in psi)
+
+
+def _flipped_sign(real):
+    def bloch(M):
+        p1, (re, im), p3 = real(M)
+        return p1, (-re, -im), p3
+    return bloch
+
+
+def _cover_fails():
+    return not sl2c_double_cover_check(samples=20, seed=5)["passed"]
+
+
+def _spinor_fails():
+    return null_outer_defects(5, 20) != (0, 0)
+
+
+def _qubit_fails():
+    return not bloch_roundtrip_check(samples=20, seed=5)["passed"]
+
+
+def _suite_fails():
+    from cl8.suites import numeric_suite
+    return not numeric_suite(seed=5)["passed"]
+
+
+@pytest.mark.parametrize("name, plant, checks", [
+    ("_sl2_sample", _det_two, [_cover_fails, _suite_fails]),
+    ("_act", _transposed, [_cover_fails, _suite_fails]),
+    ("_ket_bra", _no_conj, [_spinor_fails, _qubit_fails, _suite_fails]),
+    ("_zbloch", _flipped_sign, [_qubit_fails, _suite_fails]),
+], ids=["det-not-one", "transpose-for-dagger", "conj-dropped", "bloch-sign-flipped"])
+def test_every_exact_check_fails_on_a_planted_defect(monkeypatch, name, plant, checks):
+    # no exact PASS is vacuous: each planted defect makes every check that
+    # rests on it fail
+    assert not any(check() for check in checks)
+    monkeypatch.setattr(pauli, name, plant(getattr(pauli, name)))
+    assert all(check() for check in checks)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -255,3 +399,16 @@ def test_sampled_checks_refuse_oversized_samples(samples):
 def test_double_cover_check_refuses_empty_or_oversized_samples(samples):
     with pytest.raises(ValueError):
         sl2c_double_cover_check(samples=samples)
+
+
+@pytest.mark.parametrize("samples", [0, MAX_SAMPLES + 1])
+def test_sampled_checks_refuse_before_the_first_draw(monkeypatch, samples):
+    def no_draw(rng):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(pauli, "_zpart", no_draw)
+    for check in (lambda: null_outer_defects(0, samples),
+                  lambda: bloch_roundtrip_check(samples=samples),
+                  lambda: sl2c_double_cover_check(samples=samples)):
+        with pytest.raises(ValueError, match="samples"):
+            check()

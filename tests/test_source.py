@@ -28,6 +28,24 @@ def _imported_names(tree):
             yield from ((a.asname or a.name, node.lineno) for a in node.names)
 
 
+def test_no_module_imports_numpy():
+    # every check is exact and the float helpers run on Python complex, so
+    # the package needs nothing outside the standard library
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {m}" for m in modules
+                      if m.partition(".")[0] == "numpy"]
+    assert found == []
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # an unused import is still loaded on every cold start that loads the
     # module, and it outlives the code it served
