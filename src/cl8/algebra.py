@@ -16,22 +16,26 @@ the block of i, so generators in different blocks commute. F(b) is
 recomputed per product; there is no sign cache. Every product runs in
 `_product_terms` (Fraction, GaussianRational or int terms); a blade e_a times x,
 such as an ideal rep e_A f, permutes x's terms with the signs of one transposed
-mask G = anticommute_mask(a) ^ F(a): popcount(b & G) = popcount(a & F(b)).
+mask G = anticommute_mask(a) ^ F(a): popcount(b & G) = popcount(a & F(b)), and
+negates each coefficient object of x once, so f's ideal reps e_A f, whose 2^k terms
+share two values +-1/2^k, make no Fraction per term.
 
 Every user-facing constructor validates: `MV(sig, terms)`, `MV.blade`, `MV.scalar`
 and `MV.generator` refuse a blade mask that is not an int in 0 <= m < 2^n, coerce
 each coefficient to the signature's type (Fraction, or GaussianRational when
-complexified), reject inexact ones and drop zeros; `GaussianRational` takes int or
-Fraction parts. The module's own results (sums, negation, products, grade parts,
-involutions, Q(i) arithmetic) are built by the trusted `MV._made` and `_gaussian`,
-which store clean parts as they are; only `BlockForm.matrix_of` calls them outside,
-and the block samples call neither: they stay in int terms.
+complexified), reject inexact ones and drop zeros, and keep an exact Fraction as
+it is (it is immutable); `GaussianRational` takes int or Fraction parts. The
+module's own results (sums, negation, products, grade parts, involutions, Q(i)
+arithmetic) are built by the trusted `MV._made` and `_gaussian`, which store clean
+parts as they are; only `BlockForm.matrix_of` calls them outside, and the block
+samples call neither: they stay in int terms.
 
 The same rule, as `anticommute_mask` and `blades_anticommute`, decides every
 relation between blades in `cl8.classify` and `cl8.tensoriso`, and the center in
-`central_split`. `square_sign` reads a one-blade square c^2 Q(m) off its mask, and
-Q(m) alone for c = +-1 against the unit scalar; `pairwise_anticommute` is the
-`MV`-product oracle.
+`central_split`. `blade_square` reads Q(m) in closed form in one block, from m's
+grade and its minus generators; `square_sign` reads a one-blade square c^2 Q(m) off
+its mask, and Q(m) alone for c = +-1 against the unit scalar; `pairwise_anticommute`
+is the `MV`-product oracle.
 """
 
 from __future__ import annotations
@@ -214,13 +218,26 @@ def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
     return (-1 if (a & _sign_flips(b, sig)).bit_count() & 1 else 1), a ^ b
 
 
+def blade_square(m: int, sig) -> int:
+    """Q(m), the sign of e_m e_m. In one block (cuts = 0) popcount(m & F(m)) counts,
+    for each generator of m, the generators of m below it, g(g - 1)/2 for grade g,
+    plus m's generators that square to -1; with cuts, F itself is read."""
+    if sig.cuts:
+        return -1 if (m & _sign_flips(m, sig)).bit_count() & 1 else 1
+    g = m.bit_count()
+    return -1 if (g * (g - 1) // 2 + (m & sig.minus_mask).bit_count()) & 1 else 1
+
+
 def anticommute_mask(b: int, sig) -> int:
     """beta(., b) as an n-bit mask c: e_a e_b = (-1)^popcount(a & c) e_b e_a.
 
     beta(a, b) = popcount(a & F(b)) + popcount(b & F(a)) mod 2, so c = F(b) ^ F^T(b):
     b XOR each block in which b has odd parity (the -1 squares cancel). That
     parity is read at the block's top bit of b ^ F(b) ^ (b & minus_mask), the
-    parity of b up to that bit; F's bits at and above n are never read."""
+    parity of b up to that bit; F's bits at and above n are never read. In one
+    block (cuts = 0) that parity is b's grade, with no F."""
+    if not sig.cuts:
+        return b ^ ((1 << sig.n) - 1) if b.bit_count() & 1 else b
     upto = b ^ _sign_flips(b, sig) ^ (b & sig.minus_mask)
     c, lo = b, 0
     tops = sig.cuts | 1 << sig.n  # each block ends below a cut or at n
@@ -245,12 +262,20 @@ def _product_terms(left: dict, right: dict, sig) -> dict:
     A one-term left e_a times more terms reads each sign as popcount(b & G),
     G = beta(., a) ^ F(a) (F transposed, one mask per product); its masks a ^ b
     are distinct, so nothing is accumulated or tested for zero, and ca = 1 is
-    not multiplied."""
+    not multiplied; each coefficient object is negated at most once."""
     if len(left) == 1 and len(right) > 1:
         (a, ca), = left.items()
         g = anticommute_mask(a, sig) ^ _sign_flips(a, sig)
         if ca == 1:
-            return {a ^ b: -cb if (b & g).bit_count() & 1 else cb for b, cb in right.items()}
+            out, negs = {}, {}
+            for b, cb in right.items():
+                if (b & g).bit_count() & 1:
+                    nb = negs.get(id(cb))
+                    if nb is None:
+                        nb = negs[id(cb)] = -cb
+                    cb = nb
+                out[a ^ b] = cb
+            return out
         neg = -ca
         return {a ^ b: (neg if (b & g).bit_count() & 1 else ca) * cb for b, cb in right.items()}
     out = {}
@@ -281,6 +306,8 @@ def _coerce_coeff(sig: Signature, value):
         if value.im != 0:
             raise ValueError("imaginary coefficient in a real signature")
         return value.re
+    if type(value) is Fraction:  # immutable, so terms may share it
+        return value
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise TypeError(f"bad coefficient {value!r}")
@@ -461,8 +488,7 @@ def volume_element(sig: Signature) -> MV:
 
 def omega_square(sig: Signature) -> int:
     """Sign of the square of the volume element, always +1 or -1."""
-    full = (1 << sig.n) - 1
-    return blade_product(full, full, sig)[0]
+    return blade_square((1 << sig.n) - 1, sig)
 
 
 def central_split(alpha: MV) -> tuple:
@@ -485,16 +511,16 @@ def central_split(alpha: MV) -> tuple:
 def square_sign(x: MV, one: MV) -> int:
     """+1 or -1 when x^2 = +-one (1 for a generator image), else 0.
 
-    A one-blade x = c e_m squares to c^2 Q(m), Q(m) = blade_product(m, m)'s sign,
-    so its square is read off the mask with no product; for c = +-1 against the unit
-    scalar, as for every witness image of +-1 times a blade, it is Q(m) itself."""
+    A one-blade x = c e_m squares to c^2 Q(m), Q(m) = blade_square(m), so its square
+    is read off the mask with no product; for c = +-1 against the unit scalar, as for
+    every witness image of +-1 times a blade, it is Q(m) itself."""
     if len(x.terms) != 1:
         sq = x * x
         return 1 if sq == one else -1 if sq == -one else 0
     if x.sig != one.sig:
         return 0
     (m, c), = x.terms.items()
-    q = blade_product(m, m, x.sig)[0]
+    q = blade_square(m, x.sig)
     if (c == 1 or c == -1) and one.terms == {0: 1}:
         return q
     sq = c * c if q > 0 else -(c * c)

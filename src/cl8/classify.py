@@ -8,9 +8,10 @@ its unit relations, so a wrong table entry would fail loudly. One path serves
 R, C and H: the corner's units square to -f and pairwise anticommute, read
 off their blade masks by Q and `algebra.blades_anticommute`, the sign rule of
 every `cl8.tensoriso` witness, and so is the split of the center: `central_split`
-by Q and beta, and f's component by its support. Every blade span goes through the
-one GF(2) echelon in `linalg`, and the corner and the ideal are ranked by disjoint
-coset supports, not eliminations, from one walk over the blades per idempotent.
+by Q and beta, and f's component by its support. Each cell is one cheap pass: the
+scan reads Q in closed form; one walk per idempotent reads each blade's coset off a
+linear key table over the GF(2) echelon in `linalg`, stops at the last coset, and ranks
+the corner and the ideal by disjoint coset supports; the ideal reps share f's values.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import (
-    MV, GaussianRational, Signature, _product_terms, anticommute_mask, blade_product,
+    MV, GaussianRational, Signature, _product_terms, anticommute_mask, blade_square,
     blades_anticommute, central_split, omega_square, volume_element,
 )
 from .linalg import gf2_echelon, gf2_reduce
@@ -91,6 +92,9 @@ class IdempotentData(NamedTuple):
     def sig(self) -> Signature:
         return self.f.sig
 
+    def __hash__(self):  # the generators and sig decide f; hashing f's terms is waste
+        return hash((self.generators, self.sig))
+
 
 #: Largest p + q accepted by primitive_idempotent, and so by
 #: division_ring_of and minimal_left_ideal: their scans walk all 2^(p+q)
@@ -129,7 +133,7 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
         for mask in _blade_order(n)[1:]:
             if len(kept) == k:
                 break
-            if blade_product(mask, mask, sig)[0] != 1:
+            if blade_square(mask, sig) != 1:
                 continue
             if any((mask & c).bit_count() & 1 for c in betas):
                 continue
@@ -146,7 +150,9 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
     square = _product_terms(scaled, scaled, sig)
     if not (len(scaled) == 1 << k and square == {m: c << k for m, c in scaled.items()}):
         raise RuntimeError(f"constructed f is not an idempotent on 2^{k} blades in Cl({p},{q})")
-    f = MV(sig, {m: Fraction(c, 1 << k) for m, c in scaled.items()})
+    unit = Fraction(1, 1 << k)
+    value = {1: unit, -1: -unit}  # f's terms share these two, as its ideal reps then do
+    f = MV(sig, {m: value[c] for m, c in scaled.items()})
     return IdempotentData(f=f, generators=tuple(kept), k=k, group_order=2 << len(rows))
 
 
@@ -160,7 +166,9 @@ def _cosets(data: IdempotentData) -> tuple:
     """(ideal masks, corner masks) of f, from one walk in (grade, mask) order.
 
     An ideal mask is the first blade of a coset of the generators' GF(2)
-    span, keyed by gf2_reduce. e_T f = f for every generator T and
+    span, keyed by its gf2_reduce, which is linear: key[m] = key[m ^ b] ^ key[b]
+    for m's top bit b, from n one-bit reductions. The walk stops once each of the
+    2^n / 2^rank cosets has its rep. e_T f = f for every generator T and
     e_A e_T = +-e_(A^T), so e_A f is the same up to sign across a coset.
     f has a term on each blade of the span (primitive_idempotent checks it),
     so e_A f has one on each blade of A + span: distinct cosets have
@@ -173,15 +181,21 @@ def _cosets(data: IdempotentData) -> tuple:
     """
     rows = gf2_echelon(data.generators)
     betas = [anticommute_mask(g, data.sig) for g in data.generators]
-    keys = set()
+    keys = [0]
+    for i in range(data.sig.n):
+        bit = gf2_reduce(rows, 1 << i)
+        keys += [key ^ bit for key in keys]
+    seen = set()
     ideal, corner = [], []
     for mask in _blade_order(data.sig.n):
-        key = gf2_reduce(rows, mask)
-        if key not in keys:
-            keys.add(key)
+        key = keys[mask]
+        if key not in seen:
+            seen.add(key)
             ideal.append(mask)
             if not any((mask & c).bit_count() & 1 for c in betas):
                 corner.append(mask)
+            if len(ideal) << len(rows) == len(keys):  # every coset has its rep
+                break
     return tuple(ideal), tuple(corner)
 
 
@@ -200,7 +214,7 @@ def _certify_corner(masks, sig) -> tuple:
     if ring is None:
         raise RuntimeError(f"corner algebra dimension {dim} is not 1, 2, or 4")
     units = masks[1:]
-    if any(blade_product(a, a, sig)[0] != -1 for a in units):
+    if any(blade_square(a, sig) != -1 for a in units):
         raise RuntimeError(f"{dim}-dimensional corner is not negative definite: "
                            "a unit does not square to -f")
     if not blades_anticommute(units, sig):
@@ -240,6 +254,8 @@ def minimal_left_ideal(p: int, q: int):
 
     One product e_A f per ideal mask of `_cosets`, one per coset of the
     generators' GF(2) span: independent, and there must be 2^(n-k) of them.
+    The kernel's one-blade path negates each of f's two shared values +-1/2^k at
+    most once per rep, so no Fraction is made per term.
     """
     data = primitive_idempotent(p, q)
     reps = [MV.blade(data.sig, mask) * data.f for mask in _cosets(data)[0]]

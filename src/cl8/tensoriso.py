@@ -36,6 +36,7 @@ from .algebra import (
     _sign_flips,
     anticommute_mask,
     blade_product,
+    blade_square,
     blades_anticommute,
     omega_square,
     square_sign,
@@ -327,7 +328,7 @@ def phi_psi_factorization(target, base) -> PhiPsiReport:
     phi_sign, phi_mask = blade_product(base_mask, 1 << (added[0] - 1), sig)
     psi_sign, psi_mask = blade_product(base_mask, 1 << (added[1] - 1), sig)
     phi, psi = MV.blade(sig, phi_mask, phi_sign), MV.blade(sig, psi_mask, psi_sign)
-    phi_sq, psi_sq = (blade_product(m, m, sig)[0] for m in (phi_mask, psi_mask))  # Q(mask)
+    phi_sq, psi_sq = blade_square(phi_mask, sig), blade_square(psi_mask, sig)
     case = _CASE_NAMES[(phi_sq, psi_sq)]
     commute_ok = not base_mask & (anticommute_mask(phi_mask, sig) | anticommute_mask(psi_mask, sig))
     prod_anti = blades_anticommute((phi_mask, psi_mask), sig)

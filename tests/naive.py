@@ -3,11 +3,13 @@
 Everything in here is deliberately written the slow, obvious way (index
 lists, bubble sorts, exhaustive searches) so that it shares no code and
 no clever tricks with the package under test. The exceptions use the
-package's MV product and SpanBasis: the pair of full 2^n blade scans for
+package's MV product, SpanBasis or GF(2) echelon: the pair of full 2^n blade scans for
 the corner f*Cl*f and the ideal Cl*f, which stand in for the commutant and
 coset shortcuts that cl8.classify takes, the subset-product rank, which
 stands in for the GF(2) rank that cl8.tensoriso reads off blade masks,
-the central-split products, which stand in for the Q and beta test of
+the per-blade coset walk, which keys every blade by its own GF(2)
+reduction where cl8.classify reads a linear key table and stops at the last
+coset, the central-split products, which stand in for the Q and beta test of
 central_split and the support test that places f in a component, and the
 generator products behind phi, psi, the even images and the chain's matrix
 link, which stand in for the blades cl8.tensoriso names by blade_product,
@@ -24,8 +26,8 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from cl8.algebra import MV
-from cl8.linalg import SpanBasis, rank_of
+from cl8.algebra import MV, anticommute_mask
+from cl8.linalg import SpanBasis, gf2_echelon, gf2_reduce, rank_of
 
 
 def naive_blade_product(a, b, p):
@@ -194,6 +196,25 @@ def naive_left_ideal_reps(f, sig):
     """The spanning set of Cl * f from e_A * f over all 2^n blades, in
     (grade, mask) order, keeping each product that is new to the span."""
     return _new_to_span(MV.blade(sig, m) * f for m in _masks_by_grade(sig.n))
+
+
+def naive_cosets(data):
+    """classify._cosets' (ideal masks, corner masks) by the walk the key table
+    replaced: every blade mask in (grade, mask) order, keyed by its own
+    gf2_reduce against the generators' echelon, to the last blade. A new key
+    is an ideal mask, and a corner mask when the blade commutes with every
+    generator."""
+    rows = gf2_echelon(data.generators)
+    betas = [anticommute_mask(g, data.sig) for g in data.generators]
+    keys, ideal, corner = set(), [], []
+    for mask in _masks_by_grade(data.sig.n):
+        key = gf2_reduce(rows, mask)
+        if key not in keys:
+            keys.add(key)
+            ideal.append(mask)
+            if not any((mask & c).bit_count() & 1 for c in betas):
+                corner.append(mask)
+    return tuple(ideal), tuple(corner)
 
 
 def naive_central_split_ok(alpha):

@@ -417,6 +417,30 @@ def test_complexified_signature_multivectors():
     assert not y
 
 
+def test_exact_fraction_coefficients_are_kept_as_they_are():
+    # a Fraction is immutable, so MV keeps the one it is given and terms may
+    # share it; every other coefficient is coerced as before
+    sig, csig = Signature(2, 1), Signature(2, 1, complexified=True)
+    x, half = Fraction(3, 7), Fraction(1, 2)
+
+    class Sub(Fraction):
+        pass
+
+    assert MV(sig, {5: x}).terms[5] is x
+    assert all(c is x for c in MV(sig, dict.fromkeys(range(8), x)).terms.values())
+    for value, want in ((3, Fraction(3)), (True, Fraction(1)), (GaussianRational(half), half),
+                        (Sub(2, 3), Fraction(2, 3))):
+        c = MV(sig, {1: value}).terms[1]
+        assert type(c) is Fraction and c == want
+    assert MV(sig, {1: False}).terms == {}
+    g = GaussianRational(half)
+    assert MV(sig, {1: g}).terms[1] is g.re
+    assert MV(csig, {1: g}).terms[1] is g
+    for value in (3, True, x):
+        z = MV(csig, {1: value}).terms[1]
+        assert type(z) is GaussianRational and z == GaussianRational(value, 0)
+
+
 def test_real_signature_rejects_imaginary_coefficients():
     sig = Signature(1, 1)
     with pytest.raises(ValueError):
@@ -519,6 +543,47 @@ def test_transposed_sign_mask(sig):
                    for b in range(top))
 
 
+def _square_defects(square, sig):
+    """The masks of sig where square(m, sig) differs from blade_product's Q(m)
+    or, for a Signature, from the Koszul rule of tests/naive.py."""
+    def koszul(m):
+        return naive_blade_square(indices_of(m), sig.p) if isinstance(sig, Signature) else None
+
+    return [m for m in range(1 << sig.n) if square(m, sig) != blade_product(m, m, sig)[0]
+            or koszul(m) not in (None, square(m, sig))]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_closed_form_square_matches_product_and_koszul(n):
+    # Q(m) = (-1)^(g(g - 1)/2 + popcount(m & minus_mask)) on every mask of every
+    # Cl(p, n - p); dropping the minus term is seen wherever q > 0
+    def no_minus(m, sig):
+        return algebra.blade_square(m, Signature(sig.n, 0))
+
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        assert _square_defects(algebra.blade_square, sig) == []
+        assert bool(_square_defects(no_minus, sig)) == (n - p > 0)
+
+
+@pytest.mark.parametrize("pa", SIGN_MASK_ALGEBRAS[-6:], ids=_algebra_id)
+def test_blade_square_with_cuts_reads_f(pa):
+    # in a plain product generators of different blocks commute (cuts != 0),
+    # so the one-block grade count is wrong on some mask; blade_square, and
+    # square_sign through it, take the F rule there. A graded product is one
+    # block, and the count holds
+    def one_block(m, sig):
+        g = m.bit_count()
+        return -1 if (g * (g - 1) // 2 + (m & sig.minus_mask).bit_count()) & 1 else 1
+
+    assert _square_defects(algebra.blade_square, pa) == []
+    assert bool(pa.cuts) != pa.graded
+    assert bool(_square_defects(one_block, pa)) == bool(pa.cuts)
+    one = TensorMV(pa, {0: 1})
+    assert [square_sign(TensorMV(pa, {m: -1}), one) for m in range(1 << pa.n)] == [
+        blade_product(m, m, pa)[0] for m in range(1 << pa.n)]
+
+
 def _random_mv(rng, sig, size):
     terms = {}
     for _ in range(size):
@@ -544,6 +609,66 @@ def test_one_term_product_matches_naive(n, complexified):
                 got = MV.blade(sig, a, c) * y
                 want = naive_multivector_mul({indices_of(a): c}, ys, p)
                 assert {indices_of(m): v for m, v in got.terms.items()} == want
+
+
+def _one_blade_defects(sig, left, right):
+    """The masks where e_a * right by the one-blade path differs from the
+    general path, which takes right one term at a time, in value or type."""
+    got = algebra._product_terms(left, right, sig)
+    want = {}
+    for b, cb in right.items():
+        want.update(algebra._product_terms(left, {b: cb}, sig))
+    return sorted(m for m in want.keys() | got.keys()
+                  if m not in got or m not in want or got[m] != want[m]
+                  or type(got[m]) is not type(want[m]))
+
+
+def _shared_operands(sig, rng):
+    """(left, right) pairs: one blade with coefficient 1, -1 or another, against
+    12 masks that share one or two coefficient objects or hold their own, in
+    ints and in Fractions (GaussianRationals when complexified)."""
+    def num():
+        return rng.choice((-3, -2, -1, 1, 2, 3))
+
+    def exact():
+        c = Fraction(num(), rng.randint(1, 3))
+        return GaussianRational(c, rng.randint(-2, 2)) if sig.complexified else c
+
+    unit = GaussianRational if sig.complexified else Fraction
+    top = 1 << sig.n
+    for draw, coeffs in ((num, [1, -1, 2]), (exact, [unit(1), unit(-1), exact()])):
+        for ca in coeffs:
+            shared = [draw(), draw()]
+            masks = rng.sample(range(top), min(top, 12))
+            yield {rng.randrange(top): ca}, {m: shared[i % 2] for i, m in enumerate(masks)}
+            yield {rng.randrange(top): ca}, {m: shared[0] for m in masks}
+            yield {rng.randrange(top): ca}, {m: draw() for m in masks}
+
+
+ONE_BLADE_ALGEBRAS = [Signature(p, n - p, c) for n in (2, 5, 8) for p in (0, n // 2, n)
+                      for c in (False, True)] + SIGN_MASK_ALGEBRAS[-6:]
+
+
+@pytest.mark.parametrize("sig", ONE_BLADE_ALGEBRAS,
+                         ids=lambda sig: _algebra_id(sig) + ("i" if sig.complexified else ""))
+def test_one_blade_path_matches_the_general_path(sig):
+    # shared coefficient objects are negated once and kept where the sign is +
+    rng = random.Random(sig.n)
+    for left, right in _shared_operands(sig, rng):
+        assert _one_blade_defects(sig, left, right) == []
+        got = algebra._product_terms(left, right, sig)
+        if next(iter(left.values())) == 1:
+            assert len({id(c) for c in got.values()} - {id(c) for c in right.values()}) <= len(
+                {id(c) for c in right.values()})
+
+
+def test_one_blade_path_with_a_flipped_sign_fails(monkeypatch):
+    # one flipped bit of beta reaches only the one-blade path's transposed mask
+    anticommute = algebra.anticommute_mask
+    monkeypatch.setattr(algebra, "anticommute_mask", lambda b, sig: anticommute(b, sig) ^ 1)
+    sig = Signature(3, 2)
+    assert any(_one_blade_defects(sig, left, right)
+               for left, right in _shared_operands(sig, random.Random(0)))
 
 
 @pytest.mark.parametrize("graded", [False, True], ids=["plain", "graded"])

@@ -29,9 +29,11 @@ from naive import (
     indices_of,
     naive_commute,
     naive_corner_reps,
+    naive_cosets,
     naive_group_order,
     naive_idempotent_generators,
     naive_left_ideal_reps,
+    naive_multivector_mul,
     naive_opposite_components,
     radon_hurwitz_reference,
     ring_from_type,
@@ -308,6 +310,67 @@ def test_corner_and_ideal_reps_match_full_scan(p, q):
     sig = Signature(p, q)
     assert _corner_reps(data) == naive_corner_reps(data.f, sig)
     assert minimal_left_ideal(p, q)[0] == naive_left_ideal_reps(data.f, sig)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_coset_key_table_matches_the_per_blade_walk(n):
+    # the linear key table, seeded by n one-bit reductions and stopped at the
+    # last coset, gives the reps of the walk that reduced every blade
+    for p in range(n + 1):
+        data = primitive_idempotent(p, n - p)
+        assert _cosets(data) == naive_cosets(data)
+
+
+def test_coset_key_table_with_a_wrong_seed_fails(monkeypatch):
+    # seeds that are never reduced key every blade apart: the oracle sees it
+    from cl8 import classify
+
+    data = primitive_idempotent(2, 5)
+    _cosets.cache_clear()
+    monkeypatch.setattr(classify, "gf2_reduce", lambda rows, mask: mask)
+    try:
+        assert _cosets(data) != naive_cosets(data)
+    finally:
+        _cosets.cache_clear()
+
+
+def _ideal_defects(p, q):
+    """The ideal masks A whose rep in minimal_left_ideal is not e_A f by the
+    index-list product of tests/naive.py, or has a coefficient other than
+    +-1/2^k, or more than two coefficient objects that are not f's."""
+    data = primitive_idempotent(p, q)
+    unit = Fraction(1, 1 << data.k)
+    f = {indices_of(m): c for m, c in data.f.terms.items()}
+    shared = {id(c) for c in f.values()}
+    reps = minimal_left_ideal(p, q)[0]
+    return [mask for mask, rep in zip(_cosets(data)[0], reps)
+            if {indices_of(m): c for m, c in rep.terms.items()}
+            != naive_multivector_mul({indices_of(mask): 1}, f, p)
+            or not set(rep.terms.values()) <= {unit, -unit}
+            or len({id(c) for c in rep.terms.values()} - shared) > 2]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_ideal_reps_are_blade_times_f_on_two_shared_values(n):
+    # f's 2^k terms share its two values +-1/2^k, and each rep e_A f negates
+    # each of them at most once, not once per term
+    for p in range(n + 1):
+        data = primitive_idempotent(p, n - p)
+        assert len({id(c) for c in data.f.terms.values()}) <= 2
+        reps = minimal_left_ideal(p, n - p)[0]
+        assert reps == [MV.blade(data.sig, mask) * data.f for mask in _cosets(data)[0]]
+        assert _ideal_defects(p, n - p) == []
+
+
+def test_ideal_reps_with_a_flipped_sign_fail(monkeypatch):
+    # one flipped bit of beta flips the one-blade path's sign on the terms
+    # that hold generator 1: the oracle product sees it
+    from cl8 import algebra
+
+    primitive_idempotent(2, 5)
+    anticommute_mask = algebra.anticommute_mask
+    monkeypatch.setattr(algebra, "anticommute_mask", lambda b, sig: anticommute_mask(b, sig) ^ 1)
+    assert _ideal_defects(2, 5) != []
 
 
 @pytest.mark.parametrize("n", range(11))
