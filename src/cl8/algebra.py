@@ -407,12 +407,7 @@ class MV:
             return self._made(out if c0 else {})  # x * 0 has no terms
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c0 = _coerce_coeff(self.sig, other)
-            out = {m: c0 * c for m, c in self.terms.items()}
-            return self._made(out if c0 else {})
-        return NotImplemented
+    __rmul__ = __mul__  # scalars commute; an MV on the left takes __mul__
 
     def __eq__(self, other):
         if not isinstance(other, MV):

@@ -14,11 +14,12 @@ so 0 on a pass.
 The float helpers (`vector_to_herm`, `sl2c_act`, `spinor_outer`,
 `bloch_vector`, the twistor functions and the rest) run on Python `complex`,
 with a matrix as a tuple of row tuples. `cl8 twistor` prints no PASS and
-stays float; the inertia of its form is counted exactly. Conventions carry
-the 1/sqrt(2) factors of the physics normalization, and the incidence
-kernel keeps +i x2 in both off-diagonal entries on purpose (the source
-display is asymmetric relative to the Hermitian-matrix encoding, and we
-reproduce it verbatim).
+stays float; the signature of its form is the involution count, read off
+the trace of the form's matrix once it is checked in ints to be symmetric
+and to square to I. Conventions carry the 1/sqrt(2) factors of the physics
+normalization, and the incidence kernel keeps +i x2 in both off-diagonal
+entries on purpose (the source display is asymmetric relative to the
+Hermitian-matrix encoding, and we reproduce it verbatim).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from fractions import Fraction
 
 SIGMA = (
     ((1 + 0j, 0j), (0j, 1 + 0j)),
@@ -113,45 +113,17 @@ _TWISTOR_FORM = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
 def twistor_form_signature() -> tuple:
     """Inertia of the Hermitian form behind twistor_norm on (omega, pi).
 
-    The form's matrix is real, so its inertia is that of a real symmetric
-    matrix, counted exactly by `_inertia`.
+    The form's matrix F is real; it is checked in ints to be symmetric with
+    F.F = I. A real symmetric involution has eigenvalues +1 and -1 alone, so
+    the trace counts them: ((n + tr F)/2, (n - tr F)/2).
     """
-    return _inertia(_TWISTOR_FORM)
-
-
-def _inertia(form) -> tuple:
-    """(positive, negative) counts of D in form = L D L^T, over Fraction.
-
-    Symmetric elimination by congruence, which keeps the inertia (Sylvester).
-    A zero pivot is swapped with a later nonzero diagonal entry; when every
-    remaining diagonal entry is 0, a row j with a_kj != 0 is added to row and
-    column k, making the pivot 2 a_kj. A zero row is a null direction.
-    """
-    a = [[Fraction(v) for v in row] for row in form]
-    n = len(a)
-    plus = minus = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if j is not None:
-                a[k], a[j] = a[j], a[k]
-                for row in a:
-                    row[k], row[j] = row[j], row[k]
-            else:
-                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if j is None:
-                    continue
-                for i in range(k, n):
-                    a[k][i] += a[j][i]
-                for i in range(k, n):
-                    a[i][k] += a[i][j]
-        d = a[k][k]
-        plus, minus = plus + (d > 0), minus + (d < 0)
-        for i in range(k + 1, n):
-            f = a[i][k] / d
-            for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
-    return (plus, minus)
+    F = _TWISTOR_FORM
+    n = len(F)
+    if any(F[i][j] != F[j][i] or sum(F[i][k] * F[k][j] for k in range(n)) != (i == j)
+           for i in range(n) for j in range(n)):
+        raise RuntimeError("the twistor form is not a symmetric involution")
+    trace = sum(F[i][i] for i in range(n))
+    return ((n + trace) // 2, (n - trace) // 2)
 
 
 def qubit_density(a, b) -> tuple:
@@ -182,11 +154,21 @@ MAX_SAMPLES = 100_000
 _PART = 3
 
 
-def _check_samples(samples: int) -> None:
+def _worst(rng, samples: int, draw, defects) -> tuple:
+    """The largest value of each of defects(draw(rng)) over samples draws.
+
+    samples is bounded before the first draw; rng is a random.Random,
+    advanced in place, or a seed.
+    """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples = {samples} exceeds MAX_SAMPLES = {MAX_SAMPLES}")
+    rng = rng if isinstance(rng, random.Random) else random.Random(rng)
+    worst = defects(draw(rng))
+    for _ in range(samples - 1):
+        worst = tuple(map(max, worst, defects(draw(rng))))
+    return worst
 
 
 # --- exact arithmetic over Z[i] ---------------------------------------------
@@ -323,23 +305,12 @@ def null_outer_defects(rng, samples: int) -> tuple:
     its four-vector is real exactly when S is Hermitian, and null exactly
     when det S = 0. Both maxima are ints, 0 on a pass.
     """
-    _check_samples(samples)
-    rng = rng if isinstance(rng, random.Random) else random.Random(rng)
-    max_null = max_imag = 0
-    for _ in range(samples):
-        null, imag = _null_defects((_zpart(rng), _zpart(rng)))
-        max_null, max_imag = max(max_null, null), max(max_imag, imag)
-    return max_null, max_imag
+    return _worst(rng, samples, lambda r: (_zpart(r), _zpart(r)), _null_defects)
 
 
 def bloch_roundtrip_check(samples: int = 100, seed: int = 0) -> dict:
     """Sample Gaussian-integer states: rho -> Bloch vector -> rho, and tr rho^2 = 1, exactly."""
-    _check_samples(samples)
-    rng = random.Random(seed)
-    max_round = max_purity = 0
-    for _ in range(samples):
-        round_trip, purity_defect = _bloch_defects(_state_sample(rng))
-        max_round, max_purity = max(max_round, round_trip), max(max_purity, purity_defect)
+    max_round, max_purity = _worst(seed, samples, _state_sample, _bloch_defects)
     return {
         "passed": max_round == 0 and max_purity == 0,
         "checked": samples,
@@ -356,16 +327,14 @@ def _null_and_bloch_defects(seed: int, samples: int) -> tuple:
     """
     rng = random.Random(seed)
     max_null = max(null_outer_defects(rng, samples))
-    max_round = max(max(_bloch_defects(_state_sample(rng))) for _ in range(samples))
+    max_round = max(_worst(rng, samples, _state_sample, _bloch_defects))
     return max_null, max_round
 
 
 def sl2c_double_cover_check(samples: int = 100, seed: int = 0) -> dict:
     """Sample the two-to-one action of SL(2, Z[i]) exactly: norm invariance,
     sign blindness, and compatibility with composition (`_cover_defect`)."""
-    _check_samples(samples)
-    rng = random.Random(seed)
-    max_drift = max(_cover_defect(*_cover_sample(rng)) for _ in range(samples))
+    (max_drift,) = _worst(seed, samples, _cover_sample, lambda s: (_cover_defect(*s),))
     return {
         "passed": max_drift == 0,
         "checked": samples,

@@ -140,7 +140,8 @@ def quotient_structure(q: int) -> dict:
     fold-down map is spanned by b - alpha*b over all blades b and must have
     half the total dimension. alpha*e_b = c_b e_(b^full), c_b = unit * sign[b],
     so b's vector lies on the pair {b, b^full}; pairs have disjoint supports,
-    and a pair's two vectors are proportional exactly when c_b c_(b^full) = 1.
+    and a pair's two vectors are proportional exactly when c_b c_(b^full) = 1,
+    that is when omega^2 sign[b] sign[b^full] = 1, as unit^2 = omega^2.
     """
     if q % 2 == 0:
         raise ValueError("q must be odd")
@@ -150,10 +151,11 @@ def quotient_structure(q: int) -> dict:
 
     sig = Signature(0, q, complexified=True)
     full = (1 << q) - 1
-    unit = 1 if omega_square(sig) == 1 else GaussianRational(0, 1)
+    square = omega_square(sig)
+    unit = 1 if square == 1 else GaussianRational(0, 1)
     lam_plus, lam_minus, split_ok = central_split(MV.blade(sig, full, unit))
     sign = [blade_product(full, b, sig)[0] for b in range(1 << q)]
-    kernel_dim = sum(1 if unit * unit * sign[b] * sign[b ^ full] == 1 else 2
+    kernel_dim = sum(1 if square * sign[b] * sign[b ^ full] == 1 else 2
                      for b in range(1 << (q - 1)))
     return {
         "lambda_plus": lam_plus,

@@ -417,6 +417,30 @@ def test_complexified_signature_multivectors():
     assert not y
 
 
+def _left_scalar_cases():
+    real = MV(Signature(2, 1), {0: 2, 0b011: Fraction(-1, 3), 0b110: 5})
+    gauss = GaussianRational(Fraction(1, 2), -2)
+    cplx = MV(Signature(1, 2, complexified=True), {0b001: gauss, 0b111: GaussianRational(3)})
+    tensor = TensorMV(ProductAlgebra([Signature(1, 1), Signature(0, 1)]),
+                      {0: 1, 0b101: Fraction(7, 2), 0b011: -4})
+    for x, g in ((real, GaussianRational(Fraction(-3, 4))), (cplx, gauss),
+                 (tensor, GaussianRational(5))):
+        for c in (3, -1, Fraction(-2, 5), g):
+            yield x, c
+
+
+@pytest.mark.parametrize("x, c", list(_left_scalar_cases()))
+def test_scalars_on_the_left_commute(x, c):
+    # c * x reaches MV.__rmul__, which is __mul__: a scalar commutes with x
+    left = c * x
+    assert type(left) is type(x)
+    assert left == x * c
+    assert left.terms == {m: c * v for m, v in x.terms.items()}
+    assert not (0 * x).terms and not (Fraction(0) * x).terms
+    with pytest.raises(TypeError):
+        1.5 * x
+
+
 def test_exact_fraction_coefficients_are_kept_as_they_are():
     # a Fraction is immutable, so MV keeps the one it is given and terms may
     # share it; every other coefficient is coerced as before

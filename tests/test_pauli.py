@@ -215,18 +215,15 @@ def test_twistor_agrees_with_numpy_to_a_relative_1e15():
         assert abs(twistor_norm(omega, pi) - np_twistor_norm(expect, pi)) <= 1e-15 * norm_size
 
 
-def test_inertia_matches_eigenvalue_signs():
-    rng = random.Random(43)
-    for n in range(1, 6):
-        for _ in range(40):
-            m = [[0] * n for _ in range(n)]
-            for i in range(n):
-                # zero diagonals half the time, so every pivot rule runs
-                m[i][i] = rng.choice([0, 0, 0, rng.randint(-3, 3)])
-                for j in range(i + 1, n):
-                    m[i][j] = m[j][i] = rng.choice([0, rng.randint(-3, 3)])
-            eig = np.linalg.eigvalsh(np.array(m, dtype=float))
-            assert pauli._inertia(m) == (int(np.sum(eig > 1e-9)), int(np.sum(eig < -1e-9))), m
+def test_twistor_signature_is_counted_on_a_checked_involution(monkeypatch):
+    # the trace counts the signature only of a symmetric F with F.F = I
+    monkeypatch.setattr(pauli, "_TWISTOR_FORM", ((1, 0, 0, 0), (0, 1, 0, 0),
+                                                  (0, 0, 1, 0), (0, 0, 0, -1)))
+    assert twistor_form_signature() == (3, 1)
+    for form in (((0, 2), (2, 0)), ((0, 1), (0, 0)), ((1, 1), (0, -1))):
+        monkeypatch.setattr(pauli, "_TWISTOR_FORM", form)
+        with pytest.raises(RuntimeError, match="symmetric involution"):
+            twistor_form_signature()
 
 
 QUBIT_CASES = [
