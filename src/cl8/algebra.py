@@ -34,8 +34,8 @@ The same rule, as `anticommute_mask` and `blades_anticommute`, decides every
 relation between blades in `cl8.classify` and `cl8.tensoriso`, and the center in
 `central_split`. `blade_square` reads Q(m) in closed form in one block, from m's
 grade and its minus generators; `square_sign` reads a one-blade square c^2 Q(m) off
-its mask, and Q(m) alone for c = +-1 against the unit scalar; `pairwise_anticommute`
-is the `MV`-product oracle.
+its mask, and Q(m) alone for c = +-1 against the unit scalar. The tests hold these
+mask rules to `MV` products in `tests/naive.py`.
 """
 
 from __future__ import annotations
@@ -180,6 +180,8 @@ class Signature(_SignatureFields):
         for v in (p, q):
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"invalid signature ({p!r}, {q!r})")
+        if not isinstance(complexified, bool):  # a truthy "no" would complexify
+            raise ValueError(f"invalid signature ({p!r}, {q!r}, complexified={complexified!r})")
         return super().__new__(cls, p, q, complexified)
 
     @classmethod
@@ -520,15 +522,6 @@ def square_sign(x: MV, one: MV) -> int:
         return q
     sq = c * c if q > 0 else -(c * c)
     return 1 if one.terms == {0: sq} else -1 if one.terms == {0: -sq} else 0
-
-
-def pairwise_anticommute(xs) -> bool:
-    """x_i x_j = -x_j x_i for every pair i < j."""
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            if xs[i] * xs[j] != -(xs[j] * xs[i]):
-                return False
-    return True
 
 
 def even_subalgebra_basis(sig: Signature) -> list[int]:

@@ -1,17 +1,12 @@
-"""Exact linear algebra over Q or Q(i), and over GF(2) for blade masks.
+"""Exact linear algebra over GF(2) for blade masks, and over Q or Q(i).
 
-Vectors are plain dicts mapping a key (a blade mask or any orderable
-label) to a Fraction or GaussianRational coefficient. One elimination
-kernel, `SpanBasis`, serves `rank_of` and `express`, with no floating point
-anywhere: public API and the tests' rank oracle, which no certificate in
-the package calls. It keys its rows by pivot, so a reduction costs only
-the pivots it meets. Blade masks mod sign form GF(2)^n under XOR, and one
-echelon, `gf2_echelon`, serves them.
+Blade masks mod sign form GF(2)^n under XOR, and one echelon,
+`gf2_echelon`, serves them. `SpanBasis` eliminates sparse dicts mapping a
+key to a Fraction or GaussianRational coefficient, with no floating point.
+It keys its rows by pivot, so a reduction costs only the pivots it meets.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def _clean(vec) -> dict:
@@ -19,7 +14,11 @@ def _clean(vec) -> dict:
 
 
 class SpanBasis:
-    """Row-echelon span tracker; add() reports whether the vector was new."""
+    """Row-echelon span tracker; add() reports whether the vector was new.
+
+    Nothing in the package calls it. It stays here only because the
+    benchmark harness, `perfbench/spans.py`, wraps `SpanBasis.add`; the
+    tests' rank oracles in `tests/naive.py` are built on it."""
 
     def __init__(self):
         self._rows = {}  # pivot key -> normalized row dict, every key >= pivot
@@ -75,37 +74,6 @@ class SpanBasis:
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-
-def rank_of(vectors) -> int:
-    """Dimension of the span of an iterable of sparse vectors."""
-    basis = SpanBasis()
-    for vec in vectors:
-        basis.add(vec)
-    return basis.rank
-
-
-def express(target, basis_vectors):
-    """Coordinates of target in the span of basis_vectors, or None.
-
-    Returns an exact list x with target == sum(x[i] * basis_vectors[i]); a
-    redundant basis vector gets 0. Vector i enters a SpanBasis with each key
-    k as (0, k) and a tag (1, i) of value 1. Tags sort after every own key,
-    so a row's tags are its coordinates in the inputs. A vector whose own
-    keys all cancel is redundant and is not added. The target is in the
-    span when it reduces to tags alone, and then tag i holds -x[i].
-    """
-    basis = SpanBasis()
-    for i, vec in enumerate(basis_vectors):
-        tagged = {(0, k): c for k, c in vec.items()}
-        tagged[1, i] = Fraction(1)
-        v = basis.reduce(tagged)
-        if min(v)[0] == 0:
-            basis.add(v)
-    v = basis.reduce({(0, k): c for k, c in target.items()})
-    if v and min(v)[0] == 0:
-        return None
-    return [-v.get((1, i), Fraction(0)) for i in range(len(basis_vectors))]
 
 
 def gf2_reduce(rows, mask: int) -> int:

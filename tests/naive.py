@@ -3,7 +3,10 @@
 Everything in here is deliberately written the slow, obvious way (index
 lists, bubble sorts, exhaustive searches) so that it shares no code and
 no clever tricks with the package under test. The exceptions use the
-package's MV product, SpanBasis or GF(2) echelon: the pair of full 2^n blade scans for
+package's MV product, SpanBasis or GF(2) echelon: rank_of, the exact rank by
+SpanBasis elimination that the tests rank explicit vectors with, and
+pairwise_anticommute, which compares x*y with -(y*x) by MV products where the
+package reads beta off blade masks; the pair of full 2^n blade scans for
 the corner f*Cl*f and the ideal Cl*f, which stand in for the commutant and
 coset shortcuts that cl8.classify takes, the subset-product rank, which
 stands in for the GF(2) rank that cl8.tensoriso reads off blade masks,
@@ -27,7 +30,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from cl8.algebra import MV, anticommute_mask
-from cl8.linalg import SpanBasis, gf2_echelon, gf2_reduce, rank_of
+from cl8.linalg import SpanBasis, gf2_echelon, gf2_reduce
 
 
 def naive_blade_product(a, b, p):
@@ -166,6 +169,14 @@ def naive_group_order(generators, p):
     return len(elems)
 
 
+def rank_of(vectors) -> int:
+    """Dimension of the span of an iterable of sparse vectors."""
+    basis = SpanBasis()
+    for vec in vectors:
+        basis.add(vec)
+    return basis.rank
+
+
 def naive_subset_product_rank(images, one):
     """Rank of the 2^len(images) subset products of any images: each product
     multiplied out (increasing index order, peeling the lowest bit) and the
@@ -215,6 +226,15 @@ def naive_cosets(data):
             if not any((mask & c).bit_count() & 1 for c in betas):
                 corner.append(mask)
     return tuple(ideal), tuple(corner)
+
+
+def pairwise_anticommute(xs) -> bool:
+    """x_i x_j = -x_j x_i for every pair i < j."""
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            if xs[i] * xs[j] != -(xs[j] * xs[i]):
+                return False
+    return True
 
 
 def naive_central_split_ok(alpha):
@@ -304,55 +324,6 @@ def naive_span_basis(vectors):
             rows.append((pivot, {k: c / pc for k, c in v.items()}))
         added.append(bool(v))
     return added, rows
-
-
-def _sub_scaled(v, row, factor):
-    """In place: v -= factor * row, dropping exact zeros."""
-    for k, c in row.items():
-        delta = factor * c
-        cur = v.get(k)
-        nv = -delta if cur is None else cur - delta
-        if nv:
-            v[k] = nv
-        else:
-            v.pop(k, None)
-
-
-def naive_express(target, basis_vectors):
-    """Coordinates of target in the span of basis_vectors, or None, by a
-    linear row scan that carries each row's coordinates in the inputs beside
-    it. A redundant basis vector gets coordinate 0."""
-    rows = []  # (pivot, normalized row, coords of that row in the inputs)
-    for idx, vec in enumerate(basis_vectors):
-        v = {k: c for k, c in vec.items() if c}
-        coords = {idx: Fraction(1)}
-        for pivot, row, rc in rows:
-            if pivot in v:
-                f = v[pivot]
-                _sub_scaled(v, row, f)
-                _sub_scaled(coords, rc, f)
-        if v:
-            pivot = min(v)
-            pc = v[pivot]
-            rows.append((pivot, {k: c / pc for k, c in v.items()},
-                         {i: c / pc for i, c in coords.items()}))
-    v = {k: c for k, c in target.items() if c}
-    out = {}
-    for pivot, row, rc in rows:
-        if pivot in v:
-            f = v[pivot]
-            _sub_scaled(v, row, f)
-            for i, c in rc.items():
-                cur = out.get(i)
-                nv = f * c if cur is None else cur + f * c
-                if nv:
-                    out[i] = nv
-                else:
-                    out.pop(i, None)
-    if v:
-        return None
-    zero = Fraction(0)
-    return [out.get(i, zero) for i in range(len(basis_vectors))]
 
 
 def stars_and_bars_degree(k, r):

@@ -479,6 +479,16 @@ def test_signature_fields_are_nonnegative_ints(p, q):
         Signature(0, 0)._replace(p=p, q=q)
 
 
+@pytest.mark.parametrize("flag", ["no", 1, 0, None])
+def test_signature_complexified_is_a_bool(flag):
+    # Signature(1, 2, "no") would build a complexified algebra unequal to
+    # Signature(1, 2, True), whose elements then refuse to add
+    with pytest.raises(ValueError, match="invalid signature"):
+        Signature(1, 2, flag)
+    with pytest.raises(ValueError, match="invalid signature"):
+        Signature(1, 2)._replace(complexified=flag)
+
+
 def test_grade_parts():
     sig = Signature(2, 0)
     x = MV.scalar(sig, 3) + MV.generator(sig, 1) + MV.blade(sig, 0b11, 7)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cl8.algebra import (
     MV, GaussianRational, Signature, central_split, involute, omega_square,
-    pairwise_anticommute, square_sign, volume_element,
+    square_sign, volume_element,
 )
 from cl8.classify import (
     MAX_CLASSIFY_N,
@@ -23,7 +23,6 @@ from cl8.classify import (
     primitive_idempotent,
     radon_hurwitz,
 )
-from cl8.linalg import rank_of
 
 from naive import (
     indices_of,
@@ -35,7 +34,9 @@ from naive import (
     naive_left_ideal_reps,
     naive_multivector_mul,
     naive_opposite_components,
+    pairwise_anticommute,
     radon_hurwitz_reference,
+    rank_of,
     ring_from_type,
 )
 

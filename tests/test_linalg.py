@@ -1,5 +1,5 @@
-"""Exact elimination: the pivot-keyed SpanBasis, and express built on it,
-against the linear row scans in naive.py; the GF(2) echelon against a
+"""Exact elimination: the pivot-keyed SpanBasis, and naive.rank_of built on
+it, against the linear row scans in naive.py; the GF(2) echelon against a
 brute-force span."""
 
 from fractions import Fraction
@@ -7,9 +7,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from cl8.algebra import GaussianRational
-from cl8.linalg import SpanBasis, express, gf2_echelon, gf2_reduce, rank_of
+from cl8.linalg import SpanBasis, gf2_echelon, gf2_reduce
 
-from naive import naive_express, naive_reduce, naive_span_basis
+from naive import naive_reduce, naive_span_basis, rank_of
 
 
 # A coefficient, and a (key, coefficient) term, is one draw from a fixed
@@ -64,31 +64,6 @@ def test_span_basis_matches_linear_scan(vecs, data):
     for probe in vecs + [data.draw(st.dictionaries(keys, st.sampled_from([Fraction(1), Fraction(-2, 3)])))]:
         assert basis.reduce(probe) == naive_reduce(rows, probe)
         assert basis.contains(probe) == (not naive_reduce(rows, probe))
-
-
-@settings(max_examples=200, deadline=None)
-@given(vector_lists(), st.data())
-def test_express_matches_linear_scan(vecs, data):
-    """Targets inside the span (combinations, possibly cancelling to 0) and
-    random ones, mostly outside it, where both sides give None."""
-    coeff = data.draw(st.sampled_from([fractions, gaussians]))
-    if data.draw(st.booleans()):
-        target = {}
-        for i in data.draw(st.lists(st.integers(0, len(vecs) - 1), max_size=4)):
-            factor = data.draw(coeff)
-            for k, c in vecs[i].items():
-                target[k] = target.get(k, 0) + factor * c
-    else:
-        target = data.draw(st.dictionaries(keys, coeff, max_size=5))
-    assert express(target, vecs) == naive_express(target, vecs)
-
-
-def test_express_coordinates():
-    one, two = Fraction(1), Fraction(2)
-    vecs = [{0: one, 1: one}, {0: two, 1: two}, {1: one}]
-    assert express({0: Fraction(3), 1: Fraction(5)}, vecs) == [3, 0, 2]
-    assert express({2: one}, vecs) is None
-    assert express({}, vecs) == [0, 0, 0]
 
 
 def test_single_key_vectors():

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from cl8 import algebra
 from cl8.algebra import MV, GaussianRational, Signature, volume_element
 from cl8.classify import algebra_type
-from cl8.linalg import rank_of
 from cl8.reps import (
     MAX_CHAIN_SUM,
     MAX_QUOTIENT_Q,
@@ -24,7 +23,7 @@ from cl8.reps import (
 )
 
 from figdata import FIG8, FIG9, WALK_CYCLE_1, WALK_CYCLE_2, WALK_CYCLE_8
-from naive import stars_and_bars_degree
+from naive import rank_of, stars_and_bars_degree
 
 
 half = Fraction(1, 2)

