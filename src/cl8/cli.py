@@ -7,34 +7,33 @@ takes args alone, refuses an input by raising ValueError, and otherwise
 returns (text, exit code) to `run`, the one writer, which prints the text
 once to stdout or `--output` and turns a ValueError or OSError into one
 `error:` line; `scripts/sweep_classification.py` returns through it too,
-with the same sweep bounds (`check_sweep`). `verify` takes its suite
-names from the registry `suites.SUITES`. `--seed` exists only on the sampled
-commands (`verify`, `spinor`, `qubit`) and `--samples` only on `spinor` and
-`qubit`. Output is deterministic for a fixed seed so reports can be
-snapshot-compared byte for byte. Every default is declared once, in
-`build_parser`; `--config FILE` turns its key=value lines into flags placed
-before the user's and parses again, so the same checks apply and flags win.
-Exit codes: 0 success, 1 a verification suite found a counterexample, 2 a
-usage, input or I/O error; a negative `--seed` is refused at parse time.
+with the same sweep bounds (`check_sweep`). `verify` checks its suite
+name against the registry `suites.SUITES` at parse time. `--seed` exists
+only on the sampled commands (`verify`, `spinor`, `qubit`) and `--samples`
+only on `spinor` and `qubit`. Output is deterministic for a fixed seed so
+reports can be snapshot-compared byte for byte. Every default is declared
+once, in `build_parser`; `--config FILE` turns its key=value lines into
+flags placed before the user's and parses again, so the same checks apply
+and flags win. Exit codes: 0 success, 1 a verification suite found a
+counterexample, 2 a usage, input or I/O error; an unknown suite name and a
+negative `--seed` are refused at parse time.
 
 A command loads only the library module it runs, imported by its handler:
 `classify` and `idempotent` load `classify` (with `algebra` and `linalg`);
 `chessboard`, `clock` and `cycle` load `periodicity`, which loads
 `classify`; `rep`, `chain` and `block` load `reps` alone; `verify` loads
-what its suite uses (see `suites`); `spinor`, `twistor`, `qubit` and,
+`suites` and what its suite uses; `spinor`, `twistor`, `qubit` and,
 through its suite, `verify numeric` load `pauli`, which needs nothing
-outside the standard library. Of the cl8 modules, importing this one loads
-only `suites`, for the suite names.
+outside the standard library. Importing this module loads no other cl8
+module, and neither `fractions` nor `json`: `verify` imports `suites` when
+it parses a suite name, and `json` is imported when a command prints JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-
-from . import suites
 
 _CONFIG_KEYS = ("pmax", "qmax", "order", "seed", "samples", "r", "format", "output")
 
@@ -48,6 +47,18 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
     return seed
+
+
+def _suite(name: str) -> str:
+    """A suite name from `suites.SUITES`, or `all`; refused in argparse's
+    own words for a value outside `choices`."""
+    from .suites import SUITES
+
+    choices = sorted(SUITES) + ["all"]
+    if name not in choices:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(map(repr, choices))})")
+    return name
 
 
 def _add_common(sp, handler, *, formats=("text", "json"), seed=False, samples=False):
@@ -88,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cycle, _cmd_cycle)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
+    p_verify.add_argument("suite", type=_suite)
     p_verify.add_argument("--qmax", type=int, default=24)
     _add_common(p_verify, _cmd_verify, seed=True)
 
@@ -141,6 +152,8 @@ def _config_flags(path: str) -> list:
 
 
 def _dumps(data) -> str:
+    import json
+
     return json.dumps(data, sort_keys=True)
 
 
@@ -276,6 +289,8 @@ def _cmd_cycle(args):
 
 
 def _cmd_verify(args):
+    from . import suites
+
     if args.suite == "all":
         results = suites.run_all(seed=args.seed, qmax=args.qmax)
     else:

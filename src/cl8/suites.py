@@ -7,10 +7,10 @@ points at a genuine counterexample or at a check that had nothing to check.
 A suite with no checks fails, and so does a sweep over zero cases.
 
 Each suite imports the library modules it drives when it runs, so
-importing this module (as `cl8 verify` does for the names in SUITES) loads
-no library code: `classification` and `radon` load `classify`; `theorem3`
-and `cycles` load `periodicity`; `chevalley`, `karoubi`, `even`, `phipsi`,
-`block` and `chain24` load `tensoriso`; `reps` loads `reps` and
+importing this module (as `cl8 verify` does when it parses a suite name)
+loads no library code: `classification` and `radon` load `classify`;
+`theorem3` and `cycles` load `periodicity`; `chevalley`, `karoubi`, `even`,
+`phipsi`, `block` and `chain24` load `tensoriso`; `reps` loads `reps` and
 `classify`; `numeric` loads `pauli`. A function-local import looks its
 names up at call time, so a rebound library function (traced or stubbed)
 takes effect here too.

@@ -356,11 +356,24 @@ def test_config_values_pass_the_flag_checks(tmp_path, capsys, argv, line, flag):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
-def test_verify_choices_are_the_suite_registry():
+# The last stderr line of `cl8 verify nope`, as argparse printed it when the
+# suite names were the parser's `choices`.
+UNKNOWN_SUITE_LINE = (
+    "cl8 verify: error: argument suite: invalid choice: 'nope' (choose from "
+    "'block', 'chain24', 'chevalley', 'classification', 'cycles', 'even', "
+    "'karoubi', 'numeric', 'phipsi', 'radon', 'reps', 'theorem3', 'all')")
+
+
+def test_verify_choices_are_the_suite_registry(capsys):
     parser = build_parser()
-    sub = next(a for a in parser._actions if a.dest == "command")
-    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
-    assert sorted(suite.choices) == sorted(list(SUITES) + ["all"])
+    for name in [*SUITES, "all"]:
+        assert parser.parse_args(["verify", name]).suite == name
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["verify", "nope"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == UNKNOWN_SUITE_LINE
 
 
 def test_verify_all_passes_qmax_to_theorem3(capsys):
@@ -458,15 +471,38 @@ def test_exact_modules_import_without_numpy():
     assert res.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv", [
-    ["classify", "1", "3"],
-    ["verify", "cycles"],
-    ["qubit", "--samples", "1"],
-    ["spinor", "--samples", "1"],
-    ["twistor"],
-    ["verify", "numeric"],
-    ["verify", "all"],
-])
+def test_cli_import_loads_no_cl8_module():
+    res = cl8_subprocess("-c", "import sys, cl8.cli; print(sorted(m for m in sys.modules "
+                               "if m.startswith('cl8') or m in ('fractions', 'json')))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "['cl8', 'cl8.cli']"
+
+
+CLASSIFY_MODULES = {"cl8.classify", "cl8.algebra", "cl8.linalg"}
+PERIODICITY_MODULES = {"cl8.periodicity", *CLASSIFY_MODULES}
+
+# The cl8 modules each command loads, as the cli docstring lists them: one
+# argv per subcommand, and three for verify.
+COMMAND_MODULES = {
+    ("classify", "1", "3"): CLASSIFY_MODULES,
+    ("verify", "cycles"): {"cl8.suites", *PERIODICITY_MODULES},
+    ("qubit", "--samples", "1"): {"cl8.pauli"},
+    ("spinor", "--samples", "1"): {"cl8.pauli"},
+    ("twistor",): {"cl8.pauli"},
+    ("verify", "numeric"): {"cl8.suites", "cl8.pauli"},
+    ("verify", "all"): {"cl8.suites", "cl8.tensoriso", "cl8.reps", "cl8.pauli",
+                        *PERIODICITY_MODULES},
+    ("idempotent", "1", "3"): CLASSIFY_MODULES,
+    ("chessboard",): PERIODICITY_MODULES,
+    ("clock",): PERIODICITY_MODULES,
+    ("cycle",): PERIODICITY_MODULES,
+    ("rep", "1", "2"): {"cl8.reps"},
+    ("chain", "0", "3"): {"cl8.reps"},
+    ("block",): {"cl8.reps"},
+}
+
+
+@pytest.mark.parametrize("argv", list(COMMAND_MODULES))
 def test_no_command_loads_numpy(argv):
     res = cl8_subprocess("-X", "importtime", "-m", "cl8.cli", *argv)
     assert res.returncode == 0, res.stderr
@@ -477,9 +513,10 @@ def test_no_command_loads_numpy(argv):
     # need no dataclasses or inspect
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
-    unused = {("classify", "1", "3"): {"cl8.tensoriso", "cl8.reps", "cl8.periodicity"},
-              ("verify", "cycles"): {"cl8.tensoriso"}}.get(tuple(argv), set())
-    assert not unused & loaded
+    modules = COMMAND_MODULES[argv]
+    assert {m for m in loaded if m.startswith("cl8.")} == modules
+    if modules == {"cl8.pauli"}:
+        assert "fractions" not in loaded
 
 
 # SHA-256 of the stdout of the commands below, in order, each followed by its
