@@ -509,8 +509,8 @@ def square_sign(x: MV, one: MV) -> int:
     """+1 or -1 when x^2 = +-one (1 for a generator image), else 0.
 
     A one-blade x = c e_m squares to c^2 Q(m), Q(m) = blade_square(m), so its square
-    is read off the mask with no product; for c = +-1 against the unit scalar, as for
-    every witness image of +-1 times a blade, it is Q(m) itself."""
+    is read off the mask with no product; for c = +-1 against the unit scalar it is
+    Q(m) itself."""
     if len(x.terms) != 1:
         sq = x * x
         return 1 if sq == one else -1 if sq == -one else 0

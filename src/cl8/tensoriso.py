@@ -9,27 +9,26 @@ rank is a GF(2) rank of masks. Every generator-map witness is built by one
 routine, `_witness`; the graded, Karoubi and complex tensor products form their
 images in one more, `_product_witness`, and every link of the conformal chain is
 one of these witnesses. The phi/psi split, the one certificate that is not a
-generator map, ranks its span with the same `_subset_product_rank`. Every
-builder refuses more than `MAX_WITNESS_N` generators before it builds a signature.
-A witness squares its images with `algebra.square_sign`, which reads a one-blade
-square off its mask with no product, and, once the rank is full (every image is
-then one blade), reads their anticommutation off `algebra.blades_anticommute`.
-The even images, phi and psi are +-1 times one blade named off masks by
-`algebra.blade_product`, and nothing here forms an `MV` product: the block
-samples multiply int term dicts with `algebra._product_terms`, the complexified
-base written as Cl(p, q-1) (x) Cl(0, 1).
+generator map, ranks its masks with the same `linalg.gf2_echelon`. Every builder
+refuses more than `MAX_WITNESS_N` generators before it builds a signature.
+An image is a phased blade, the int pair (mask, c) for i^c e_mask with c mod 4:
+blades mod phase are Z_2^n, and the sign is the cocycle of `blade_product`. So a
+witness reads each fact in ints, with no `MV`: the square (-1)^c Q(mask) off
+`algebra.blade_square`, the anticommutation off `algebra.blades_anticommute` and
+the rank off the masks. The even images, phi and psi are +-1 times one blade
+named off masks by `algebra.blade_product`, and nothing here forms an `MV`
+product: the block samples multiply int term dicts with `algebra._product_terms`,
+the complexified base written as Cl(p, q-1) (x) Cl(0, 1).
 """
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import (
     MV,
-    GaussianRational,
     Signature,
     _gaussian,
     _product_terms,
@@ -39,7 +38,6 @@ from .algebra import (
     blade_square,
     blades_anticommute,
     omega_square,
-    square_sign,
 )
 from .linalg import gf2_echelon
 
@@ -121,10 +119,12 @@ class TensorMV(MV):
 
 
 class GeneratorMap(NamedTuple):
-    """Isomorphism witness: generator images plus the three verified facts."""
+    """Isomorphism witness: generator images plus the three verified facts. Each
+    image is a phased blade (mask, c), i^c e_mask in `algebra` with 0 <= c < 4."""
 
     source_sig: tuple | None
     target_sig: tuple
+    algebra: Signature | ProductAlgebra
     images: list
     squares: list
     rank: int
@@ -132,34 +132,31 @@ class GeneratorMap(NamedTuple):
     construction: str | None = None
 
 
-def _subset_product_rank(images) -> int:
-    """Rank of the subset products if every image is one blade c e_M, else 0: each
-    is a nonzero multiple of e_(XOR of its masks), giving 2^(GF(2) rank) blades."""
-    if any(len(img.terms) != 1 for img in images):
-        return 0
-    return 1 << len(gf2_echelon(m for img in images for m in img.terms))
+def _witness(raw, alg, target, construction, source=None) -> GeneratorMap:
+    """Certify raw phased blades (mask, c mod 4) of alg as generators of Cl(target).
 
-
-def _witness(raw, one, target, construction, source=None) -> GeneratorMap:
-    """Certify raw images as generators of Cl(target).
-
-    The images that square to +1 go first (a stable partition), to line up
-    with the target convention. Certified means the squares read
-    [1]*p + [-1]*q, their subset products span rank 2^(p+q), and the (then
-    single-blade) images pairwise anticommute. source defaults to the target.
+    The images that square to +1, (i^c e_m)^2 = (-1)^c Q(m), go first (a stable
+    partition), to line up with the target convention. Certified means the
+    squares read [1]*p + [-1]*q, the masks have GF(2) rank p+q (a subset product
+    is a unit times the blade on the XOR of its masks), and the images pairwise
+    anticommute. source defaults to the target.
     """
-    signed = [(img, square_sign(img, one)) for img in raw]
+    if not alg.complexified and any(c & 1 for _, c in raw):
+        raise ValueError("an odd phase i^c needs a complexified algebra")
+    signed = [((m, c & 3), -blade_square(m, alg) if c & 1 else blade_square(m, alg))
+              for m, c in raw]
     signed = [x for x in signed if x[1] == 1] + [x for x in signed if x[1] != 1]
     images = [img for img, _ in signed]
     squares = [sq for _, sq in signed]
     p, q = target
-    rank = _subset_product_rank(images)
-    certified = squares == [1] * p + [-1] * q and rank == 1 << (p + q)
-    if certified:  # a full rank means every image is one blade c e_M
-        certified = blades_anticommute([m for img in images for m in img.terms], one.sig)
+    masks = [m for m, _ in images]
+    rank = 1 << len(gf2_echelon(masks))
+    certified = (squares == [1] * p + [-1] * q and rank == 1 << (p + q)
+                 and blades_anticommute(masks, alg))
     return GeneratorMap(
         source_sig=target if source is None else source,
         target_sig=target,
+        algebra=alg,
         images=images,
         squares=squares,
         rank=rank,
@@ -184,20 +181,19 @@ def _check_witness_n(n):
         raise ValueError(f"{n} generators exceed MAX_WITNESS_N = {MAX_WITNESS_N}")
 
 
-def _product_witness(sigs, graded, target, construction, twist=1) -> GeneratorMap:
+def _product_witness(sigs, graded, target, construction, twist=0) -> GeneratorMap:
     """Certify the generators of a tensor product of sigs as generators of Cl(target).
 
-    Generator g of factor j maps to twist^j e_g; in a plain product it also
+    Generator g of factor j maps to i^(twist j) e_g; in a plain product it also
     carries the volume element of every earlier factor, which makes it
     anticommute with the generators of each earlier factor of even count.
     """
     pa = ProductAlgebra(sigs, graded)
-    images, coeff = [], 1
-    for s, off in zip(pa.sigs, pa.offsets):
+    images = []
+    for j, (s, off) in enumerate(zip(pa.sigs, pa.offsets)):
         lead = 0 if graded else (1 << off) - 1
-        images += [TensorMV(pa, {lead | 1 << (off + g): coeff}) for g in range(s.n)]
-        coeff = coeff * twist
-    return _witness(images, pa.scalar(1), target, construction)
+        images += [(lead | 1 << (off + g), twist * j) for g in range(s.n)]
+    return _witness(images, pa, target, construction)
 
 
 def graded_tensor_check(pq_a, pq_b) -> GeneratorMap:
@@ -236,7 +232,7 @@ def complex_tensor_check(m: int) -> GeneratorMap:
         raise ValueError("m must be at least 1")
     _check_witness_n(2 * m)
     factors = (Signature(2, 0, complexified=True),) * m
-    return _product_witness(factors, False, (2 * m, 0), "complex", GaussianRational(0, 1))
+    return _product_witness(factors, False, (2 * m, 0), "complex", twist=1)
 
 
 # --------------------------------------------------------------------------
@@ -269,8 +265,9 @@ def even_iso_check(p: int, q: int) -> GeneratorMap:
         construction, pin, others = "B", 1, range(2, n + 1)
     else:
         construction, pin, others = "A", 1 << (n - 1), range(1, n)
-    raw = [MV.blade(sig, m, s) for s, m in (blade_product(1 << (i - 1), pin, sig) for i in others)]
-    return _witness(raw, MV.scalar(sig, 1), even_iso_target(p, q), construction, source=(p, q))
+    # the sign s = +-1 is the phase i^(1 - s)
+    raw = [(m, 1 - s) for s, m in (blade_product(1 << (i - 1), pin, sig) for i in others)]
+    return _witness(raw, sig, even_iso_target(p, q), construction, source=(p, q))
 
 
 # --------------------------------------------------------------------------
@@ -333,7 +330,7 @@ def phi_psi_factorization(target, base) -> PhiPsiReport:
     commute_ok = not base_mask & (anticommute_mask(phi_mask, sig) | anticommute_mask(psi_mask, sig))
     prod_anti = blades_anticommute((phi_mask, psi_mask), sig)
     # the additive decomposition: base blades times {1, phi, psi, phi psi}
-    rank = _subset_product_rank(base_images + [phi, psi])
+    rank = 1 << len(gf2_echelon([*(1 << (i - 1) for i in base_idx), phi_mask, psi_mask]))
     passed = commute_ok and prod_anti and rank == 1 << (p + q)
     return PhiPsiReport(
         phi=phi,
@@ -475,30 +472,30 @@ class ChainReport(NamedTuple):
     links: list
 
 
-def spin24_chain() -> ChainReport:
-    """Certify every link from the conformal even subalgebra down to the
-    quaternionic factorization of the spacetime algebra.
-
-    Each link is one witness that must reach its target. The matrix link is
-    the Karoubi witness for Cl(4,0) tensor Cl(0,1), images e1..e4 and e1234 (x) f:
-    the volume element of Cl(4,1) maps to f, the central complex unit.
-    """
+def _spin24_links() -> tuple:
+    """(name, witness, required target, detail) per link of spin24_chain. The
+    matrix link is the Karoubi witness for Cl(4,0) tensor Cl(0,1), images e1..e4
+    and e1234 (x) f: the volume element of Cl(4,1) maps to f, the central complex unit."""
     csig = Signature(1, 3, complexified=True)
-    i = GaussianRational(0, 1)
-    complexified = [MV.generator(csig, 1)] + [MV.generator(csig, j) * i for j in (2, 3, 4)]
-    table = (
+    complexified = [(0b0001, 0), (0b0010, 1), (0b0100, 1), (0b1000, 1)]  # e1, i e2, i e3, i e4
+    return (
         ("even_subalgebra", even_iso_check(2, 4), (4, 1),
          "even part of Cl(2,4) realized as Cl(4,1)"),
         ("matrix_realization", karoubi_check((4, 0), (0, 1)), (4, 1),
          "central omega with omega^2=-1 plus four +1 generators"),
         ("complexified_realization",
-         _witness(complexified, MV.scalar(csig, 1), (4, 0), "complexified"), (4, 0),
+         _witness(complexified, csig, (4, 0), "complexified"), (4, 0),
          "generators e1, i e2, i e3, i e4 of the complexified algebra"),
         ("karoubi_product", karoubi_check((1, 1), (0, 2)), (1, 3),
          "Cl(1,1) tensor Cl(0,2) realizes Cl(1,3)"),
     )
+
+
+def spin24_chain() -> ChainReport:
+    """Certify every link from the conformal even subalgebra down to the quaternionic
+    factorization of the spacetime algebra: each witness must reach its target."""
     links = [ChainLink(name, rep.certified and rep.target_sig == target, rep.rank, detail)
-             for name, rep, target, detail in table]
+             for name, rep, target, detail in _spin24_links()]
     return ChainReport(ok=all(l.certified for l in links), links=links)
 
 
@@ -507,22 +504,20 @@ def spin24_chain() -> ChainReport:
 # --------------------------------------------------------------------------
 
 
-def _coeff_json(c):
-    if isinstance(c, GaussianRational):
-        return [str(c.re), str(c.im)]
-    return str(c)
+# i^c as the coefficient strings of a real signature (c even) and of a complexified one
+_REAL_PHASES = ("1", None, "-1", None)
+_COMPLEX_PHASES = (["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"])
 
 
 def generator_map_json(rep: GeneratorMap) -> str:
-    """Sparse JSON dump of a witness for external audit."""
-    images = []
-    for img in rep.images:
-        if isinstance(img.sig, ProductAlgebra):
-            # the per-factor mask tuples, in tuple order
-            terms = sorted((list(img.sig.split(k)), c) for k, c in img.terms.items())
-        else:
-            terms = sorted(img.terms.items())
-        images.append([[k, _coeff_json(c)] for k, c in terms])
+    """Sparse JSON dump of a witness for external audit: each image is one
+    [blade, coefficient] term, a product blade as its per-factor masks."""
+    import json
+
+    alg = rep.algebra
+    phases = _COMPLEX_PHASES if alg.complexified else _REAL_PHASES
+    split = alg.split if isinstance(alg, ProductAlgebra) else None
+    images = [[[list(split(m)) if split else m, phases[c]]] for m, c in rep.images]
     return json.dumps({
         "target_sig": list(rep.target_sig),
         "construction": rep.construction,

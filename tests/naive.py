@@ -16,6 +16,8 @@ coset, the central-split products, which stand in for the Q and beta test of
 central_split and the support test that places f in a component, and the
 generator products behind phi, psi, the even images and the chain's matrix
 link, which stand in for the blades cl8.tensoriso names by blade_product,
+the witness images multiplied out as MVs, which stand in for the (mask, phase)
+pairs whose squares, anticommutation and rank cl8.tensoriso reads in ints,
 and the block samples, which multiply the block form's MV matrices over Q(i)
 where cl8.tensoriso multiplies int entries with the product kernel. The
 numeric layer's oracle is numpy: it recomputes cl8.pauli's exact Z[i]
@@ -29,8 +31,9 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from cl8.algebra import MV, anticommute_mask
+from cl8.algebra import MV, GaussianRational, anticommute_mask
 from cl8.linalg import SpanBasis, gf2_echelon, gf2_reduce
+from cl8.tensoriso import ProductAlgebra
 
 
 def naive_blade_product(a, b, p):
@@ -265,6 +268,63 @@ def naive_phi_psi(sig, base_idx, added):
 def naive_even_images(sig, pinned, others):
     """The even-subalgebra images e_i * e_pinned by MV products, i in others."""
     return [MV.generator(sig, i) * MV.generator(sig, pinned) for i in others]
+
+
+def naive_phased_mvs(images, alg):
+    """(one, images) for phased blades (mask, c): each image the MV e_mask times
+    c factors of i, multiplied out, over alg (a Signature or ProductAlgebra).
+    A real alg with an odd c is complexified first, so that the i a real algebra
+    cannot hold shows as a flipped square."""
+    if not alg.complexified and any(c % 2 for _, c in images):
+        if isinstance(alg, ProductAlgebra):
+            alg = ProductAlgebra([s._replace(complexified=True) for s in alg.sigs], alg.graded)
+        else:
+            alg = alg._replace(complexified=True)
+    unit = GaussianRational(0, 1) if alg.complexified else None
+    out = []
+    for mask, c in images:
+        x = MV(alg, {mask: 1})
+        for _ in range(c if unit else c // 2):
+            x = x * unit if unit else -x
+        out.append(x)
+    return MV(alg, {0: 1}), out
+
+
+def naive_product_images(sigs, graded, twist=0):
+    """A tensor witness's images in generator order, by MV products:
+    generator g of factor j is i^(twist j) times, in a plain product, the
+    generators of every earlier factor multiplied in order, times e_g."""
+    alg = ProductAlgebra(sigs, graded)
+    one = MV(alg, {0: 1})
+    gens = [MV(alg, {1 << k: 1}) for k in range(alg.n)]
+    images, lead, k = [], one, 0
+    for j, s in enumerate(alg.sigs):
+        unit = one
+        for _ in range(twist * j):
+            unit = unit * GaussianRational(0, 1)
+        factor_gens = gens[k:k + s.n]
+        images += [unit * (one if graded else lead) * g for g in factor_gens]
+        for g in factor_gens:
+            lead = lead * g
+        k += s.n
+    return images
+
+
+def naive_witness_facts(rep, raw):
+    """Which facts of a generator-map witness its phased images bear out by MV
+    products: they equal raw (the witness's images built as MVs, in generator
+    order, before the +1 squares move first), their squares are the reported
+    squares, they pairwise anticommute, and their subset products span the
+    reported rank."""
+    one, images = naive_phased_mvs(rep.images, rep.algebra)
+    squares = [1 if x * x == one else -1 if x * x == -one else 0 for x in images]
+    ones = [x for x in raw if x * x == one]
+    return {
+        "images": images == ones + [x for x in raw if x * x != one],
+        "squares": squares == rep.squares,
+        "anticommute": pairwise_anticommute(images),
+        "rank": naive_subset_product_rank(images, one) == rep.rank,
+    }
 
 
 def naive_matrix_link_facts(gens, one):

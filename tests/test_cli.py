@@ -478,6 +478,13 @@ def test_cli_import_loads_no_cl8_module():
     assert res.stdout.strip() == "['cl8', 'cl8.cli']"
 
 
+def test_tensoriso_import_loads_no_json():
+    # json serves generator_map_json alone, which imports it when it runs
+    res = cl8_subprocess("-c", "import sys, cl8.tensoriso; print('json' in sys.modules)")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 CLASSIFY_MODULES = {"cl8.classify", "cl8.algebra", "cl8.linalg"}
 PERIODICITY_MODULES = {"cl8.periodicity", *CLASSIFY_MODULES}
 

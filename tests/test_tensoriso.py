@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cl8 import tensoriso
-from cl8.algebra import MV, GaussianRational, Signature, square_sign
+from cl8.algebra import MV, GaussianRational, Signature
 from cl8.tensoriso import (
     MAX_WITNESS_N,
     BlockForm,
     ProductAlgebra,
-    TensorMV,
     block_matrix_form,
     complex_tensor_check,
     even_iso_check,
@@ -23,7 +22,6 @@ from cl8.tensoriso import (
     karoubi_check,
     phi_psi_factorization,
     spin24_chain,
-    _subset_product_rank,
     _witness,
 )
 
@@ -33,9 +31,12 @@ from naive import (
     naive_block_sample,
     naive_even_images,
     naive_matrix_link_facts,
+    naive_phased_mvs,
     naive_phi_psi,
+    naive_product_images,
     naive_subset_product_rank,
     naive_tensor_product,
+    naive_witness_facts,
     pairwise_anticommute,
 )
 
@@ -123,21 +124,20 @@ def test_tensor_product_matches_naive(case):
 
 @st.composite
 def blade_images(draw):
-    """Up to six single-blade images in an algebra on n <= 6 generators:
-    Cl(p, q) or a two-factor tensor product, real or complexified with Q(i)
-    coefficients. Some masks repeat or are the XOR of earlier ones."""
+    """Up to six phased blades (mask, c) in an algebra on n <= 6 generators:
+    Cl(p, q) or a two-factor tensor product, real (c even) or complexified.
+    Some masks repeat, are 0 or are the XOR of earlier ones."""
     n = draw(st.integers(0, 6))
     complexified = draw(st.booleans())
-    fracs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-    coeffs = st.builds(GaussianRational, fracs, fracs) if complexified else fracs
+    phases = st.integers(0, 3) if complexified else st.sampled_from((0, 2))
     if draw(st.booleans()):
         p = draw(st.integers(0, n))
-        alg, kind = Signature(p, n - p, complexified=complexified), MV
+        alg = Signature(p, n - p, complexified=complexified)
     else:
         cut = draw(st.integers(0, n))
         p1, p2 = draw(st.integers(0, cut)), draw(st.integers(0, n - cut))
         sigs = (Signature(p1, cut - p1, complexified=complexified), Signature(p2, n - cut - p2))
-        alg, kind = ProductAlgebra(sigs, graded=draw(st.booleans())), TensorMV
+        alg = ProductAlgebra(sigs, graded=draw(st.booleans()))
     masks = []
     for _ in range(draw(st.integers(0, 6))):
         if masks and draw(st.booleans()):
@@ -147,31 +147,26 @@ def blade_images(draw):
         else:
             mask = draw(st.integers(0, (1 << n) - 1))
         masks.append(mask)
-    images = [kind(alg, {m: draw(coeffs.filter(bool))}) for m in masks]
-    return images, kind(alg, {0: 1})
+    return [(m, draw(phases)) for m in masks], alg
 
 
 @settings(max_examples=150, deadline=None)
 @given(blade_images())
 def test_subset_product_rank_matches_the_product_oracle(case):
-    images, one = case
-    assert _subset_product_rank(images) == naive_subset_product_rank(images, one)
+    # the witness's rank is 2^(GF(2) rank of the masks); the oracle multiplies
+    # out all 2^k subset products of the images built as MVs
+    images, alg = case
+    one, mvs = naive_phased_mvs(images, alg)
+    assert _witness(images, alg, (0, 0), None).rank == naive_subset_product_rank(mvs, one)
 
 
-def test_witness_with_a_non_blade_image_has_rank_0():
-    sig = Signature(2, 0)
-    one = MV.scalar(sig, 1)
-    e1, e2, e12 = MV.generator(sig, 1), MV.generator(sig, 2), MV.blade(sig, 0b11)
-    rep = _witness([one + e1, e2], one, (2, 0), None)
-    assert rep.rank == 0 and not rep.certified
-    assert _subset_product_rank([MV.zero(sig), e1]) == 0
-    # u = (3 e1 + 4 e2)/5 squares to 1 and anticommutes with e12, and its
-    # products span Cl(2,0); a non-blade image is still never certified
-    u = e1 * Fraction(3, 5) + e2 * Fraction(4, 5)
-    assert naive_subset_product_rank([u, e12], one) == 4
-    rep = _witness([u, e12], one, (1, 1), None)
-    assert rep.squares == [1, -1]
-    assert rep.rank == 0 and not rep.certified
+def test_witness_refuses_an_odd_phase_in_a_real_algebra():
+    # i e1 would square to -1, but i is no element of Cl(2,0): a real witness
+    # with an odd phase is refused, not read as a Cl(1,1) witness
+    with pytest.raises(ValueError, match="odd phase"):
+        _witness([(0b01, 1), (0b10, 0)], Signature(2, 0), (1, 1), None)
+    rep = _witness([(0b01, 1), (0b10, 0)], Signature(2, 0, complexified=True), (1, 1), None)
+    assert rep.squares == [1, -1] and rep.certified
 
 
 WITNESS_ALGEBRAS = [
@@ -184,17 +179,18 @@ WITNESS_ALGEBRAS = [
 
 @pytest.mark.parametrize("alg", WITNESS_ALGEBRAS, ids=["real", "complexified", "plain", "graded"])
 def test_witness_certifies_exactly_what_the_relation_check_does(alg):
-    # every set of two or three distinct blades, against the MV-product
-    # relation check; many have full rank and the right squares but a
-    # commuting pair, which only the anticommutation check refuses
-    one = MV(alg, {0: 1})
+    # every set of two or three distinct blades, with phases, against the
+    # MV-product relation check; many have full rank and the right squares but
+    # a commuting pair, which only the anticommutation check refuses
     refused_for_commuting = 0
     for k in (2, 3):
         for masks in combinations(range(1, 1 << alg.n), k):
-            images = [MV(alg, {m: 1}) for m in masks]
-            squares = [square_sign(img, one) for img in images]
+            raw = [(m, m % 4 if alg.complexified else 2 * (m % 2)) for m in masks]
+            one, images = naive_phased_mvs(raw, alg)
+            squares = [1 if x * x == one else -1 for x in images]
             target = (squares.count(1), squares.count(-1))
-            rep = _witness(images, one, target, None)
+            rep = _witness(raw, alg, target, None)
+            assert sorted(rep.squares) == sorted(squares)
             full = rep.rank == 1 << k
             assert rep.certified == (full and pairwise_anticommute(images))
             refused_for_commuting += full and not rep.certified
@@ -266,14 +262,11 @@ def test_complex_tensor_images_past_four_factors(m):
     # the MV-product reference holds every image, and factor j carries i^(j mod 4)
     # times the volume element of every earlier factor
     rep = complex_tensor_check(m)
-    one = rep.images[0].sig.scalar(1)
-    assert all(square_sign(img, one) == 1 for img in rep.images)
-    assert pairwise_anticommute(rep.images)
-    i_powers = [GaussianRational(1), GaussianRational(0, 1),
-                GaussianRational(-1), GaussianRational(0, -1)]
-    for k, img in enumerate(rep.images):
-        j, g = divmod(k, 2)
-        assert img.terms == {(1 << 2 * j) - 1 | 1 << (2 * j + g): i_powers[j % 4]}
+    one, images = naive_phased_mvs(rep.images, rep.algebra)
+    assert all(x * x == one for x in images)
+    assert pairwise_anticommute(images)
+    assert rep.images == [((1 << 2 * j) - 1 | 1 << (2 * j + g), j % 4)
+                          for j in range(m) for g in range(2)]
 
 
 EVEN_CASES = [
@@ -294,8 +287,8 @@ def test_even_iso_selection_and_certification(source, target, construction):
     assert rep.certified
     n = source[0] + source[1]
     assert rep.rank == 2 ** (n - 1)
-    for img in rep.images:
-        assert img.grades() == {2}
+    for mask, c in rep.images:
+        assert mask.bit_count() == 2 and c in (0, 2)
 
 
 def test_even_iso_selection_rule_all_small():
@@ -324,7 +317,7 @@ def test_even_images_match_generator_products():
             else:
                 raw = naive_even_images(sig, n, range(1, n))
             want = [x for x in raw if x * x == one] + [x for x in raw if x * x != one]
-            assert rep.images == want, (p, n - p)
+            assert naive_phased_mvs(rep.images, sig)[1] == want, (p, n - p)
 
 
 PHI_PSI_CASES = [
@@ -699,10 +692,11 @@ def test_matrix_link_is_the_karoubi_witness():
     rep = karoubi_check((4, 0), (0, 1))
     assert (rep.construction, rep.target_sig, rep.squares, rep.rank, rep.certified) == (
         "positive", (4, 1), [1, 1, 1, 1, -1], 32, True)
-    assert [img.terms for img in rep.images] == [{1 << g: 1} for g in range(4)] + [{0b11111: 1}]
+    assert rep.images == [(1 << g, 0) for g in range(4)] + [(0b11111, 0)]
     sig = Signature(4, 1)
     old = naive_matrix_link_facts([MV.generator(sig, i) for i in range(1, 6)], MV.scalar(sig, 1))
-    new = naive_matrix_link_facts(rep.images, rep.images[0].sig.scalar(1))
+    one, images = naive_phased_mvs(rep.images, rep.algebra)
+    new = naive_matrix_link_facts(images, one)
     assert old == new == {"omega_sq": True, "omega_central": True, "plus_squares": True,
                           "anticommute": True, "rank": 32}
     link = spin24_chain().links[1]
@@ -739,6 +733,99 @@ def test_certificate_builders_form_no_mv_product(monkeypatch):
     assert form.phi.terms == {0b0111: 1} and form.psi.terms == {0b1011: 1}
     report = spin24_chain()
     assert report.ok and all(link.certified for link in report.links)
+
+
+def test_witness_builders_build_no_mv(monkeypatch):
+    # the graded, Karoubi, even and complex witnesses, the chain and their JSON
+    # work on (mask, phase) ints alone: with MV (and so TensorMV) construction
+    # refusing, they still certify
+    def no_mv(*args):
+        raise AssertionError("a witness built an MV")
+
+    monkeypatch.setattr(MV, "__init__", no_mv)
+    reps = [graded_tensor_check(a, b) for a in FACTOR_SIGS for b in FACTOR_SIGS]
+    reps += [karoubi_check(a, b) for a in FACTOR_SIGS if sum(a) % 2 == 0 for b in FACTOR_SIGS]
+    reps += [even_iso_check(p, n - p) for n in range(1, 9) for p in range(n + 1)]
+    reps += [complex_tensor_check(m) for m in range(1, 5)]
+    reps += [rep for _, rep, _, _ in tensoriso._spin24_links()]
+    assert all(rep.certified for rep in reps)
+    assert all(generator_map_json(rep) for rep in reps)
+    assert spin24_chain().ok
+    with pytest.raises(AssertionError, match="built an MV"):
+        MV.scalar(Signature(1, 0), 1)
+
+
+def _oracle_witnesses():
+    """(kind, witness, its images built as MVs in generator order) for every
+    witness kind the cert sweep checks: graded and Karoubi on factors with up to
+    three generators each, even on up to seven, complex on m <= 4, and the four
+    links of the spin24 chain."""
+    sigs = [(p, n - p) for n in range(4) for p in range(n + 1)]
+    for a in sigs:
+        for b in sigs:
+            factors = (Signature(*a), Signature(*b))
+            yield "graded", graded_tensor_check(a, b), naive_product_images(factors, True)
+            if sum(a) % 2 == 0:
+                yield "karoubi", karoubi_check(a, b), naive_product_images(factors, False)
+    for n in range(1, 8):
+        for p in range(n + 1):
+            rep, sig = even_iso_check(p, n - p), Signature(p, n - p)
+            pinned, others = (1, range(2, n + 1)) if rep.construction == "B" else (n, range(1, n))
+            yield "even", rep, naive_even_images(sig, pinned, others)
+    for m in range(1, 5):
+        factors = (Signature(2, 0, complexified=True),) * m
+        yield "complex", complex_tensor_check(m), naive_product_images(factors, False, twist=1)
+    csig = Signature(1, 3, complexified=True)
+    i = GaussianRational(0, 1)
+    links = dict((name, rep) for name, rep, _, _ in tensoriso._spin24_links())
+    yield ("even_subalgebra", links["even_subalgebra"],
+           naive_even_images(Signature(2, 4), 1, range(2, 7)))
+    yield ("matrix_realization", links["matrix_realization"],
+           naive_product_images((Signature(4, 0), Signature(0, 1)), False))
+    yield ("complexified_realization", links["complexified_realization"],
+           [MV.generator(csig, 1)] + [MV.generator(csig, j) * i for j in (2, 3, 4)])
+    yield ("karoubi_product", links["karoubi_product"],
+           naive_product_images((Signature(1, 1), Signature(0, 2)), False))
+
+
+ALL_FACTS_HOLD = {"images": True, "squares": True, "anticommute": True, "rank": True}
+
+
+def test_phased_witnesses_match_the_mv_oracle():
+    # each (mask, phase) image, built as an MV, is the witness's construction
+    # multiplied out, and its squares, anticommutation and rank, read in ints,
+    # are what MV products give
+    kinds = set()
+    for kind, rep, raw in _oracle_witnesses():
+        assert rep.certified, (kind, rep.source_sig)
+        assert naive_witness_facts(rep, raw) == ALL_FACTS_HOLD, (kind, rep.source_sig)
+        kinds.add(kind)
+    assert kinds == {"graded", "karoubi", "even", "complex", "even_subalgebra",
+                     "matrix_realization", "complexified_realization", "karoubi_product"}
+
+
+# one planted defect on the first image: (defect name, new image, the facts it breaks
+# on every witness); a flipped mask bit can leave a valid but different witness,
+# as e1 -> e12 does in Cl(1,0) (x) Cl(0,1), so only the images must catch it
+PLANTED_DEFECTS = [
+    ("phase+2", lambda m, c: (m, (c + 2) % 4), {"images"}),
+    ("phase+1", lambda m, c: (m, (c + 1) % 4), {"images", "squares"}),
+    ("mask bit", lambda m, c: (m ^ 1, c), {"images"}),
+]
+
+
+@pytest.mark.parametrize("defect", PLANTED_DEFECTS, ids=[d[0] for d in PLANTED_DEFECTS])
+def test_mv_oracle_catches_a_planted_defect(defect):
+    _, plant, broken = defect
+    tried = 0
+    for kind, rep, raw in _oracle_witnesses():
+        if not rep.images:  # even_iso_check(1, 0) has no image to plant on
+            continue
+        bad = rep._replace(images=[plant(*rep.images[0])] + rep.images[1:])
+        facts = naive_witness_facts(bad, raw)
+        assert not any(facts[name] for name in broken), (kind, rep.source_sig, facts)
+        tried += 1
+    assert tried > 150
 
 
 # SHA-256 of the witness set below, one line per witness:
