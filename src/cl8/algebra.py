@@ -436,10 +436,6 @@ class MV:
     def grades(self) -> set:
         return {m.bit_count() for m in self.terms}
 
-    def scalar_part(self):
-        zero = _coerce_coeff(self.sig, 0)
-        return self.terms.get(0, zero)
-
     def __repr__(self):
         if not self.terms:
             return "MV(0)"

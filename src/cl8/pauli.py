@@ -1,94 +1,29 @@
 """Numeric layer: 2-spinors vs Minkowski vectors, twistor incidence, qubits.
 
-Two halves, both on the standard library alone.
-
-The sampled checks behind every PASS (`sl2c_double_cover_check`,
+Every sampled check behind a PASS (`sl2c_double_cover_check`,
 `null_outer_defects`, `bloch_roundtrip_check` and the numeric suite's
-`_null_and_bloch_defects`) are exact. They draw Gaussian integers from a
+`_null_and_bloch_defects`) is exact. They draw Gaussian integers from a
 seeded `random.Random` and check each identity in Python ints over Z[i]: a
 Gaussian integer is an (re, im) pair of ints and a 2x2 matrix over Z[i] is
-the flat tuple (m00, m01, m10, m11) of four of them. Every defect they
-report is an int, the largest |re| or |im| of an entry of some difference,
-so 0 on a pass.
+the flat tuple (m00, m01, m10, m11) of four of them. A four-vector x is the
+Hermitian matrix x0 I + x1 sigma_1 + x2 sigma_2 + x3 sigma_3, of determinant
+its Minkowski norm. Every defect they report is an int, the largest |re| or
+|im| of an entry of some difference, so 0 on a pass.
 
-The float helpers (`vector_to_herm`, `sl2c_act`, `spinor_outer`,
-`bloch_vector`, the twistor functions and the rest) run on Python `complex`,
-with a matrix as a tuple of row tuples. `cl8 twistor` prints no PASS and
-stays float; the signature of its form is the involution count, read off
-the trace of the form's matrix once it is checked in ints to be symmetric
-and to square to I. Conventions carry the 1/sqrt(2) factors of the physics
-normalization, and the incidence kernel keeps +i x2 in both off-diagonal
-entries on purpose (the source display is asymmetric relative to the
-Hermitian-matrix encoding, and we reproduce it verbatim).
+The one float path is the twistor that `cl8 twistor` prints with no PASS:
+`twistor_incidence` and `twistor_norm` run on Python `complex`. They carry
+the 1/sqrt(2) factors of the physics normalization, and the incidence kernel
+keeps +i x2 in both off-diagonal entries on purpose (the source display is
+asymmetric relative to the Hermitian-matrix encoding, and we reproduce it
+verbatim). The signature of the twistor form is the involution count, read
+off the trace of the form's matrix once it is checked in ints to be
+symmetric and to square to I.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
-
-SIGMA = (
-    ((1 + 0j, 0j), (0j, 1 + 0j)),
-    ((0j, 1 + 0j), (1 + 0j, 0j)),
-    ((0j, -1j), (1j, 0j)),
-    ((1 + 0j, 0j), (0j, -1 + 0j)),
-)
-
-
-def _matmul(a, b) -> tuple:
-    return tuple(tuple(row[0] * b[0][j] + row[1] * b[1][j] for j in (0, 1)) for row in a)
-
-
-def _dagger(a) -> tuple:
-    return tuple(tuple(a[j][i].conjugate() for j in (0, 1)) for i in (0, 1))
-
-
-def _trace(a):
-    return a[0][0] + a[1][1]
-
-
-def vector_to_herm(x) -> tuple:
-    x0, x1, x2, x3 = map(float, x)
-    return ((complex(x0 + x3), complex(x1, -x2)), (complex(x1, x2), complex(x0 - x3)))
-
-
-def herm_to_vector(X) -> tuple:
-    return ((X[0][0] + X[1][1]).real / 2, X[1][0].real, X[1][0].imag,
-            (X[0][0] - X[1][1]).real / 2)
-
-
-def lorentz_norm(x) -> float:
-    x0, x1, x2, x3 = map(float, x)
-    return x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3
-
-
-def sl2c_act(a, X) -> tuple:
-    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if abs(det - 1.0) > 1e-9:
-        raise ValueError(f"matrix must be unimodular, det = {det}")
-    return _matmul(_matmul(a, X), _dagger(a))
-
-
-def random_sl2(rng) -> tuple:
-    """Random unimodular 2x2 complex matrix from a random.Random."""
-    while True:
-        m = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in (0, 1)] for _ in (0, 1)]
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if abs(det) > 1e-3:
-            root = cmath.sqrt(det)
-            return tuple(tuple(v / root for v in row) for row in m)
-
-
-def spinor_outer(xi, xi_dot) -> tuple:
-    """Four-vector of the rank-1 spintensor sqrt(2) * outer(xi_dot, xi).
-
-    With xi_dot the conjugate of xi the result is real and lies on the
-    light cone.
-    """
-    r = math.sqrt(2.0)
-    x00, x01, x10, x11 = (r * (complex(d) * complex(x)) for d in xi_dot for x in xi)
-    return ((x00 + x11) / 2, (x01 + x10) / 2, (x10 - x01) / 2j, (x00 - x11) / 2)
 
 
 def twistor_incidence(x, pi) -> tuple:
@@ -124,26 +59,6 @@ def twistor_form_signature() -> tuple:
         raise RuntimeError("the twistor form is not a symmetric involution")
     trace = sum(F[i][i] for i in range(n))
     return ((n + trace) // 2, (n - trace) // 2)
-
-
-def qubit_density(a, b) -> tuple:
-    a, b = complex(a), complex(b)
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
-        raise ValueError("state must be normalized")
-    return tuple(tuple(u * v.conjugate() for v in (a, b)) for u in (a, b))
-
-
-def bloch_vector(rho) -> tuple:
-    return tuple(_trace(_matmul(rho, SIGMA[j])).real for j in (1, 2, 3))
-
-
-def density_from_bloch(P) -> tuple:
-    """(I + P . sigma) / 2, the Hermitian matrix of the four-vector (1, P) halved."""
-    return tuple(tuple(v / 2 for v in row) for row in vector_to_herm((1.0, *P)))
-
-
-def purity(rho) -> float:
-    return _trace(_matmul(rho, rho)).real
 
 
 #: Most samples a sampled check draws, checked before the first draw.
@@ -203,7 +118,7 @@ def _zdet(A) -> tuple:
 
 
 def _zherm(x) -> tuple:
-    """vector_to_herm of an integer four-vector, over Z[i]."""
+    """x0 I + x1 sigma_1 + x2 sigma_2 + x3 sigma_3 for an integer four-vector x, over Z[i]."""
     x0, x1, x2, x3 = x
     return ((x0 + x3, 0), (x1, -x2), (x1, x2), (x0 - x3, 0))
 
@@ -263,8 +178,8 @@ def _cover_defect(a, b, X) -> int:
 def _null_defects(xi) -> tuple:
     """(|det S|, Hermiticity defect of S) for S = outer(conj xi, xi) = conj(xi) xi^T.
 
-    S is Hermitian of determinant 0 for every xi, so both are 0. The sqrt(2)
-    of spinor_outer scales S and does not change whether it is null.
+    S is Hermitian of determinant 0 for every xi, so both are 0. The physics
+    normalization's spintensor sqrt(2) S is null exactly when S is.
     """
     S = _ket_bra([(z[0], -z[1]) for z in xi])
     return _gap((_zdet(S),), (_ZERO,)), _gap(S, _zdagger(S))
@@ -301,9 +216,9 @@ def null_outer_defects(rng, samples: int) -> tuple:
     """(max |det S|, max Hermiticity defect) over S = outer(conj xi, xi).
 
     Each sample draws a Gaussian-integer pair xi from rng (a random.Random,
-    advanced in place, or a seed). S is the spintensor behind spinor_outer:
-    its four-vector is real exactly when S is Hermitian, and null exactly
-    when det S = 0. Both maxima are ints, 0 on a pass.
+    advanced in place, or a seed). S is the rank-1 spintensor of xi, up to
+    the sqrt(2) of the physics normalization: its four-vector is real
+    exactly when S is Hermitian, and null exactly when det S = 0. Both maxima are ints, 0 on a pass.
     """
     return _worst(rng, samples, lambda r: (_zpart(r), _zpart(r)), _null_defects)
 

@@ -276,8 +276,11 @@ def even_iso_check(p: int, q: int) -> GeneratorMap:
 
 
 class PhiPsiReport(NamedTuple):
-    phi: MV
-    psi: MV
+    """The phi/psi split; phi and psi are phased blades (mask, c) like
+    `GeneratorMap.images`, here with c = 0 or 2 (+-1)."""
+
+    phi: tuple
+    psi: tuple
     phi_sq: int
     psi_sq: int
     case: str
@@ -285,7 +288,6 @@ class PhiPsiReport(NamedTuple):
     product_anticommutes: bool
     rank: int
     passed: bool
-    base_images: list
 
 
 _CASE_NAMES = {(-1, -1): "quaternion", (1, 1): "pseudo", (1, -1): "anti", (-1, 1): "anti"}
@@ -314,17 +316,14 @@ def phi_psi_factorization(target, base) -> PhiPsiReport:
     (-1,-1), pseudo (+1,+1), or anti (mixed).
     """
     p, q = target
-    p0, q0 = base
     _check_witness_n(p + q)
-    if (p0 + q0) % 2 != 0:
+    sig, base_sig = Signature(p, q), Signature(*base)  # validated before any shift
+    if base_sig.n % 2 != 0:
         raise ValueError("m not integral: base needs an even number of generators")
     base_idx, added = _embed_base_generators(target, base)
-    sig = Signature(p, q)
-    base_images = [MV.generator(sig, i) for i in base_idx]
     base_mask = sum(1 << (i - 1) for i in base_idx)  # increasing: their product is +e_base
     phi_sign, phi_mask = blade_product(base_mask, 1 << (added[0] - 1), sig)
     psi_sign, psi_mask = blade_product(base_mask, 1 << (added[1] - 1), sig)
-    phi, psi = MV.blade(sig, phi_mask, phi_sign), MV.blade(sig, psi_mask, psi_sign)
     phi_sq, psi_sq = blade_square(phi_mask, sig), blade_square(psi_mask, sig)
     case = _CASE_NAMES[(phi_sq, psi_sq)]
     commute_ok = not base_mask & (anticommute_mask(phi_mask, sig) | anticommute_mask(psi_mask, sig))
@@ -333,8 +332,8 @@ def phi_psi_factorization(target, base) -> PhiPsiReport:
     rank = 1 << len(gf2_echelon([*(1 << (i - 1) for i in base_idx), phi_mask, psi_mask]))
     passed = commute_ok and prod_anti and rank == 1 << (p + q)
     return PhiPsiReport(
-        phi=phi,
-        psi=psi,
+        phi=(phi_mask, 1 - phi_sign),  # the sign s = +-1 is the phase i^(1 - s)
+        psi=(psi_mask, 1 - psi_sign),
         phi_sq=phi_sq,
         psi_sq=psi_sq,
         case=case,
@@ -342,7 +341,6 @@ def phi_psi_factorization(target, base) -> PhiPsiReport:
         product_anticommutes=prod_anti,
         rank=rank,
         passed=passed,
-        base_images=base_images,
     )
 
 
@@ -382,8 +380,8 @@ class BlockForm:
         self._plane = ProductAlgebra((Signature(p, q - 1), Signature(0, 1)))  # i = e_(m2+1)
         if split.case != "quaternion":
             raise ValueError("wrong factorization case: phi and psi must square to -1")
-        self.phi, self.psi = split.phi, split.psi
-        (phi,), (psi,) = self.phi.terms, self.psi.terms  # +e_(1..m+1), +e_(1..m, m+2)
+        self.phi, self.psi = split.phi, split.psi  # +e_(1..m+1), +e_(1..m, m+2)
+        (phi, _), (psi, _) = self.phi, self.psi
         sign, both = blade_product(phi, psi, self.target)
         # per part: (factor blade mask, its sign flips, 1 when A_k carries a further -1)
         self._factors = [(f, _sign_flips(f, self.target), odd)

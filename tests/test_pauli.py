@@ -1,4 +1,4 @@
-"""Hermitian-matrix encoding of vectors, spinor outer products, twistors, qubits."""
+"""The float twistor, and the exact Z[i] checks of the numeric layer against float64."""
 
 import math
 import random
@@ -9,27 +9,15 @@ import pytest
 from cl8 import pauli
 from cl8.pauli import (
     MAX_SAMPLES,
-    SIGMA,
     bloch_roundtrip_check,
-    bloch_vector,
-    density_from_bloch,
-    herm_to_vector,
-    lorentz_norm,
     null_outer_defects,
-    purity,
-    qubit_density,
-    random_sl2,
-    sl2c_act,
     sl2c_double_cover_check,
-    spinor_outer,
     twistor_form_signature,
     twistor_incidence,
     twistor_norm,
-    vector_to_herm,
 )
 
 from naive import (
-    NP_SIGMA,
     np_bloch,
     np_cover,
     np_matrix,
@@ -48,105 +36,6 @@ def normals(rng, n):
 
 def complex_normals(rng, n):
     return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
-
-
-def test_sigma_matrices():
-    assert len(SIGMA) == 4
-    assert all(len(m) == 2 and all(len(row) == 2 for row in m) for m in SIGMA)
-    np.testing.assert_array_equal(np.array(SIGMA), NP_SIGMA)
-    np.testing.assert_array_equal(np.array(SIGMA[0]), np.eye(2))
-
-
-def test_vector_to_herm_layout():
-    x = (1.0, 2.0, 3.0, 4.0)
-    X = np.array(vector_to_herm(x))
-    np.testing.assert_allclose(X, np.array([[5.0, 2.0 - 3.0j], [2.0 + 3.0j, -3.0]]))
-    np.testing.assert_allclose(X, sum(x[i] * NP_SIGMA[i] for i in range(4)))
-    assert abs(np.linalg.det(X).real - lorentz_norm(x)) < 1e-12
-
-
-@pytest.mark.parametrize("x,norm", [
-    ((1, 0, 0, 0), 1.0),
-    ((0, 1, 0, 0), -1.0),
-    ((0, 0, 1, 0), -1.0),
-    ((0, 0, 0, 1), -1.0),
-    ((2, 1, 1, 1), 1.0),
-])
-def test_lorentz_norm_signature(x, norm):
-    assert abs(lorentz_norm(x) - norm) < 1e-12
-
-
-def test_herm_round_trip():
-    rng = random.Random(5)
-    for _ in range(50):
-        x = normals(rng, 4)
-        np.testing.assert_allclose(herm_to_vector(vector_to_herm(x)), x, atol=1e-12)
-
-
-def test_sl2c_act_preserves_norm():
-    rng = random.Random(7)
-    for _ in range(50):
-        a = random_sl2(rng)
-        x = normals(rng, 4)
-        X2 = sl2c_act(a, vector_to_herm(x))
-        y = herm_to_vector(X2)
-        assert abs(lorentz_norm(y) - lorentz_norm(x)) < 1e-9
-        # the image stays hermitian
-        np.testing.assert_allclose(np.array(X2), np.array(X2).conj().T, atol=1e-10)
-
-
-def test_sl2c_act_rejects_non_unimodular():
-    a = ((2.0, 0.0), (0.0, 1.0))
-    with pytest.raises(ValueError):
-        sl2c_act(a, vector_to_herm((1.0, 0, 0, 0)))
-
-
-def test_sl2c_act_identity_and_sign():
-    rng = random.Random(29)
-    X = vector_to_herm(normals(rng, 4))
-    one, minus_one = ((1, 0), (0, 1)), ((-1, 0), (0, -1))
-    np.testing.assert_allclose(sl2c_act(one, X), X, atol=1e-14)
-    np.testing.assert_allclose(sl2c_act(minus_one, X), X, atol=1e-14)
-    a = random_sl2(rng)
-    minus_a = tuple(tuple(-v for v in row) for row in a)
-    np.testing.assert_allclose(sl2c_act(a, X), sl2c_act(minus_a, X), atol=1e-12)
-    boost = ((math.exp(0.3), 0), (0, math.exp(-0.3)))
-    Y = sl2c_act(boost, X)
-    assert abs(np.linalg.det(np.array(Y)).real - np.linalg.det(np.array(X)).real) < 1e-12
-
-
-def test_random_sl2_is_unimodular():
-    rng = random.Random(31)
-    for _ in range(50):
-        a = random_sl2(rng)
-        assert abs(a[0][0] * a[1][1] - a[0][1] * a[1][0] - 1) < 1e-12
-
-
-def test_spinor_outer_frozen_values():
-    xi = (1.0, 0.0)
-    np.testing.assert_allclose(spinor_outer(xi, xi), (1 / RT2, 0, 0, 1 / RT2), atol=1e-12)
-    xi = (0.0, 1.0)
-    np.testing.assert_allclose(spinor_outer(xi, xi), (1 / RT2, 0, 0, -1 / RT2), atol=1e-12)
-    xi = (1.0, 1.0)
-    np.testing.assert_allclose(spinor_outer(xi, xi), (RT2, RT2, 0, 0), atol=1e-12)
-
-
-def test_spinor_outer_conjugate_pair_is_real_and_null():
-    rng = random.Random(11)
-    for _ in range(100):
-        xi = complex_normals(rng, 2)
-        x = spinor_outer(xi, [z.conjugate() for z in xi])
-        assert max(abs(v.imag) for v in x) < 1e-12
-        assert abs(lorentz_norm([v.real for v in x])) < 1e-9
-
-
-def test_spinor_outer_reconstructs_hermitian_matrix():
-    rng = random.Random(13)
-    for _ in range(20):
-        xi = np.array(complex_normals(rng, 2))
-        x = spinor_outer(xi, xi.conj())
-        X = vector_to_herm([v.real for v in x])
-        np.testing.assert_allclose(X, RT2 * np.outer(xi.conj(), xi), atol=1e-10)
 
 
 def test_twistor_incidence_frozen():
@@ -224,49 +113,6 @@ def test_twistor_signature_is_counted_on_a_checked_involution(monkeypatch):
         monkeypatch.setattr(pauli, "_TWISTOR_FORM", form)
         with pytest.raises(RuntimeError, match="symmetric involution"):
             twistor_form_signature()
-
-
-QUBIT_CASES = [
-    ((1.0, 0.0), (0.0, 0.0, 1.0)),
-    ((0.0, 1.0), (0.0, 0.0, -1.0)),
-    ((1 / RT2, 1 / RT2), (1.0, 0.0, 0.0)),
-    ((1 / RT2, 1j / RT2), (0.0, 1.0, 0.0)),
-]
-
-
-@pytest.mark.parametrize("ab,P", QUBIT_CASES)
-def test_qubit_bloch_vectors(ab, P):
-    rho = qubit_density(*ab)
-    np.testing.assert_allclose(bloch_vector(rho), P, atol=1e-12)
-    assert abs(purity(rho) - 1.0) < 1e-12
-    np.testing.assert_allclose(density_from_bloch(P), rho, atol=1e-12)
-
-
-def test_qubit_density_requires_normalization():
-    with pytest.raises(ValueError):
-        qubit_density(1.0, 1.0)
-
-
-def test_mixed_state_purity():
-    rho = density_from_bloch((0.0, 0.0, 0.0))
-    np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-15)
-    assert abs(purity(rho) - 0.5) < 1e-12
-    P = (0.3, 0.0, 0.4)
-    rho = density_from_bloch(P)
-    assert abs(purity(rho) - (1 + 0.25) / 2) < 1e-12
-    np.testing.assert_allclose(bloch_vector(rho), P, atol=1e-12)
-
-
-def test_random_qubits_round_trip():
-    rng = random.Random(23)
-    for _ in range(200):
-        a, b = complex_normals(rng, 2)
-        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        rho = qubit_density(a / norm, b / norm)
-        P = bloch_vector(rho)
-        assert abs(np.dot(P, P) - 1.0) < 1e-9
-        np.testing.assert_allclose(density_from_bloch(P), rho, atol=1e-12)
-        assert abs(purity(rho) - (1 + np.dot(P, P)) / 2) < 1e-12
 
 
 def test_double_cover_report():

@@ -29,8 +29,9 @@ def _imported_names(tree):
 
 
 def test_no_module_imports_numpy():
-    # every check is exact and the float helpers run on Python complex, so
-    # the package needs nothing outside the standard library
+    # every check is exact and the one float path, the printed twistor, runs
+    # on Python complex, so the package needs nothing outside the standard
+    # library
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -58,26 +59,42 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == []
 
 
+def _referenced_names(tree):
+    """Every name, attribute and imported name the module refers to."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    return named
+
+
 def test_every_private_helper_has_a_caller_in_the_package():
     # a private top-level function or class that nothing in src/cl8 names
     # is dead code, even when a test still imports it
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
-    named = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
+    named = set().union(*map(_referenced_names, trees.values()))
     found = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
              for node in tree.body
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
              and node.name.startswith("_") and not node.name.startswith("__")
              and node.name not in named]
     assert found == []
+
+
+def test_every_public_pauli_function_is_called_by_the_cli_or_a_suite():
+    # the numeric layer keeps no public function that only tests call: each
+    # one defined in pauli.py is named in cli.py or in suites.py
+    trees = {name: ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+             for name in ("pauli.py", "cli.py", "suites.py")}
+    public = [node.name for node in trees["pauli.py"].body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    called = _referenced_names(trees["cli.py"]) | _referenced_names(trees["suites.py"])
+    assert public and [name for name in public if name not in called] == []
 
 
 def test_only_linalg_names_the_rational_eliminator():

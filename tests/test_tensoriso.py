@@ -331,6 +331,11 @@ PHI_PSI_CASES = [
 ]
 
 
+def _phased_pair(pair, sig):
+    """phi and psi, two phased blades (mask, c) of sig, as MVs."""
+    return naive_phased_mvs(pair, sig)[1]
+
+
 @pytest.mark.parametrize("target,base,phi_sq,psi_sq,case", PHI_PSI_CASES)
 def test_phi_psi_cases(target, base, phi_sq, psi_sq, case):
     rep = phi_psi_factorization(target, base)
@@ -347,13 +352,15 @@ def test_phi_psi_cases(target, base, phi_sq, psi_sq, case):
 def test_phi_psi_spacetime_frozen_elements():
     rep = phi_psi_factorization((1, 3), (1, 1))
     sig = Signature(1, 3)
-    assert rep.phi == MV.blade(sig, 0b0111)   # e123
-    assert rep.psi == MV.blade(sig, 0b1011)   # e124
-    prod = rep.phi * rep.psi
+    assert (rep.phi, rep.psi) == ((0b0111, 0), (0b1011, 0))
+    phi, psi = _phased_pair((rep.phi, rep.psi), sig)
+    assert phi == MV.blade(sig, 0b0111)   # e123
+    assert psi == MV.blade(sig, 0b1011)   # e124
+    prod = phi * psi
     assert prod == MV.blade(sig, 0b1100)      # +e34
     assert prod * prod == MV.scalar(sig, -1)
     e1, e2 = MV.generator(sig, 1), MV.generator(sig, 2)
-    for u in (rep.phi, rep.psi):
+    for u in (phi, psi):
         assert u * e1 == e1 * u
         assert u * e2 == e2 * u
     assert rep.rank == 16
@@ -362,10 +369,20 @@ def test_phi_psi_spacetime_frozen_elements():
 def test_phi_psi_product_square_identity():
     for target, base, *_ in PHI_PSI_CASES:
         rep = phi_psi_factorization(target, base)
-        prod = rep.phi * rep.psi
-        sig = rep.phi.sig
+        sig = Signature(*target)
+        phi, psi = _phased_pair((rep.phi, rep.psi), sig)
+        prod = phi * psi
         assert prod * prod == MV.scalar(sig, -rep.phi_sq * rep.psi_sq)
-        assert rep.phi * rep.psi == -(rep.psi * rep.phi)
+        assert phi * psi == -(psi * phi)
+
+
+@pytest.mark.parametrize("target,base", [((2, 2), (True, 1)), ((1, 3), (-1, 3)),
+                                         ((1, 3), (1.0, 1))], ids=["bool", "negative", "float"])
+def test_phi_psi_refuses_an_invalid_base_signature(target, base):
+    # the base is built as a Signature before any generator index is shifted
+    # into a mask, so a bool, a negative count and a float are all refused
+    with pytest.raises(ValueError, match="invalid signature"):
+        phi_psi_factorization(target, base)
 
 
 def _phi_psi_inputs(max_n):
@@ -399,10 +416,13 @@ def test_phi_psi_relations_match_mv_products(monkeypatch):
         monkeypatch.setattr(tensoriso, "_embed_base_generators", variant)
         for target, base in cases:
             rep = phi_psi_factorization(target, base)
-            phi, psi = rep.phi, rep.psi
-            oracle = naive_phi_psi(Signature(*target), *variant(target, base))
+            sig = Signature(*target)
+            phi, psi = _phased_pair((rep.phi, rep.psi), sig)
+            base_idx, added = variant(target, base)
+            oracle = naive_phi_psi(sig, base_idx, added)
             assert (phi, psi, rep.phi_sq, rep.psi_sq) == oracle, (target, base)
-            commute = all(phi * g == g * phi and psi * g == g * psi for g in rep.base_images)
+            gens = [MV.generator(sig, i) for i in base_idx]
+            commute = all(phi * g == g * phi and psi * g == g * psi for g in gens)
             anti = phi * psi == -(psi * phi)
             assert (rep.commute_ok, rep.product_anticommutes) == (commute, anti), (target, base)
             seen.add((commute, anti))
@@ -418,9 +438,10 @@ def test_block_matrix_frozen_images():
     cb = form.base
     zero, ident = MV.zero(cb), MV.scalar(cb, 1)
     assert m_one == [[ident, zero], [zero, ident]]
-    m_phi = form.matrix_of(form.phi)
+    phi, psi = _phased_pair((form.phi, form.psi), form.target)
+    m_phi = form.matrix_of(phi)
     assert m_phi == [[zero, -ident], [ident, zero]]
-    m_psi = form.matrix_of(form.psi)
+    m_psi = form.matrix_of(psi)
     from cl8.algebra import GaussianRational
     i_ident = MV.scalar(cb, GaussianRational(0, 1))
     assert m_psi == [[zero, i_ident], [i_ident, zero]]
@@ -513,11 +534,12 @@ def test_block_sampler_forms_no_mv_product_or_gaussian(monkeypatch):
         raise AssertionError("the sampler left the int kernel")
 
     form = BlockForm(1, 2)
+    phi, _ = _phased_pair((form.phi, form.psi), form.target)
     monkeypatch.setattr(MV, "__mul__", refuse)
     monkeypatch.setattr(tensoriso, "_gaussian", refuse)
     assert form.sample_homomorphism(25) == {"passed": True, "checked": 25, "failures": 0}
     with pytest.raises(AssertionError, match="left the int kernel"):
-        form.matrix_of(form.phi)
+        form.matrix_of(phi)
 
 
 def test_block_matrix_other_signature():
@@ -548,15 +570,15 @@ def test_block_form_takes_phi_psi_from_the_factorization():
                 continue
             m = p + q - 1
             sig = Signature(p, q + 1)
-            phi = MV.blade(sig, (1 << m) - 1 | 1 << m)
-            psi = MV.blade(sig, (1 << m) - 1 | 1 << (m + 1))
+            pair = ((1 << m) - 1 | 1 << m, 0), ((1 << m) - 1 | 1 << (m + 1), 0)
+            phi, psi = _phased_pair(pair, sig)
             quaternion = phi * phi == psi * psi == MV.scalar(sig, -1)
             if not quaternion:
                 with pytest.raises(ValueError, match="wrong factorization case"):
                     block_matrix_form(p, q)
                 continue
             form = block_matrix_form(p, q)
-            assert (form.phi, form.psi) == (phi, psi)
+            assert (form.phi, form.psi) == pair
 
 
 QUATERNION_FORMS = [(1, 2), (2, 3), (3, 4), (4, 1), (5, 2)]
@@ -657,7 +679,8 @@ def test_witness_builders_accept_the_largest_n():
     assert form.target.n == MAX_WITNESS_N
     cb = form.base
     zero, ident = MV.zero(cb), MV.scalar(cb, 1)
-    assert form.matrix_of(form.phi) == [[zero, -ident], [ident, zero]]
+    phi, _ = _phased_pair((form.phi, form.psi), form.target)
+    assert form.matrix_of(phi) == [[zero, -ident], [ident, zero]]
     assert form.sample_homomorphism(samples=3, seed=1)["passed"] is True
     for rep in (graded_tensor_check((half, 0), (0, half)),
                 karoubi_check((half // 2, half // 2), (half // 2, half // 2)),
@@ -730,15 +753,16 @@ def test_certificate_builders_form_no_mv_product(monkeypatch):
     assert all(rep.certified for rep in reps)
     assert all(phi_psi_factorization(t, b).passed for t, b in _phi_psi_inputs(8))
     form = BlockForm(1, 2)
-    assert form.phi.terms == {0b0111: 1} and form.psi.terms == {0b1011: 1}
+    assert (form.phi, form.psi) == ((0b0111, 0), (0b1011, 0))
     report = spin24_chain()
     assert report.ok and all(link.certified for link in report.links)
 
 
 def test_witness_builders_build_no_mv(monkeypatch):
-    # the graded, Karoubi, even and complex witnesses, the chain and their JSON
-    # work on (mask, phase) ints alone: with MV (and so TensorMV) construction
-    # refusing, they still certify
+    # the graded, Karoubi, even and complex witnesses, the chain and their JSON,
+    # the phi/psi split and the block samples work on (mask, phase) ints and int
+    # term dicts alone: with MV (and so TensorMV) construction refusing, they
+    # still certify
     def no_mv(*args):
         raise AssertionError("a witness built an MV")
 
@@ -751,6 +775,8 @@ def test_witness_builders_build_no_mv(monkeypatch):
     assert all(rep.certified for rep in reps)
     assert all(generator_map_json(rep) for rep in reps)
     assert spin24_chain().ok
+    assert all(phi_psi_factorization(t, b).passed for t, b in _phi_psi_inputs(8))
+    assert BlockForm(1, 2).sample_homomorphism(10)["passed"]
     with pytest.raises(AssertionError, match="built an MV"):
         MV.scalar(Signature(1, 0), 1)
 
