@@ -11,6 +11,7 @@ __all__ = [
     "periodicity",
     "reps",
     "suites",
+    "table",
     "tensoriso",
 ]
 

@@ -12,6 +12,8 @@ by Q and beta, and f's component by its support. Each cell is one cheap pass: th
 scan reads Q in closed form; one walk per idempotent reads each blade's coset off a
 linear key table over the GF(2) echelon in `linalg`, stops at the last coset, and ranks
 the corner and the ideal by disjoint coset supports; the ideal reps share f's values.
+The table itself, `algebra_type` and `radon_hurwitz`, lives in `cl8.table`, which
+loads no algebra; this module re-exports both.
 """
 
 from __future__ import annotations
@@ -25,56 +27,13 @@ from .algebra import (
     blades_anticommute, central_split, omega_square, volume_element,
 )
 from .linalg import gf2_echelon, gf2_reduce
+from .table import algebra_type, radon_hurwitz
 
-_RH_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
-
-
-def radon_hurwitz(i: int) -> int:
-    """The sequence r_i: base row (0,1,2,2,3,3,3,3) shifted by +4 per period.
-
-    Defined for every integer i; floor division extends it to the left,
-    so r_-1 = r_-2 = r_-3 = -1 and r_-8 = -4.
-    """
-    return _RH_BASE[i % 8] + 4 * (i // 8)
-
-
-_RING_OF_TYPE = {0: "R", 1: "R+R", 2: "R", 3: "C", 4: "H", 5: "H+H", 6: "H", 7: "C"}
-# generators the ring and the center use up: matrix rank = 2^((n - drop) / 2)
-_RANK_DROP = {0: 0, 1: 1, 2: 0, 3: 1, 4: 2, 5: 3, 6: 2, 7: 1}
-_DIM_K = {"R": 1, "C": 2, "H": 4, "R+R": 1, "H+H": 4}
-
-
-class AlgebraClass(NamedTuple):
-    p: int
-    q: int
-    type_mod8: int
-    ring: str
-    simple: bool
-    matrix_rank: int
-
-
-#: Largest p + q accepted by algebra_type, checked before the matrix rank
-#: 2^((n - drop) / 2) is built; it covers every cell of chessboard(5).
-MAX_CLASSIFY_N = 65536
-
-
-def algebra_type(p: int, q: int) -> AlgebraClass:
-    """Classification record for Cl(p, q) from the mod-8 type."""
-    Signature(p, q)  # rejects negative, non-int and bool fields
-    n = p + q
-    if n > MAX_CLASSIFY_N:
-        raise ValueError(f"p + q = {n} exceeds MAX_CLASSIFY_N = {MAX_CLASSIFY_N}")
-    t = (p - q) % 8
-    ring = _RING_OF_TYPE[t]
-    simple = t not in (1, 5)
-    rank = 1 << ((n - _RANK_DROP[t]) // 2)
-    return AlgebraClass(p=p, q=q, type_mod8=t, ring=ring, simple=simple, matrix_rank=rank)
-
-
-def formal_dimension_identity(info: AlgebraClass) -> bool:
-    """2^n == rank^2 * dim_R(K) * (number of simple components)."""
-    components = 1 if info.simple else 2
-    return (1 << (info.p + info.q)) == info.matrix_rank ** 2 * _DIM_K[info.ring] * components
+__all__ = [
+    "IdempotentData", "MAX_IDEMPOTENT_N", "algebra_type", "dirac_from_hestenes",
+    "dirac_idempotent", "division_ring_of", "minimal_left_ideal", "primitive_idempotent",
+    "radon_hurwitz",
+]
 
 
 # --------------------------------------------------------------------------

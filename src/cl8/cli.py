@@ -19,9 +19,10 @@ counterexample, 2 a usage, input or I/O error; an unknown suite name and a
 negative `--seed` are refused at parse time.
 
 A command loads only the library module it runs, imported by its handler:
-`classify` and `idempotent` load `classify` (with `algebra` and `linalg`);
-`chessboard`, `clock` and `cycle` load `periodicity`, which loads
-`classify`; `rep`, `chain` and `block` load `reps` alone; `verify` loads
+`classify` loads `table` alone, the mod-8 table with no algebra and no
+`fractions`; `idempotent` loads `classify` (with `algebra`, `linalg` and
+`table`); `chessboard`, `clock` and `cycle` load `periodicity`, which loads
+`table`; `rep`, `chain` and `block` load `reps` alone; `verify` loads
 `suites` and what its suite uses; `spinor`, `twistor`, `qubit` and,
 through its suite, `verify numeric` load `pauli`, which needs nothing
 outside the standard library. Importing this module loads no other cl8
@@ -38,7 +39,7 @@ import sys
 _CONFIG_KEYS = ("pmax", "qmax", "order", "seed", "samples", "r", "format", "output")
 
 #: Digits of the largest matrix_rank algebra_type returns, 2^(MAX_CLASSIFY_N / 2),
-#: written out so that commands which never classify need not import classify.
+#: written out so that commands which never classify need not import the table.
 _RANK_DIGITS = 9865
 
 
@@ -186,7 +187,7 @@ def check_sweep(pmax: int, qmax: int) -> None:
     negative bound, more than MAX_SWEEP_CELLS cells, a corner cell
     (pmax, qmax) above MAX_CLASSIFY_N, or a sum of p + q over the grid
     above MAX_SWEEP_N_SUM."""
-    from .classify import MAX_CLASSIFY_N
+    from .table import MAX_CLASSIFY_N
 
     if pmax < 0 or qmax < 0:
         raise ValueError(f"--pmax and --qmax must be >= 0, got {pmax} and {qmax}")
@@ -216,7 +217,7 @@ def _classify_text(rec: dict) -> str:
 def _cmd_classify(args):
     if args.pq and len(args.pq) != 2:
         raise ValueError("classify takes p and q together, or neither for a sweep")
-    from .classify import algebra_type
+    from .table import algebra_type
 
     if args.pq:
         records = [classify_record(algebra_type(*args.pq))]

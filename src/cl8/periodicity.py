@@ -1,14 +1,17 @@
 """Mod-8 periodicity made walkable: the ring clock, nested chessboards,
 and the arithmetic of the idempotent exponent k(0, q).
+
+The clock, the boards and the cycles read `cl8.table` alone. Only
+`search_confirms_k` builds idempotents, so it imports `cl8.classify` when it
+runs, and `json` is imported by the two functions that write it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple
 
-from .classify import algebra_type, division_ring_of, primitive_idempotent, radon_hurwitz
+from .table import algebra_type, radon_hurwitz
 
 
 class BWState(NamedTuple):
@@ -125,6 +128,8 @@ def board_text(board: Chessboard) -> str:
 
 def board_json(board: Chessboard) -> str:
     """Full cell listing as JSON; limited to boards of order <= 3."""
+    import json
+
     if board.order > 3:
         raise ValueError("JSON export needs a materialized board (order <= 3)")
     cells = []
@@ -153,6 +158,8 @@ def clock_text() -> str:
 
 
 def clock_json() -> str:
+    import json
+
     hours = [
         {"h": h, "from": CLOCK_OCTET[h - 1], "to": CLOCK_OCTET[h]}
         for h in range(1, 9)
@@ -169,6 +176,8 @@ def search_confirms_k(q: int) -> bool:
     """The idempotent search for Cl(0, q) kept k(q) generators, and the
     corner f Cl f certifies as R, C or H (doubled when the center splits).
     A division-ring corner makes f primitive, so k(0, q) is exact."""
+    from .classify import division_ring_of, primitive_idempotent
+
     return (len(primitive_idempotent(0, q).generators) == k(q)
             and division_ring_of(0, q)[1].partition("+")[0] in ("R", "C", "H"))
 

@@ -8,18 +8,18 @@ A suite with no checks fails, and so does a sweep over zero cases.
 
 Each suite imports the library modules it drives when it runs, so
 importing this module (as `cl8 verify` does when it parses a suite name)
-loads no library code: `classification` and `radon` load `classify`;
-`theorem3` and `cycles` load `periodicity`; `chevalley`, `karoubi`, `even`,
-`phipsi`, `block` and `chain24` load `tensoriso`; `reps` loads `reps` and
-`classify`; `numeric` loads `pauli`. A function-local import looks its
-names up at call time, so a rebound library function (traced or stubbed)
-takes effect here too.
+loads no library code, nor `fractions`: `classification` loads `classify`;
+`radon` loads `table` alone; `cycles` loads `periodicity` and `table`, and
+`theorem3` those and, for its brute-force line, `classify`; `chevalley`,
+`karoubi`, `even`, `phipsi`, `block` and `chain24` load `tensoriso`; `reps`
+loads `reps` and `table`; `numeric` loads `pauli`. A function-local import
+looks its names up at call time, so a rebound library function (traced or
+stubbed) takes effect here too.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def _line(ok: bool, text: str) -> str:
@@ -50,7 +50,7 @@ def classification_suite(max_n: int = 7) -> dict:
 
 
 def radon_suite() -> dict:
-    from .classify import radon_hurwitz
+    from .table import radon_hurwitz
 
     base = [radon_hurwitz(i) for i in range(8)]
     checks = [(base == [0, 1, 2, 2, 3, 3, 3, 3], f"base row r_0..r_7 = {base}")]
@@ -202,8 +202,10 @@ def chain24_suite() -> dict:
 
 
 def reps_suite() -> dict:
-    from .classify import algebra_type
+    from fractions import Fraction
+
     from .reps import bw_rep_walk, quotient_structure, rep_field, rep_label
+    from .table import algebra_type
 
     checks = []
     degree_ok = all(

@@ -411,6 +411,15 @@ def ring_from_type(t):
     return {0: "R", 1: "R+R", 2: "R", 3: "C", 4: "H", 5: "H+H", 6: "H", 7: "C"}[t]
 
 
+_DIM_K = {"R": 1, "C": 2, "H": 4, "R+R": 1, "H+H": 4}
+
+
+def formal_dimension_identity(info):
+    """2^n == rank^2 * dim_R(K) * (number of simple components)."""
+    components = 1 if info.simple else 2
+    return (1 << (info.p + info.q)) == info.matrix_rank ** 2 * _DIM_K[info.ring] * components
+
+
 def naive_gaussian_mul(z, w):
     """(a + bi)(c + di) for parts given as (a, b) and (c, d): all four partial
     products, whatever is zero."""

@@ -10,12 +10,10 @@ from cl8.algebra import (
     square_sign, volume_element,
 )
 from cl8.classify import (
-    MAX_CLASSIFY_N,
     MAX_IDEMPOTENT_N,
     _certify_corner,
     _cosets,
     algebra_type,
-    formal_dimension_identity,
     dirac_from_hestenes,
     dirac_idempotent,
     division_ring_of,
@@ -23,8 +21,10 @@ from cl8.classify import (
     primitive_idempotent,
     radon_hurwitz,
 )
+from cl8.table import MAX_CLASSIFY_N
 
 from naive import (
+    formal_dimension_identity,
     indices_of,
     naive_commute,
     naive_corner_reps,
@@ -79,15 +79,20 @@ def test_algebra_type_rings(pq, ring):
     assert info.simple == (info.type_mod8 not in (1, 5))
 
 
-@pytest.mark.parametrize("p,q", [(True, 2), (2, False), (1.5, 2), (2, 2.0), (-1, 3)])
+@pytest.mark.parametrize("p,q", [(True, 2), (2, False), (1.5, 2), (2, 2.0), (-1, 3), (3, -1),
+                                 ("1", 2), (2, "3")])
 def test_algebra_type_rejects_non_int_fields(p, q):
-    with pytest.raises(ValueError):
+    # cl8.table builds no Signature, so it refuses what Signature refuses, in its words
+    with pytest.raises(ValueError) as want:
+        Signature(p, q)
+    with pytest.raises(ValueError) as got:
         algebra_type(p, q)
+    assert str(got.value) == str(want.value) == f"invalid signature ({p!r}, {q!r})"
 
 
 def test_algebra_type_size_is_bounded():
     assert algebra_type(MAX_CLASSIFY_N, 0).matrix_rank == 1 << (MAX_CLASSIFY_N // 2)
-    with pytest.raises(ValueError, match="MAX_CLASSIFY_N"):
+    with pytest.raises(ValueError, match=r"^p \+ q = 65537 exceeds MAX_CLASSIFY_N = 65536$"):
         algebra_type(MAX_CLASSIFY_N, 1)
     with pytest.raises(ValueError, match="MAX_CLASSIFY_N"):
         algebra_type(100000000, 3)

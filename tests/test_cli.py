@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 from cl8 import cli
-from cl8.classify import MAX_CLASSIFY_N, algebra_type
+from cl8.classify import algebra_type
 from cl8.cli import MAX_SWEEP_CELLS, build_parser, check_sweep, main
 from cl8.periodicity import clock_json, clock_text
 from cl8.suites import SUITES, render_report, run_all
+from cl8.table import MAX_CLASSIFY_N
 
 from figdata import FIG8
 
@@ -485,20 +486,27 @@ def test_tensoriso_import_loads_no_json():
     assert res.stdout.strip() == "False"
 
 
-CLASSIFY_MODULES = {"cl8.classify", "cl8.algebra", "cl8.linalg"}
-PERIODICITY_MODULES = {"cl8.periodicity", *CLASSIFY_MODULES}
+def test_table_import_loads_no_other_cl8_module():
+    res = cl8_subprocess("-c", "import sys, cl8.table; print(sorted(m for m in sys.modules "
+                               "if m.startswith('cl8') or m in ('fractions', 'json')))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "['cl8', 'cl8.table']"
+
+
+CLASSIFY_MODULES = {"cl8.classify", "cl8.algebra", "cl8.linalg", "cl8.table"}
+PERIODICITY_MODULES = {"cl8.periodicity", "cl8.table"}
 
 # The cl8 modules each command loads, as the cli docstring lists them: one
-# argv per subcommand, and three for verify.
+# argv per subcommand, and four for verify.
 COMMAND_MODULES = {
-    ("classify", "1", "3"): CLASSIFY_MODULES,
+    ("classify", "1", "3"): {"cl8.table"},
     ("verify", "cycles"): {"cl8.suites", *PERIODICITY_MODULES},
     ("qubit", "--samples", "1"): {"cl8.pauli"},
     ("spinor", "--samples", "1"): {"cl8.pauli"},
     ("twistor",): {"cl8.pauli"},
     ("verify", "numeric"): {"cl8.suites", "cl8.pauli"},
     ("verify", "all"): {"cl8.suites", "cl8.tensoriso", "cl8.reps", "cl8.pauli",
-                        *PERIODICITY_MODULES},
+                        *PERIODICITY_MODULES, *CLASSIFY_MODULES},
     ("idempotent", "1", "3"): CLASSIFY_MODULES,
     ("chessboard",): PERIODICITY_MODULES,
     ("clock",): PERIODICITY_MODULES,
@@ -506,6 +514,7 @@ COMMAND_MODULES = {
     ("rep", "1", "2"): {"cl8.reps"},
     ("chain", "0", "3"): {"cl8.reps"},
     ("block",): {"cl8.reps"},
+    ("verify", "radon"): {"cl8.suites", "cl8.table"},
 }
 
 
@@ -522,7 +531,8 @@ def test_no_command_loads_numpy(argv):
     assert "inspect" not in loaded
     modules = COMMAND_MODULES[argv]
     assert {m for m in loaded if m.startswith("cl8.")} == modules
-    if modules == {"cl8.pauli"}:
+    # the table commands and the stdlib-only numeric layer make no Fraction
+    if modules <= {"cl8.pauli", "cl8.suites", *PERIODICITY_MODULES}:
         assert "fractions" not in loaded
 
 

@@ -33,7 +33,7 @@ def test_theorem3_brute_line_fails_on_a_non_primitive_idempotent(monkeypatch):
     # still holds the formula's value: the brute-force line must notice.
     from fractions import Fraction
 
-    from cl8 import periodicity
+    from cl8 import classify, periodicity
     from cl8.algebra import MV
     from cl8.classify import primitive_idempotent
 
@@ -47,8 +47,8 @@ def test_theorem3_brute_line_fails_on_a_non_primitive_idempotent(monkeypatch):
 
     line = "idempotent search matches arithmetic k for q <= 9"
     assert f"PASS {line}" in suites.theorem3_suite(24)["lines"]
-    for module in (periodicity, suites):
-        monkeypatch.setattr(module, "primitive_idempotent", dropped, raising=False)
+    # search_confirms_k imports primitive_idempotent from cl8.classify when it runs
+    monkeypatch.setattr(classify, "primitive_idempotent", dropped)
     rep = suites.theorem3_suite(24)
     assert f"FAIL {line}" in rep["lines"]
     assert rep["passed"] is False
