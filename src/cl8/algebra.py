@@ -25,10 +25,10 @@ and `MV.generator` refuse a blade mask that is not an int in 0 <= m < 2^n, coerc
 each coefficient to the signature's type (Fraction, or GaussianRational when
 complexified), reject inexact ones and drop zeros, and keep an exact Fraction as
 it is (it is immutable); `GaussianRational` takes int or Fraction parts. The
-module's own results (sums, negation, products, grade parts, involutions, Q(i)
-arithmetic) are built by the trusted `MV._made` and `_gaussian`, which store clean
-parts as they are; only `BlockForm.matrix_of` calls them outside, and the block
-samples call neither: they stay in int terms.
+module's own results (sums, negation, products, Q(i) arithmetic) are built by
+the trusted `MV._made` and `_gaussian`, which store clean parts as they are; only
+`BlockForm.matrix_of` calls them outside, and the block samples call neither:
+they stay in int terms.
 
 The same rule, as `anticommute_mask` and `blades_anticommute`, decides every
 relation between blades in `cl8.classify` and `cl8.tensoriso`, and the center in
@@ -42,6 +42,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import NamedTuple
+
+__all__ = [
+    "GaussianRational", "MV", "Signature", "anticommute_mask", "blade_product",
+    "blade_square", "blades_anticommute", "central_split", "omega_square", "square_sign",
+    "volume_element",
+]
 
 
 class GaussianRational:
@@ -422,20 +428,6 @@ class MV:
     def __bool__(self):
         return bool(self.terms)
 
-    # --- structure ------------------------------------------------------
-
-    def grade_part(self, k: int) -> "MV":
-        return self._made({m: c for m, c in self.terms.items() if m.bit_count() == k})
-
-    def even_part(self) -> "MV":
-        return self._made({m: c for m, c in self.terms.items() if m.bit_count() % 2 == 0})
-
-    def odd_part(self) -> "MV":
-        return self._made({m: c for m, c in self.terms.items() if m.bit_count() % 2 == 1})
-
-    def grades(self) -> set:
-        return {m.bit_count() for m in self.terms}
-
     def __repr__(self):
         if not self.terms:
             return "MV(0)"
@@ -453,25 +445,6 @@ class MV:
 # the slot setters behind _made; MV.__setattr__ refuses plain assignment
 _set_sig = MV.sig.__set__
 _set_terms = MV.terms.__set__
-
-
-_INVOLUTION_SIGNS = {
-    "grade_involution": lambda k: -1 if k % 2 else 1,
-    "reversion": lambda k: -1 if (k * (k - 1) // 2) % 2 else 1,
-    "conjugation": lambda k: -1 if (k * (k + 1) // 2) % 2 else 1,
-}
-
-
-def involute(x: MV, kind: str) -> MV:
-    """Apply one of the three canonical involutions, selected by name."""
-    try:
-        sign = _INVOLUTION_SIGNS[kind]
-    except KeyError:
-        raise ValueError(f"unknown involution {kind!r}") from None
-    out = {}
-    for m, c in x.terms.items():
-        out[m] = -c if sign(m.bit_count()) < 0 else c
-    return x._made(out)
 
 
 def volume_element(sig: Signature) -> MV:
@@ -519,9 +492,3 @@ def square_sign(x: MV, one: MV) -> int:
     sq = c * c if q > 0 else -(c * c)
     return 1 if one.terms == {0: sq} else -1 if one.terms == {0: -sq} else 0
 
-
-def even_subalgebra_basis(sig: Signature) -> list[int]:
-    """All even-grade blade masks, in (grade, mask) order."""
-    masks = [m for m in range(1 << sig.n) if m.bit_count() % 2 == 0]
-    masks.sort(key=lambda m: (m.bit_count(), m))
-    return masks

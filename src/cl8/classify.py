@@ -23,16 +23,15 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import (
-    MV, GaussianRational, Signature, _product_terms, anticommute_mask, blade_square,
+    MV, Signature, _product_terms, anticommute_mask, blade_square,
     blades_anticommute, central_split, omega_square, volume_element,
 )
 from .linalg import gf2_echelon, gf2_reduce
 from .table import algebra_type, radon_hurwitz
 
 __all__ = [
-    "IdempotentData", "MAX_IDEMPOTENT_N", "algebra_type", "dirac_from_hestenes",
-    "dirac_idempotent", "division_ring_of", "minimal_left_ideal", "primitive_idempotent",
-    "radon_hurwitz",
+    "IdempotentData", "MAX_IDEMPOTENT_N", "algebra_type", "division_ring_of",
+    "minimal_left_ideal", "primitive_idempotent", "radon_hurwitz",
 ]
 
 
@@ -223,28 +222,3 @@ def minimal_left_ideal(p: int, q: int):
                            f"in Cl({p},{q})")
     return reps, len(reps)
 
-
-# --------------------------------------------------------------------------
-# the Dirac corner: complexified Cl(1,3)
-# --------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def dirac_idempotent() -> MV:
-    """f = (1/4)(1 + e1)(1 + i e23) in complexified Cl(1,3)."""
-    sig = Signature(1, 3, complexified=True)
-    half = Fraction(1, 2)
-    i = GaussianRational(0, 1)
-    left = MV.scalar(sig, half) + MV.generator(sig, 1) * half
-    right = MV.scalar(sig, half) + MV.blade(sig, 0b0110, i) * half
-    f = left * right
-    if f * f != f:
-        raise RuntimeError("Dirac f is not idempotent")
-    return f
-
-
-def dirac_from_hestenes(phi: MV) -> MV:
-    """Column-spinor packaging of an even multivector: phi |-> phi * f."""
-    if any(m.bit_count() % 2 for m in phi.terms):
-        raise ValueError("phi not even")
-    return phi * dirac_idempotent()

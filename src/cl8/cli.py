@@ -36,6 +36,11 @@ import argparse
 import math
 import sys
 
+__all__ = [
+    "CSV_COLUMNS", "MAX_SWEEP_CELLS", "MAX_SWEEP_N_SUM", "build_parser", "check_sweep",
+    "classify_record", "csv_row", "main", "run",
+]
+
 _CONFIG_KEYS = ("pmax", "qmax", "order", "seed", "samples", "r", "format", "output")
 
 #: Digits of the largest matrix_rank algebra_type returns, 2^(MAX_CLASSIFY_N / 2),
@@ -263,9 +268,9 @@ def _cmd_idempotent(args):
 
 
 def _cmd_chessboard(args):
-    from .periodicity import board_json, board_text, chessboard
+    from .periodicity import Chessboard, board_json, board_text
 
-    board = chessboard(args.order)
+    board = Chessboard(args.order)
     return (board_json(board) if args.format == "json" else board_text(board)), 0
 
 

@@ -8,6 +8,8 @@ It keys its rows by pivot, so a reduction costs only the pivots it meets.
 
 from __future__ import annotations
 
+__all__ = ["SpanBasis", "gf2_echelon", "gf2_reduce"]
+
 
 def _clean(vec) -> dict:
     return {k: c for k, c in vec.items() if c}

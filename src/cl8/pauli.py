@@ -25,6 +25,11 @@ from __future__ import annotations
 import math
 import random
 
+__all__ = [
+    "MAX_SAMPLES", "bloch_roundtrip_check", "null_outer_defects", "sl2c_double_cover_check",
+    "twistor_form_signature", "twistor_incidence", "twistor_norm",
+]
+
 
 def twistor_incidence(x, pi) -> tuple:
     """omega = (i/sqrt(2)) K(x) pi with both off-diagonals of K carrying +i x2."""

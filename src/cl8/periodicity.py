@@ -13,14 +13,11 @@ from typing import NamedTuple
 
 from .table import algebra_type, radon_hurwitz
 
-
-class BWState(NamedTuple):
-    """Position on the clock: q = h + 8r once q >= 1; q = 0 sits before hour 1."""
-
-    q: int
-    h: int | None
-    r: int
-    ring: str
+__all__ = [
+    "CLOCK_OCTET", "Chessboard", "MAX_BOARD_ORDER", "MAX_QMAX", "Transition", "board_json",
+    "board_text", "bw_cycle", "clock_json", "clock_text", "fractal_dimension", "k",
+    "k_sequences", "search_confirms_k", "verify_theorem3",
+]
 
 
 class Transition(NamedTuple):
@@ -29,21 +26,6 @@ class Transition(NamedTuple):
     h: int
     ring_from: str
     ring_to: str
-
-
-def bw_state(q: int) -> BWState:
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    ring = algebra_type(0, q).ring
-    if q == 0:
-        return BWState(q=0, h=None, r=0, ring=ring)
-    h = ((q - 1) % 8) + 1
-    r = (q - h) // 8
-    return BWState(q=q, h=h, r=r, ring=ring)
-
-
-def bw_step(state: BWState) -> BWState:
-    return bw_state(state.q + 1)
 
 
 def bw_cycle(r: int) -> list:
@@ -63,7 +45,7 @@ def bw_cycle(r: int) -> list:
     return out
 
 
-#: Largest board order, checked before 8^order is built: chessboard(5) is
+#: Largest board order, checked before 8^order is built: Chessboard(5) is
 #: the largest board whose every cell algebra_type answers (p + q <= 65,534).
 MAX_BOARD_ORDER = 5
 
@@ -90,13 +72,6 @@ class Chessboard:
 
     def cell(self, p: int, q: int) -> str:
         return self.record(p, q).ring
-
-    def __repr__(self):
-        return f"Chessboard(order={self.order}, size={self.size})"
-
-
-def chessboard(order: int) -> Chessboard:
-    return Chessboard(order)
 
 
 def fractal_dimension() -> float:

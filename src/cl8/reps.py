@@ -16,6 +16,13 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
+__all__ = [
+    "MAX_BLOCK_ORDER", "MAX_CHAIN_SUM", "MAX_QUOTIENT_Q", "MAX_REP_SUM", "RepBlock",
+    "RepLabel", "SpinChain", "block_json", "block_text", "bw_rep_walk", "chain_json",
+    "chain_text", "label_json_dict", "label_token", "quotient_structure", "rep_field",
+    "rep_label", "representation_block", "spin_chain",
+]
+
 
 class RepLabel(NamedTuple):
     l: Fraction
@@ -28,19 +35,10 @@ class RepLabel(NamedTuple):
     q: int | None = None
 
 
-class TensorAlgebraDescriptor(NamedTuple):
-    k: int
-    r: int
-    spinspace_dim: int
-
-
 class SpinChain(NamedTuple):
     start: tuple
     members: list
     spins_signed: list
-
-    def __len__(self):
-        return len(self.members)
 
 
 def _echo(value) -> str:
@@ -90,6 +88,8 @@ MAX_REP_SUM = 2 * MAX_CHAIN_SUM
 
 
 def rep_label(k: int, r: int, quotient: bool = False, q: int | None = None) -> RepLabel:
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (k, r)):
+        raise ValueError(f"k and r must be ints, got k = {_echo(k)}, r = {_echo(r)}")
     if k < 0 or r < 0:
         raise ValueError("k and r must be nonnegative")
     if k + r > MAX_REP_SUM:
@@ -178,17 +178,6 @@ def spin_chain(l, l_dot) -> SpinChain:
     return SpinChain(start=(lo, hi), members=members, spins_signed=spins)
 
 
-def chain_algebra_sequence(chain: SpinChain) -> list:
-    return [
-        TensorAlgebraDescriptor(
-            k=int(2 * m.l),
-            r=int(2 * m.l_dot),
-            spinspace_dim=m.spinspace_dim,
-        )
-        for m in chain.members
-    ]
-
-
 class RepBlock:
     """Grid of field tags over 0 <= l, l_dot <= bound in half steps."""
 
@@ -196,18 +185,6 @@ class RepBlock:
         self.order = order
         self.bound = bound
         self.nodes = nodes
-
-    def sub_block(self, i: int, j: int) -> "RepBlock":
-        lo_l, hi_l = Fraction(2 * i), Fraction(2 * i + 2)
-        lo_d, hi_d = Fraction(2 * j), Fraction(2 * j + 2)
-        window = {
-            key: tag
-            for key, tag in self.nodes.items()
-            if lo_l <= key[0] <= hi_l and lo_d <= key[1] <= hi_d
-        }
-        if len(window) != 25:
-            raise ValueError("sub-block window falls outside the grid")
-        return RepBlock(order=self.order, bound=self.bound, nodes=window)
 
 
 # the largest block order built: the grid has (4 * 8^(order-1) + 1)^2 nodes,
@@ -284,8 +261,8 @@ def chain_json(chain: SpinChain) -> str:
         "members": [label_json_dict(m, include_quotient=False) for m in chain.members],
         "spins_signed": [str(s) for s in chain.spins_signed],
         "algebras": [
-            {"k": d.k, "r": d.r, "spinspace_dim": d.spinspace_dim}
-            for d in chain_algebra_sequence(chain)
+            {"k": int(2 * m.l), "r": int(2 * m.l_dot), "spinspace_dim": m.spinspace_dim}
+            for m in chain.members
         ],
     })
 

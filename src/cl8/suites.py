@@ -21,6 +21,12 @@ from __future__ import annotations
 
 import math
 
+__all__ = [
+    "SUITES", "block_suite", "chain24_suite", "chevalley_suite", "classification_suite",
+    "cycles_suite", "even_iso_suite", "karoubi_suite", "numeric_suite", "phi_psi_suite",
+    "radon_suite", "render_report", "reps_suite", "run_all", "theorem3_suite",
+]
+
 
 def _line(ok: bool, text: str) -> str:
     return f"{'PASS' if ok else 'FAIL'} {text}"
@@ -77,7 +83,7 @@ def theorem3_suite(qmax: int = 24) -> dict:
 
 
 def cycles_suite() -> dict:
-    from .periodicity import CLOCK_OCTET, bw_cycle, chessboard, fractal_dimension
+    from .periodicity import CLOCK_OCTET, Chessboard, bw_cycle, fractal_dimension
 
     checks = []
     for r in range(8):
@@ -87,7 +93,7 @@ def cycles_suite() -> dict:
     fd = fractal_dimension()
     checks.append((abs(fd - math.log(63) / math.log(8)) < 1e-15,
                    f"fractal dimension = {fd:.6f}"))
-    board = chessboard(2)
+    board = Chessboard(2)
     similar = all(
         board.cell(p + 8, q + 8) == board.cell(p, q)
         for p in range(8) for q in range(8)
@@ -176,15 +182,15 @@ def phi_psi_suite() -> dict:
 
 
 def block_suite(seed: int = 0, samples: int = 100) -> dict:
-    from .tensoriso import block_matrix_form
+    from .tensoriso import BlockForm
 
     checks = []
-    form = block_matrix_form(1, 2)
+    form = BlockForm(1, 2)
     rep = form.sample_homomorphism(samples=samples, seed=seed)
     checks.append((rep["passed"],
                    f"Cl(1,3) block form: {rep['checked']} sampled products, "
                    f"{rep['failures']} failures"))
-    form2 = block_matrix_form(2, 3)
+    form2 = BlockForm(2, 3)
     rep2 = form2.sample_homomorphism(samples=max(10, samples // 4), seed=seed + 1)
     checks.append((rep2["passed"],
                    f"Cl(2,4) block form: {rep2['checked']} sampled products, "

@@ -41,7 +41,7 @@ class AlgebraClass(NamedTuple):
 
 
 #: Largest p + q accepted by algebra_type, checked before the matrix rank
-#: 2^((n - drop) / 2) is built; it covers every cell of chessboard(5).
+#: 2^((n - drop) / 2) is built; it covers every cell of Chessboard(5).
 MAX_CLASSIFY_N = 65536
 
 

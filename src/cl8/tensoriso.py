@@ -41,6 +41,13 @@ from .algebra import (
 )
 from .linalg import gf2_echelon
 
+__all__ = [
+    "BlockForm", "ChainLink", "ChainReport", "GeneratorMap", "MAX_BLOCK_SAMPLES",
+    "MAX_WITNESS_N", "PhiPsiReport", "ProductAlgebra", "TensorMV", "complex_tensor_check",
+    "even_iso_check", "even_iso_target", "generator_map_json", "graded_tensor_check",
+    "karoubi_check", "phi_psi_factorization", "spin24_chain",
+]
+
 
 # --------------------------------------------------------------------------
 # tensor products of Clifford algebras, graded or plain
@@ -228,6 +235,8 @@ def complex_tensor_check(m: int) -> GeneratorMap:
     earlier factor, so all 2m images square to +1 and anticommute across
     factors.
     """
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ValueError(f"m must be an int, got {m!r}")
     if m < 1:
         raise ValueError("m must be at least 1")
     _check_witness_n(2 * m)
@@ -447,10 +456,6 @@ class BlockForm:
             else:
                 terms.pop(mask, None)
         return terms
-
-
-def block_matrix_form(p: int, q: int) -> BlockForm:
-    return BlockForm(p, q)
 
 
 # --------------------------------------------------------------------------

@@ -345,10 +345,25 @@ def naive_matrix_link_facts(gens, one):
     }
 
 
+def naive_grade_involution(x):
+    """x with its odd-grade terms negated, each grade the length of an index list."""
+    return MV(x.sig, {m: -c if len(indices_of(m)) % 2 else c for m, c in x.terms.items()})
+
+
+def naive_reversion(x):
+    """x with its index lists read backwards: a grade-g term reverses by
+    g(g - 1)/2 transpositions of anticommuting generators."""
+    out = {}
+    for m, c in x.terms.items():
+        g = len(indices_of(m))
+        out[m] = -c if g * (g - 1) // 2 % 2 else c
+    return MV(x.sig, out)
+
+
 def naive_opposite_components(f, lam_plus, lam_minus):
     """f * lam = f for one central projector lam, and the grade-involution
-    mirror of f (odd-grade terms negated) absorbed by the other."""
-    mirror = MV(f.sig, {m: -c if len(indices_of(m)) % 2 else c for m, c in f.terms.items()})
+    mirror of f absorbed by the other."""
+    mirror = naive_grade_involution(f)
     return any(f * lam == f and mirror * other == mirror
                for lam, other in ((lam_plus, lam_minus), (lam_minus, lam_plus)))
 

@@ -27,7 +27,7 @@ from cl8.periodicity import bw_cycle, fractal_dimension, verify_theorem3
 from cl8.reps import bw_rep_walk, quotient_structure, rep_field, rep_label
 from cl8.suites import run_all, render_report
 from cl8.tensoriso import (
-    block_matrix_form,
+    BlockForm,
     even_iso_check,
     graded_tensor_check,
     karoubi_check,
@@ -157,7 +157,7 @@ def test_criterion_08_phi_psi_and_blocks():
     assert rep8.phi_sq == -1 and rep8.psi_sq == -1
     assert rep8.commute_ok
     assert rep8.rank == 16
-    form = block_matrix_form(1, 2)
+    form = BlockForm(1, 2)
     sample = form.sample_homomorphism(samples=100, seed=0)
     assert sample["passed"] is True and sample["checked"] == 100
     report(8, "phi/psi factorization of Cl(1,3) with rank-16 span; block matrices 100/100")

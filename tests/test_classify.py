@@ -6,16 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cl8.algebra import (
-    MV, GaussianRational, Signature, central_split, involute, omega_square,
-    square_sign, volume_element,
+    MV, Signature, central_split, omega_square, square_sign, volume_element,
 )
 from cl8.classify import (
     MAX_IDEMPOTENT_N,
     _certify_corner,
     _cosets,
     algebra_type,
-    dirac_from_hestenes,
-    dirac_idempotent,
     division_ring_of,
     minimal_left_ideal,
     primitive_idempotent,
@@ -29,6 +26,7 @@ from naive import (
     naive_commute,
     naive_corner_reps,
     naive_cosets,
+    naive_grade_involution,
     naive_group_order,
     naive_idempotent_generators,
     naive_left_ideal_reps,
@@ -165,7 +163,7 @@ def test_idempotent_is_idempotent(p, q):
     assert f * f == f
     assert f
     # the grade-involution mirror is an idempotent too
-    g = involute(f, "grade_involution")
+    g = naive_grade_involution(f)
     assert g * g == g
 
 
@@ -600,55 +598,6 @@ def test_minimal_left_ideal(pq, dim):
     f = primitive_idempotent(*pq).f
     for x in basis:
         assert x * f == x
-
-
-def test_dirac_idempotent_structure():
-    f = dirac_idempotent()
-    sig = f.sig
-    assert sig == Signature(1, 3, complexified=True)
-    assert f * f == f
-    # product of the two commuting projectors written out by hand:
-    # (1/4) (1 + e1)(1 + i e23)
-    i = GaussianRational(0, 1)
-    e1 = MV.generator(sig, 1)
-    e23 = MV.blade(sig, 0b0110, i)
-    half = Fraction(1, 2)
-    by_hand = (MV.scalar(sig, half) + e1 * half) * (MV.scalar(sig, half) + e23 * half)
-    assert f == by_hand
-
-
-def test_dirac_from_hestenes_lands_in_ideal():
-    sig = Signature(1, 3, complexified=True)
-    f = dirac_idempotent()
-    phi = MV.scalar(sig, 2) + MV.blade(sig, 0b0011, 3) + MV.blade(sig, 0b1111, Fraction(-1, 2))
-    big = dirac_from_hestenes(phi)
-    assert big == phi * f
-    assert big * f == big
-
-
-def test_dirac_from_hestenes_rejects_odd_input():
-    sig = Signature(1, 3, complexified=True)
-    phi = MV.generator(sig, 2) + MV.blade(sig, 0b0111, 5)
-    with pytest.raises(ValueError, match="phi not even"):
-        dirac_from_hestenes(phi)
-
-
-def test_dirac_map_is_injective_on_even_part():
-    # the eight real even basis blades must stay independent after
-    # multiplication by the projector, counting real and imaginary parts
-    # of each complex coordinate separately
-    from cl8.algebra import even_subalgebra_basis
-    sig = Signature(1, 3, complexified=True)
-    f = dirac_idempotent()
-    vecs = []
-    for mask in even_subalgebra_basis(sig):
-        x = MV.blade(sig, mask) * f
-        split = {}
-        for m, c in x.terms.items():
-            split[(m, "re")] = c.re
-            split[(m, "im")] = c.im
-        vecs.append(split)
-    assert rank_of(vecs) == 8
 
 
 @settings(max_examples=30, deadline=None)

@@ -160,7 +160,8 @@ def test_chain_json(capsys):
     assert data["members"][0] == {"l": "0", "l_dot": "3", "field": "quaternionic",
                                   "spin": "3", "degree": 7, "spinspace_dim": 64}
     assert data["spins_signed"] == ["-3", "-2", "-1", "0", "1", "2", "3"]
-    assert [m["k"] for m in data["algebras"]] == [0, 1, 2, 3, 4, 5, 6]
+    # k + r = 6 along the chain, so every member's spinspace has dimension 2^6
+    assert data["algebras"] == [{"k": k, "r": 6 - k, "spinspace_dim": 64} for k in range(7)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,18 +4,15 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cl8.classify import algebra_type, primitive_idempotent, radon_hurwitz
 from cl8.periodicity import (
     MAX_BOARD_ORDER,
     MAX_QMAX,
+    Chessboard,
     board_json,
     board_text,
     bw_cycle,
-    bw_state,
-    bw_step,
-    chessboard,
     clock_json,
     clock_text,
     fractal_dimension,
@@ -30,30 +27,6 @@ CLOCK_OCTET = ["R", "C", "H", "H+H", "H", "C", "R", "R+R", "R"]
 def test_ring_octet_down_the_negative_axis():
     got = [algebra_type(0, q).ring for q in range(9)]
     assert got == CLOCK_OCTET
-
-
-def test_bw_state_origin_has_no_hour():
-    s = bw_state(0)
-    assert s.q == 0
-    assert s.h is None
-    assert s.r == 0
-    assert s.ring == "R"
-
-
-@pytest.mark.parametrize("q,h,r", [
-    (1, 1, 0), (8, 8, 0), (9, 1, 1), (13, 5, 1), (16, 8, 1), (17, 1, 2), (64, 8, 7),
-])
-def test_bw_state_hours(q, h, r):
-    s = bw_state(q)
-    assert (s.h, s.r) == (h, r)
-    assert s.ring == algebra_type(0, q).ring
-
-
-def test_bw_step_advances_one_unit():
-    s = bw_state(5)
-    t = bw_step(s)
-    assert t.q == 6
-    assert t.ring == "R"
 
 
 @pytest.mark.parametrize("r", range(8))
@@ -77,7 +50,7 @@ def test_cycle_hours_label_the_same_transition_in_every_cycle():
 
 
 def test_chessboard_order_one():
-    board = chessboard(1)
+    board = Chessboard(1)
     assert board.order == 1
     assert board.size == 8
     cells = [(p, q) for p in range(8) for q in range(8)]
@@ -92,7 +65,7 @@ def test_chessboard_order_one():
 
 
 def test_chessboard_rings_depend_only_on_difference_mod8():
-    board = chessboard(2)
+    board = Chessboard(2)
     assert board.size == 64
     for p, q in [(0, 0), (3, 5), (17, 9), (63, 63), (8, 0), (0, 8)]:
         assert board.cell(p, q) == algebra_type(p, q).ring
@@ -103,20 +76,20 @@ def test_chessboard_rings_depend_only_on_difference_mod8():
 
 
 def test_chessboard_orders_materialize_small_and_stay_lazy_large():
-    b3 = chessboard(3)
+    b3 = Chessboard(3)
     assert b3.size == 512
     assert b3.cell(511, 0) == algebra_type(511, 0).ring
-    b5 = chessboard(5)
+    b5 = Chessboard(5)
     assert b5.size == 8 ** 5
     assert b5.cell(8 ** 5 - 1, 3) == algebra_type(8 ** 5 - 1, 3).ring
 
 
 def test_chessboard_order_is_bounded():
-    board = chessboard(5)
+    board = Chessboard(5)
     assert MAX_BOARD_ORDER == 5
     assert board.cell(board.size - 1, board.size - 1) == algebra_type(0, 0).ring
     with pytest.raises(ValueError, match="MAX_BOARD_ORDER"):
-        chessboard(6)
+        Chessboard(6)
 
 
 def test_fractal_dimension_value():
@@ -164,19 +137,8 @@ def test_theorem3_shift_law():
         assert (q + 8 - radon_hurwitz(q + 8)) == (q - radon_hurwitz(q)) + 4
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=200))
-def test_state_walk_matches_direct_lookup(q):
-    s = bw_state(q)
-    t = bw_step(s)
-    assert t.q == q + 1
-    assert t.ring == algebra_type(0, q + 1).ring
-    if q >= 1:
-        assert s.h == ((q - 1) % 8) + 1
-
-
 def test_board_text_render():
-    txt = board_text(chessboard(1))
+    txt = board_text(Chessboard(1))
     lines = [l for l in txt.splitlines() if l.strip()]
     assert any("R+R" in l for l in lines)
     assert any("H+H" in l for l in lines)
@@ -186,7 +148,7 @@ def test_board_text_render():
 
 
 def test_board_json_round_trip():
-    blob = board_json(chessboard(1))
+    blob = board_json(Chessboard(1))
     data = json.loads(blob)
     assert data["order"] == 1
     assert data["size"] == 8
@@ -201,7 +163,7 @@ def test_board_json_round_trip():
     # stable key order inside each record
     assert list(cells[0].keys()) == ["p", "q", "type", "ring", "simple"]
     with pytest.raises(ValueError, match="order <= 3"):
-        board_json(chessboard(4))
+        board_json(Chessboard(4))
 
 
 def test_clock_renders():

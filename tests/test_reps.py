@@ -14,7 +14,6 @@ from cl8.reps import (
     MAX_QUOTIENT_Q,
     MAX_REP_SUM,
     bw_rep_walk,
-    chain_algebra_sequence,
     quotient_structure,
     rep_field,
     rep_label,
@@ -211,16 +210,6 @@ def test_spin_chain_doublet_and_singlet():
     assert singlet.spins_signed == [Fraction(0)]
 
 
-def test_chain_algebra_sequence_constant_spinspace():
-    chain = spin_chain(Fraction(0), Fraction(3))
-    seq = chain_algebra_sequence(chain)
-    assert [(d.k, d.r) for d in seq] == [
-        (0, 6), (1, 5), (2, 4), (3, 3), (4, 2), (5, 1), (6, 0),
-    ]
-    assert all(d.k + d.r == 6 for d in seq)
-    assert all(d.spinspace_dim == 64 for d in seq)
-
-
 def test_representation_block_order_one_matches_grid():
     block = representation_block(1)
     assert block.order == 1
@@ -240,19 +229,12 @@ def test_representation_block_order_two_contains_published_labels():
         assert block.nodes[(l, ld)] == want
 
 
-def test_representation_sub_block_window():
-    block = representation_block(2)
-    sub = block.sub_block(7, 7)
-    assert (Fraction(31, 2), Fraction(16)) in sub.nodes
-    assert min(k[0] for k in sub.nodes) == 14
-    assert max(k[0] for k in sub.nodes) == 16
-    assert min(k[1] for k in sub.nodes) == 14
-    assert max(k[1] for k in sub.nodes) == 16
-    assert len(sub.nodes) == 25
-    corner = block.sub_block(0, 0)
-    for (l, ld), tag in FIG8.items():
-        want = "real" if tag == "r" else "quaternionic"
-        assert corner.nodes[(l, ld)] == want
+@pytest.mark.parametrize("k,r", [(True, 0), (0, False), (1.0, 1), (1, 2.0), ("1", 1), (1, "2")])
+def test_rep_label_refuses_a_count_that_is_not_an_int(k, r):
+    # a bool is an int to Python, so rep_label(True, 0) would label l = 1/2;
+    # every such count is refused before any label is built
+    with pytest.raises(ValueError, match="k and r must be ints"):
+        rep_label(k, r)
 
 
 def test_rep_label_size_is_bounded():

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import cl8
@@ -106,6 +107,113 @@ def test_every_private_helper_has_a_caller_in_the_package():
              and node.name.startswith("_") and not node.name.startswith("__")
              and node.name not in named]
     assert found == []
+
+
+def _bound_names(node):
+    """The names a top-level statement binds: a def or class, the Name targets of
+    an assignment (unpacked tuples included), or an import."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [name for name, _ in _imported_names(node)]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _api_defects(module_trees, caller_trees, allowed=()):
+    """What breaks the declared API of each module, as "module: defect" strings.
+
+    module_trees maps a module name to its tree, and caller_trees maps a file
+    name to the tree of each file whose references count as callers; the
+    modules themselves are among them. A module must have a top-level `__all__`
+    that lists only names it binds and every public def, class and assignment it
+    makes, and each function or class in that `__all__` must be named by a
+    top-level statement other than its own def, in some caller (a string in an
+    `__all__` is no reference), unless it is in allowed."""
+    named = [(node, _referenced_names(node))
+             for tree in caller_trees.values() for node in tree.body]
+    found = []
+    for module, tree in module_trees.items():
+        if not any("__all__" in _bound_names(node) for node in tree.body):
+            found.append(f"{module}: no __all__")
+            continue
+        exported = _exported_names(tree)
+        bound = {name: node for node in tree.body for name in _bound_names(node)}
+        found += [f"{module}: {name} listed but not bound" for name in sorted(exported - set(bound))]
+        found += [f"{module}: {name} public but not listed" for name, node in bound.items()
+                  if not name.startswith("_") and name not in exported
+                  and not isinstance(node, (ast.Import, ast.ImportFrom))]
+        defs = [node for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name in exported]
+        found += [f"{module}: {node.name} has no caller" for node in defs
+                  if node.name not in allowed
+                  and not any(node.name in refs for other, refs in named if other is not node)]
+    return found
+
+
+def _parsed(paths, root):
+    """Each file's tree, keyed by its path below root."""
+    return {str(path.relative_to(root)): ast.parse(path.read_text(encoding="utf-8"))
+            for path in paths}
+
+
+# generator_map_json is the audit format of the planned `cl8 certify`/`cl8 audit`
+# commands, and tests/test_tensoriso.py pins its digest; nothing calls it yet
+_API_WITHOUT_CALLER = {"generator_map_json"}
+
+
+def test_every_module_declares_its_api_and_every_exported_function_has_a_caller():
+    # the public surface of each module is its __all__: nothing public is left out
+    # of it, and no function or class stays in it that only the tests call
+    root = SRC.parents[1]
+    modules = _parsed([SRC / f"{name}.py" for name in cl8.__all__], SRC)
+    callers = _parsed([*sorted(SRC.glob("*.py")), *sorted((root / "scripts").glob("*.py")),
+                       *sorted((root / "perfbench").glob("*.py"))], root)
+    assert {path.name for path in SRC.glob("*.py")} == {"__init__.py", *modules}
+    assert _api_defects(modules, callers, _API_WITHOUT_CALLER) == []
+
+
+def test_api_lint_reports_a_function_only_a_test_names():
+    module = ast.parse("import json\n__all__ = ['load', 'Used', 'LIMIT']\nLIMIT = 3\n"
+                       "def load(): return json\nclass Used: pass\n")
+    caller = ast.parse("from m import Used\nUsed()\n")
+    test = ast.parse("from m import load\nassert load()\n")
+    assert _api_defects({"m": module}, {"m": module, "c": caller}) == ["m: load has no caller"]
+    assert _api_defects({"m": module}, {"m": module, "c": caller, "test": test}) == []
+    assert _api_defects({"m": module}, {"m": module, "c": caller}, {"load"}) == []
+    # a reference inside the function's own def is no caller either
+    recursive = ast.parse("__all__ = ['f']\ndef f(n): return f(n - 1) if n else 0\n")
+    assert _api_defects({"r": recursive}, {"r": recursive}) == ["r: f has no caller"]
+
+
+def test_api_lint_reports_a_missing_unbound_or_unlisted_name():
+    assert _api_defects({"m": ast.parse("def f(): pass\n")}, {}) == ["m: no __all__"]
+    source = "__all__ = ['gone', 'LIMIT']\nLIMIT = 1\nPUBLIC, _private = 2, 3\n"
+    assert _api_defects({"m": ast.parse(source)}, {}) == [
+        "m: gone listed but not bound", "m: PUBLIC public but not listed"]
+
+
+def _readme_api_lists(text):
+    """module name -> the backticked names of its bullet, from the first bullet
+    list of README's "## API" section."""
+    section = text.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = section[section.index("\n- "):].split("\n\n", 1)[0]
+    lists = {}
+    for bullet in bullets.split("\n- ")[1:]:
+        head, _, names = bullet.partition(":")
+        lists[head.strip("`")] = set(re.findall(r"`([^`]+)`", names))
+    return lists
+
+
+def test_readme_names_every_modules_api():
+    # README's API section lists each module's __all__, no more and no less
+    root = SRC.parents[1]
+    lists = _readme_api_lists((root / "README.md").read_text(encoding="utf-8"))
+    assert set(lists) == {f"cl8.{name}" for name in cl8.__all__}
+    for name in cl8.__all__:
+        tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+        assert lists[f"cl8.{name}"] == _exported_names(tree), name
 
 
 def test_every_public_pauli_function_is_called_by_the_cli_or_a_suite():

@@ -14,7 +14,6 @@ from cl8.tensoriso import (
     MAX_WITNESS_N,
     BlockForm,
     ProductAlgebra,
-    block_matrix_form,
     complex_tensor_check,
     even_iso_check,
     generator_map_json,
@@ -257,6 +256,18 @@ def test_complex_tensor_chain(m, rank):
     assert rep.squares == [1] * (2 * m)
 
 
+@pytest.mark.parametrize("m", [True, False, 1.0, 2.5, "1"])
+def test_complex_tensor_check_refuses_a_factor_count_that_is_not_an_int(monkeypatch, m):
+    # a bool is an int to Python, so complex_tensor_check(True) would certify (2, 0);
+    # the refusal comes before any signature is built
+    def no_work(*a, **k):
+        raise AssertionError("work started before the type check")
+
+    monkeypatch.setattr(tensoriso, "Signature", no_work)
+    with pytest.raises(ValueError, match="m must be an int"):
+        complex_tensor_check(m)
+
+
 @pytest.mark.parametrize("m", [5, 6])
 def test_complex_tensor_images_past_four_factors(m):
     # the MV-product reference holds every image, and factor j carries i^(j mod 4)
@@ -430,7 +441,7 @@ def test_phi_psi_relations_match_mv_products(monkeypatch):
 
 
 def test_block_matrix_frozen_images():
-    form = block_matrix_form(1, 2)
+    form = BlockForm(1, 2)
     assert form.target == Signature(1, 3)
     assert form.base == Signature(1, 1, complexified=True)
     one = MV.scalar(Signature(1, 3), 1)
@@ -448,7 +459,7 @@ def test_block_matrix_frozen_images():
 
 
 def test_block_matrix_respects_generator_squares():
-    form = block_matrix_form(1, 2)
+    form = BlockForm(1, 2)
     sig = form.target
     for i in range(1, 5):
         e = MV.generator(sig, i)
@@ -471,7 +482,7 @@ def matmul2(a, b, sig):
 
 
 def test_block_matrix_homomorphism_sampling():
-    form = block_matrix_form(1, 2)
+    form = BlockForm(1, 2)
     report = form.sample_homomorphism(samples=25, seed=11)
     assert report["passed"] is True
     assert report["checked"] == 25
@@ -543,7 +554,7 @@ def test_block_sampler_forms_no_mv_product_or_gaussian(monkeypatch):
 
 
 def test_block_matrix_other_signature():
-    form = block_matrix_form(2, 3)
+    form = BlockForm(2, 3)
     assert form.target == Signature(2, 4)
     assert form.base == Signature(2, 2, complexified=True)
     report = form.sample_homomorphism(samples=10, seed=3)
@@ -553,12 +564,12 @@ def test_block_matrix_other_signature():
 def test_block_matrix_rejects_bad_cases():
     # even p+q leaves no integral m for the phi/psi pair
     with pytest.raises(ValueError):
-        block_matrix_form(0, 2)
+        BlockForm(0, 2)
     # phi^2 = +1 here: pseudo case, not the quaternionic one the blocks need
     with pytest.raises(ValueError):
-        block_matrix_form(2, 1)
+        BlockForm(2, 1)
     with pytest.raises(ValueError):
-        block_matrix_form(1, 0)
+        BlockForm(1, 0)
 
 
 def test_block_form_takes_phi_psi_from_the_factorization():
@@ -575,9 +586,9 @@ def test_block_form_takes_phi_psi_from_the_factorization():
             quaternion = phi * phi == psi * psi == MV.scalar(sig, -1)
             if not quaternion:
                 with pytest.raises(ValueError, match="wrong factorization case"):
-                    block_matrix_form(p, q)
+                    BlockForm(p, q)
                 continue
-            form = block_matrix_form(p, q)
+            form = BlockForm(p, q)
             assert (form.phi, form.psi) == pair
 
 
@@ -592,7 +603,7 @@ def _pairs(matrix):
 def test_block_matrix_matches_naive_formula(p, q):
     # matrix_of reads the entries off blade masks in one pass; the oracle
     # multiplies each part by phi, psi or phi psi term by term on index lists
-    form = block_matrix_form(p, q)
+    form = BlockForm(p, q)
     n = form.target.n
     rng = random.Random(p * 31 + q)
     elements = [{rng.randrange(1 << n): rng.randint(-3, 3) for _ in range(rng.randint(0, 6))}
@@ -625,7 +636,7 @@ def test_block_sampling_catches_one_flipped_sign(k, j):
         report = Flipped(p, q).sample_homomorphism(samples=25, seed=11)
         assert report["checked"] == 25
         assert report["failures"] > 0 and report["passed"] is False
-        assert block_matrix_form(p, q).sample_homomorphism(samples=25, seed=11)["passed"] is True
+        assert BlockForm(p, q).sample_homomorphism(samples=25, seed=11)["passed"] is True
 
 
 @pytest.mark.parametrize("p,q", QUATERNION_FORMS)
@@ -653,8 +664,8 @@ def test_block_sampler_matches_the_mv_oracle(p, q):
     (even_iso_check, (0, MAX_WITNESS_N + 1)),
     (phi_psi_factorization, ((129, 128), (128, 127))),
     (phi_psi_factorization, ((129, 129), (128, 128))),
-    (block_matrix_form, (128, 129)),
-    (block_matrix_form, (MAX_WITNESS_N, 1)),
+    (BlockForm, (128, 129)),
+    (BlockForm, (MAX_WITNESS_N, 1)),
     (graded_tensor_check, ((129, 0), (128, 0))),
     (karoubi_check, ((128, 0), (0, 129))),
     (complex_tensor_check, (129,)),
@@ -675,7 +686,7 @@ def test_witness_builders_accept_the_largest_n():
     assert rep.certified and rep.target_sig == (half, half - 1)
     split = phi_psi_factorization((half, half), (half - 1, half - 1))
     assert split.passed and split.rank == 1 << MAX_WITNESS_N
-    form = block_matrix_form(half - 1, half)
+    form = BlockForm(half - 1, half)
     assert form.target.n == MAX_WITNESS_N
     cb = form.base
     zero, ident = MV.zero(cb), MV.scalar(cb, 1)
