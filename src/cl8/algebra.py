@@ -1,11 +1,10 @@
-"""Exact arithmetic for real and complexified Clifford algebras Cl(p, q).
+"""Blade arithmetic for real and complexified Clifford algebras Cl(p, q), in ints.
 
 A basis blade is a bitmask over the generators: bit i (counting from 0)
 stands for the generator e_{i+1}. Generators e_1 .. e_p square to +1 and
-e_{p+1} .. e_{p+q} square to -1. Coefficients are Fractions for a real
-signature and GaussianRationals (pairs of Fractions) once the algebra is
-complexified, so every product in this module is exact. A Q(i) product forms
-only the partial products of its nonzero parts.
+e_{p+1} .. e_{p+q} square to -1. The package computes on masks and int terms:
+a phased blade i^c e_m is the int pair (m, c), and an element is a dict from
+mask to int coefficient.
 
 One sign rule serves every algebra in the package: e_a e_b equals
 (-1)^popcount(a & F(b)) e_(a^b), where bit i of F(b) is the parity of the
@@ -14,28 +13,20 @@ and it squares to -1. A descriptor with a nonzero `cuts` mask (a tensor
 product, see `cl8.tensoriso.ProductAlgebra`) counts that parity only inside
 the block of i, so generators in different blocks commute. F(b) is
 recomputed per product; there is no sign cache. Every product runs in
-`_product_terms` (Fraction, GaussianRational or int terms); a blade e_a times x,
-such as an ideal rep e_A f, permutes x's terms with the signs of one transposed
-mask G = anticommute_mask(a) ^ F(a): popcount(b & G) = popcount(a & F(b)), and
-negates each coefficient object of x once, so f's ideal reps e_A f, whose 2^k terms
-share two values +-1/2^k, make no Fraction per term.
-
-Every user-facing constructor validates: `MV(sig, terms)`, `MV.blade`, `MV.scalar`
-and `MV.generator` refuse a blade mask that is not an int in 0 <= m < 2^n, coerce
-each coefficient to the signature's type (Fraction, or GaussianRational when
-complexified), reject inexact ones and drop zeros, and keep an exact Fraction as
-it is (it is immutable); `GaussianRational` takes int or Fraction parts. The
-module's own results (sums, negation, products, Q(i) arithmetic) are built by
-the trusted `MV._made` and `_gaussian`, which store clean parts as they are; only
-`BlockForm.matrix_of` calls them outside, and the block samples call neither:
-they stay in int terms.
+`_product_terms`; a blade e_a times x, such as an ideal rep 2^k e_A f, permutes
+x's terms with the signs of one transposed mask G = anticommute_mask(a) ^ F(a):
+popcount(b & G) = popcount(a & F(b)).
 
 The same rule, as `anticommute_mask` and `blades_anticommute`, decides every
-relation between blades in `cl8.classify` and `cl8.tensoriso`, and the center in
-`central_split`. `blade_square` reads Q(m) in closed form in one block, from m's
-grade and its minus generators; `square_sign` reads a one-blade square c^2 Q(m) off
-its mask, and Q(m) alone for c = +-1 against the unit scalar. The tests hold these
-mask rules to `MV` products in `tests/naive.py`.
+relation between blades in `cl8.classify` and `cl8.tensoriso`. `blade_square`
+reads Q(m) in closed form in one block, from m's grade and its minus generators,
+and `_splits_center` decides whether a phased blade splits the center, off Q and
+beta. The tests hold these mask rules to `MV` products in `tests/naive.py`.
+
+`MV` and `GaussianRational`, the exact multivector and its Q(i) coefficients,
+are not used by the package (see their docstrings). Their constructors validate
+masks and coefficients; their own results are built by the trusted `MV._made` and
+`_gaussian`, which no other module names.
 """
 
 from __future__ import annotations
@@ -45,13 +36,15 @@ from typing import NamedTuple
 
 __all__ = [
     "GaussianRational", "MV", "Signature", "anticommute_mask", "blade_product",
-    "blade_square", "blades_anticommute", "central_split", "omega_square", "square_sign",
-    "volume_element",
+    "blade_square", "blades_anticommute", "omega_square",
 ]
 
 
 class GaussianRational:
-    """Element of Q(i): a complex number with Fraction real and imaginary parts."""
+    """Element of Q(i): a complex number with Fraction real and imaginary parts.
+
+    Nothing in the package calls it. It stays only for the benchmark harness,
+    `perfbench/spans.py`, which counts its `__mul__`, and as the tests' oracle."""
 
     __slots__ = ("re", "im")
 
@@ -264,8 +257,23 @@ def blades_anticommute(masks, sig) -> bool:
     return all((b & c).bit_count() & 1 for i, c in enumerate(betas) for b in masks[i + 1:])
 
 
+def omega_square(sig: Signature) -> int:
+    """Sign of the square of the volume element, always +1 or -1."""
+    return blade_square((1 << sig.n) - 1, sig)
+
+
+def _splits_center(mask: int, c: int, sig) -> bool:
+    """Whether alpha = i^c e_mask splits the algebra through lambda+- = (1 +- alpha)/2.
+
+    alpha is central when every e_i commutes with e_mask, that is beta(., mask) = 0
+    (e_i maps distinct masks to distinct masks, and the phase commutes); and
+    lambda+-^2 - lambda+- = -lambda+ lambda- = (alpha^2 - 1)/4, zero exactly when
+    alpha^2 = (-1)^c Q(mask) = 1."""
+    return not anticommute_mask(mask, sig) and (-1 if c & 1 else 1) * blade_square(mask, sig) == 1
+
+
 def _product_terms(left: dict, right: dict, sig) -> dict:
-    """Terms of left * right, for Fraction, GaussianRational or int terms.
+    """Terms of left * right, for int, Fraction or GaussianRational terms.
 
     A one-term left e_a times more terms reads each sign as popcount(b & G),
     G = beta(., a) ^ F(a) (F transposed, one mask per product); its masks a ^ b
@@ -325,7 +333,9 @@ class MV:
     """Sparse multivector: dict from blade bitmask to exact coefficient.
 
     `sig` is a Signature or any descriptor with the same `n`,
-    `minus_mask`, `cuts` and `complexified` fields."""
+    `minus_mask`, `cuts` and `complexified` fields. Nothing in the package
+    calls it. It stays only for the benchmark harness, `perfbench/spans.py`,
+    which wraps its `__mul__` and `TensorMV`'s, and as the tests' oracle."""
 
     __slots__ = ("sig", "terms")
 
@@ -445,50 +455,3 @@ class MV:
 # the slot setters behind _made; MV.__setattr__ refuses plain assignment
 _set_sig = MV.sig.__set__
 _set_terms = MV.terms.__set__
-
-
-def volume_element(sig: Signature) -> MV:
-    """The oriented unit volume e_1 e_2 ... e_n."""
-    return MV.blade(sig, (1 << sig.n) - 1)
-
-
-def omega_square(sig: Signature) -> int:
-    """Sign of the square of the volume element, always +1 or -1."""
-    return blade_square((1 << sig.n) - 1, sig)
-
-
-def central_split(alpha: MV) -> tuple:
-    """(lambda_plus, lambda_minus, ok) for lambda+- = (1 +- alpha)/2.
-
-    ok means alpha is central and lambda+- are orthogonal idempotents, so the algebra
-    splits in two. Both are read off masks: e_i maps distinct masks to distinct masks,
-    so alpha commutes with e_i exactly when each term m does (bit i of beta(., m) is 0);
-    lambda+-^2 - lambda+- = -lambda+ lambda- = (alpha^2 - 1)/4, zero iff alpha^2 = 1.
-    """
-    sig = alpha.sig
-    one = MV.scalar(sig, 1)
-    half = Fraction(1, 2)
-    lam_plus = (one + alpha) * half
-    lam_minus = (one - alpha) * half
-    ok = square_sign(alpha, one) == 1 and not any(anticommute_mask(m, sig) for m in alpha.terms)
-    return lam_plus, lam_minus, ok
-
-
-def square_sign(x: MV, one: MV) -> int:
-    """+1 or -1 when x^2 = +-one (1 for a generator image), else 0.
-
-    A one-blade x = c e_m squares to c^2 Q(m), Q(m) = blade_square(m), so its square
-    is read off the mask with no product; for c = +-1 against the unit scalar it is
-    Q(m) itself."""
-    if len(x.terms) != 1:
-        sq = x * x
-        return 1 if sq == one else -1 if sq == -one else 0
-    if x.sig != one.sig:
-        return 0
-    (m, c), = x.terms.items()
-    q = blade_square(m, x.sig)
-    if (c == 1 or c == -1) and one.terms == {0: 1}:
-        return q
-    sq = c * c if q > 0 else -(c * c)
-    return 1 if one.terms == {0: sq} else -1 if one.terms == {0: -sq} else 0
-

@@ -1,30 +1,32 @@
 """Eightfold classification of Cl(p, q), primitive idempotents, and honest
-division-ring certification.
+division-ring certification, all in ints.
 
 Everything here is computed, not looked up, except the coefficient ring
 label itself: the label claimed by the mod-8 table is certified against the
 algebra by constructing f * A * f for a primitive idempotent f and checking
-its unit relations, so a wrong table entry would fail loudly. One path serves
+its unit relations, so a wrong table entry would fail loudly. f is held as
+2^k f, whose terms are the ints +-1, so no Fraction is formed. One path serves
 R, C and H: the corner's units square to -f and pairwise anticommute, read
 off their blade masks by Q and `algebra.blades_anticommute`, the sign rule of
-every `cl8.tensoriso` witness, and so is the split of the center: `central_split`
-by Q and beta, and f's component by its support. Each cell is one cheap pass: the
-scan reads Q in closed form; one walk per idempotent reads each blade's coset off a
-linear key table over the GF(2) echelon in `linalg`, stops at the last coset, and ranks
-the corner and the ideal by disjoint coset supports; the ideal reps share f's values.
-The table itself, `algebra_type` and `radon_hurwitz`, lives in `cl8.table`, which
-loads no algebra; this module re-exports both.
+every `cl8.tensoriso` witness, and so is the split of the center: the volume
+element's Q and beta, and f's component by its support. Each cell is one cheap
+pass: the scan reads Q in closed form; one walk per idempotent reads each blade's
+coset off a linear key table over the GF(2) echelon in `linalg`, stops at the last
+coset, and ranks the corner and the ideal by disjoint coset supports; each ideal
+rep 2^k e_A f is f's int terms permuted with signs. The table itself,
+`algebra_type` and `radon_hurwitz`, lives in `cl8.table`, which loads no algebra;
+this module re-exports both.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .algebra import (
-    MV, Signature, _product_terms, anticommute_mask, blade_square,
-    blades_anticommute, central_split, omega_square, volume_element,
+    Signature, _product_terms, _splits_center, anticommute_mask, blade_square,
+    blades_anticommute, omega_square,
 )
 from .linalg import gf2_echelon, gf2_reduce
 from .table import algebra_type, radon_hurwitz
@@ -41,14 +43,14 @@ __all__ = [
 
 
 class IdempotentData(NamedTuple):
-    f: MV
+    """f = prod (1 + e_T)/2 over the k generators T, held as scaled_f, the
+    read-only terms of 2^k f: mask -> int +-1, one on each blade of their span."""
+
+    sig: Signature
+    scaled_f: MappingProxyType
     generators: tuple
     k: int
     group_order: int
-
-    @property
-    def sig(self) -> Signature:
-        return self.f.sig
 
     def __hash__(self):  # the generators and sig decide f; hashing f's terms is waste
         return hash((self.generators, self.sig))
@@ -108,10 +110,8 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
     square = _product_terms(scaled, scaled, sig)
     if not (len(scaled) == 1 << k and square == {m: c << k for m, c in scaled.items()}):
         raise RuntimeError(f"constructed f is not an idempotent on 2^{k} blades in Cl({p},{q})")
-    unit = Fraction(1, 1 << k)
-    value = {1: unit, -1: -unit}  # f's terms share these two, as its ideal reps then do
-    f = MV(sig, {m: value[c] for m, c in scaled.items()})
-    return IdempotentData(f=f, generators=tuple(kept), k=k, group_order=2 << len(rows))
+    return IdempotentData(sig=sig, scaled_f=MappingProxyType(scaled), generators=tuple(kept),
+                          k=k, group_order=2 << len(rows))
 
 
 # --------------------------------------------------------------------------
@@ -185,22 +185,23 @@ def division_ring_of(p: int, q: int) -> tuple:
     """(dim of f*A*f, ring label), certified by exact computation.
 
     The algebra alone decides the shape, never the mod-8 table. When n is odd
-    and omega = e_full squares to +1, `central_split` certifies the center split
-    and the corner ring of one component is doubled in the label. f has a term on
-    each blade of its generators' span S, and e_s f = c_s f there, so f omega = +-f (one
+    and omega = e_full squares to +1, `algebra._splits_center` certifies the center
+    split on omega's mask (central, beta(., full) = 0, and square Q(full) = 1), and
+    the corner ring of one component is doubled in the label. f has a term on each
+    blade of its generators' span S, and e_s f = c_s f there, so f omega = +-f (one
     projector (1 +- omega)/2 absorbs f) exactly when full is in S, a term of f; else
     f omega's support misses S. The grade involution is an automorphism taking omega
     to -omega for odd n, so f's mirror lies in the other component. Otherwise the
     algebra is simple and the corner is R, C, or H.
     """
     data = primitive_idempotent(p, q)
-    f, sig = data.f, data.sig
+    sig, full = data.sig, (1 << data.sig.n) - 1
     dim, ring = _certify_corner(_cosets(data)[1], sig)
     if sig.n % 2 == 0 or omega_square(sig) != 1:
         return dim, ring
-    if not central_split(volume_element(sig))[2]:
+    if not _splits_center(full, 0, sig):
         raise RuntimeError(f"volume element does not split the center of Cl({p},{q})")
-    if (1 << sig.n) - 1 not in f.terms:
+    if full not in data.scaled_f:
         raise RuntimeError(f"f and its mirror are not in opposite components of Cl({p},{q})")
     if ring not in ("R", "H"):
         raise RuntimeError(f"semisimple component ring {ring} unexpected in Cl({p},{q})")
@@ -210,15 +211,14 @@ def division_ring_of(p: int, q: int) -> tuple:
 def minimal_left_ideal(p: int, q: int):
     """Spanning set for Cl(p,q) * f and its dimension 2^n / 2^k.
 
-    One product e_A f per ideal mask of `_cosets`, one per coset of the
-    generators' GF(2) span: independent, and there must be 2^(n-k) of them.
-    The kernel's one-blade path negates each of f's two shared values +-1/2^k at
-    most once per rep, so no Fraction is made per term.
+    One rep per ideal mask A of `_cosets`, one per coset of the generators'
+    GF(2) span: the int terms of 2^k e_A f, independent, and there must be
+    2^(n-k) of them. Each is f's terms permuted with signs by the kernel's
+    one-blade path.
     """
     data = primitive_idempotent(p, q)
-    reps = [MV.blade(data.sig, mask) * data.f for mask in _cosets(data)[0]]
+    reps = [_product_terms({mask: 1}, data.scaled_f, data.sig) for mask in _cosets(data)[0]]
     if len(reps) != (1 << (p + q)) >> data.k:
         raise RuntimeError(f"ideal dimension {len(reps)} != 2^{p + q} / 2^{data.k} "
                            f"in Cl({p},{q})")
     return reps, len(reps)
-

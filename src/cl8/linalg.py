@@ -1,9 +1,11 @@
 """Exact linear algebra over GF(2) for blade masks, and over Q or Q(i).
 
 Blade masks mod sign form GF(2)^n under XOR, and one echelon,
-`gf2_echelon`, serves them. `SpanBasis` eliminates sparse dicts mapping a
-key to a Fraction or GaussianRational coefficient, with no floating point.
-It keys its rows by pivot, so a reduction costs only the pivots it meets.
+`gf2_echelon`, serves every rank and coset in the package. `SpanBasis`
+eliminates sparse dicts mapping a key to an exact coefficient (int, Fraction
+or GaussianRational), with no floating point; nothing in the package calls it,
+and it stays for the benchmark's hook and the tests' rank oracle. It keys its
+rows by pivot, so a reduction costs only the pivots it meets.
 """
 
 from __future__ import annotations

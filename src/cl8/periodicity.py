@@ -20,6 +20,12 @@ __all__ = [
 ]
 
 
+def _refuse_non_int(name: str, value) -> None:
+    """Refuse a bool, a float or any other non-int count before any work."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+
+
 class Transition(NamedTuple):
     q_from: int
     q_to: int
@@ -30,6 +36,7 @@ class Transition(NamedTuple):
 
 def bw_cycle(r: int) -> list:
     """The eight hour transitions of cycle r, from q = 8r to q = 8r + 8."""
+    _refuse_non_int("cycle index", r)
     if r < 0:
         raise ValueError("cycle index must be >= 0")
     out = []
@@ -58,6 +65,7 @@ class Chessboard:
     """
 
     def __init__(self, order: int):
+        _refuse_non_int("order", order)
         if order < 1:
             raise ValueError("order must be >= 1")
         if order > MAX_BOARD_ORDER:
@@ -144,6 +152,7 @@ def clock_json() -> str:
 
 def k(q: int) -> int:
     """The idempotent exponent k(0, q) = q - r_q."""
+    _refuse_non_int("q", q)
     return q - radon_hurwitz(q)
 
 

@@ -4,8 +4,9 @@ Everything here is bookkeeping over (l, l_dot) pairs: spin, degree, the
 real/quaternionic field tag, quotient flags along the mod-8 walk, spin
 chains, and the block grids. No representation matrices are constructed;
 only `quotient_structure` computes in the algebra, and it imports
-`algebra` when it runs, so the label commands do not load it. It ranks its
-kernel by disjoint blade-pair supports, with no elimination.
+`algebra` when it runs, so the label commands do not load it. It computes in
+ints: the center split off one phased blade's mask, and its kernel ranked by
+disjoint blade-pair supports, with no elimination.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ def _echo(value) -> str:
     """value as text, cut after its first 20 characters."""
     text = str(value)
     return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
+
+
+def _refuse_non_int(name: str, value) -> None:
+    """Refuse a bool, a float or any other non-int count before any work."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
 
 
 def _half_integer(value, name):
@@ -114,6 +121,7 @@ def bw_rep_walk(cycles: int) -> list:
     Even steps give a fresh tau with l_dot = q/4; odd steps repeat the
     previous label with the quotient flag raised.
     """
+    _refuse_non_int("cycles", cycles)
     if cycles < 1:
         raise ValueError("cycles must be at least 1")
     walk = []
@@ -131,35 +139,33 @@ MAX_QUOTIENT_Q = 15
 
 
 def quotient_structure(q: int) -> dict:
-    """Split the odd-step algebra through its central idempotents.
+    """Split the odd-step algebra through its central idempotents (1 +- alpha)/2.
 
-    lambda_plus and lambda_minus are (1 +- alpha)/2 from `central_split`, which
-    reads its ok off alpha's one mask; alpha = unit * e_full is the volume element
-    normalized to square +1; when omega^2 = -1 (q = 1 mod 4) the unit is the
-    complex i, the i of the one-generator split R + iR. The kernel of the
-    fold-down map is spanned by b - alpha*b over all blades b and must have
-    half the total dimension. alpha*e_b = c_b e_(b^full), c_b = unit * sign[b],
-    so b's vector lies on the pair {b, b^full}; pairs have disjoint supports,
-    and a pair's two vectors are proportional exactly when c_b c_(b^full) = 1,
-    that is when omega^2 sign[b] sign[b^full] = 1, as unit^2 = omega^2.
+    alpha = i^c e_full, the phased blade (full, c), is the volume element
+    normalized to square +1: c = 0 when omega^2 = +1, and c = 1 when omega^2 = -1
+    (q = 1 mod 4), the i of the one-generator split R + iR. `_splits_center` reads
+    the split off alpha's mask and phase: central, and (-1)^c Q(full) = 1. The
+    kernel of the fold-down map is spanned by b - alpha*b over all blades b and
+    must have half the total dimension. alpha*e_b = c_b e_(b^full),
+    c_b = i^c sign[b], so b's vector lies on the pair {b, b^full}; pairs have
+    disjoint supports, and a pair's two vectors are proportional exactly when
+    c_b c_(b^full) = 1, that is when omega^2 sign[b] sign[b^full] = 1, as
+    i^(2c) = omega^2.
     """
     if q % 2 == 0:
         raise ValueError("q must be odd")
     if q > MAX_QUOTIENT_Q:
         raise ValueError(f"q = {q} exceeds MAX_QUOTIENT_Q = {MAX_QUOTIENT_Q}")
-    from .algebra import MV, GaussianRational, Signature, blade_product, central_split, omega_square
+    from .algebra import Signature, _splits_center, blade_product, omega_square
 
     sig = Signature(0, q, complexified=True)
     full = (1 << q) - 1
     square = omega_square(sig)
-    unit = 1 if square == 1 else GaussianRational(0, 1)
-    lam_plus, lam_minus, split_ok = central_split(MV.blade(sig, full, unit))
+    split_ok = _splits_center(full, 0 if square == 1 else 1, sig)
     sign = [blade_product(full, b, sig)[0] for b in range(1 << q)]
     kernel_dim = sum(1 if square * sign[b] * sign[b ^ full] == 1 else 2
                      for b in range(1 << (q - 1)))
     return {
-        "lambda_plus": lam_plus,
-        "lambda_minus": lam_minus,
         "kernel_dim": kernel_dim,
         "quotient_dim": (1 << q) - kernel_dim,
         "passed": split_ok and kernel_dim == 1 << (q - 1),
@@ -193,6 +199,7 @@ MAX_BLOCK_ORDER = 3
 
 
 def representation_block(order: int) -> RepBlock:
+    _refuse_non_int("order", order)
     if order < 1:
         raise ValueError("order must be at least 1")
     if order > MAX_BLOCK_ORDER:

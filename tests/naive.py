@@ -2,27 +2,31 @@
 
 Everything in here is deliberately written the slow, obvious way (index
 lists, bubble sorts, exhaustive searches) so that it shares no code and
-no clever tricks with the package under test. The exceptions use the
-package's MV product, SpanBasis or GF(2) echelon: rank_of, the exact rank by
-SpanBasis elimination that the tests rank explicit vectors with, and
-pairwise_anticommute, which compares x*y with -(y*x) by MV products where the
-package reads beta off blade masks; the pair of full 2^n blade scans for
-the corner f*Cl*f and the ideal Cl*f, which stand in for the commutant and
-coset shortcuts that cl8.classify takes, the subset-product rank, which
-stands in for the GF(2) rank that cl8.tensoriso reads off blade masks,
-the per-blade coset walk, which keys every blade by its own GF(2)
-reduction where cl8.classify reads a linear key table and stops at the last
-coset, the central-split products, which stand in for the Q and beta test of
-central_split and the support test that places f in a component, and the
-generator products behind phi, psi, the even images and the chain's matrix
-link, which stand in for the blades cl8.tensoriso names by blade_product,
-the witness images multiplied out as MVs, which stand in for the (mask, phase)
-pairs whose squares, anticommutation and rank cl8.tensoriso reads in ints,
-and the block samples, which multiply the block form's MV matrices over Q(i)
-where cl8.tensoriso multiplies int entries with the product kernel. The
-numeric layer's oracle is numpy: it recomputes cl8.pauli's exact Z[i]
-samples in float64, as the numeric layer did before it was exact, and keeps
-the old numpy twistor formulas.
+no clever tricks with the package under test. The package computes in
+ints on blade masks; the oracles multiply `MV`s with Fraction or
+GaussianRational coefficients, which the package keeps only for them and
+for the benchmark's hooks. The exceptions use the package's MV product,
+SpanBasis or GF(2) echelon: rank_of, the exact rank by SpanBasis elimination
+that the tests rank explicit vectors with, and pairwise_anticommute, which
+compares x*y with -(y*x) by MV products where the package reads beta off blade
+masks; naive_idempotent, f as the MV product of (1 + e_T)/2 over the
+generators, which stands in for the int terms of 2^k f that cl8.classify
+squares and checks; the pair of full 2^n blade scans for the corner f*Cl*f
+and the ideal Cl*f, which stand in for the commutant and coset shortcuts that
+cl8.classify takes, the subset-product rank, which stands in for the GF(2) rank
+that cl8.tensoriso reads off blade masks, the per-blade coset walk, which keys
+every blade by its own GF(2) reduction where cl8.classify reads a linear key
+table and stops at the last coset, the central-split products, which stand in
+for the Q and beta test of algebra._splits_center and the support test that
+places f in a component, and the generator products behind phi, psi, the even
+images and the chain's matrix link, which stand in for the blades
+cl8.tensoriso names by blade_product, the witness images multiplied out as
+MVs, which stand in for the (mask, phase) pairs whose squares, anticommutation
+and rank cl8.tensoriso reads in ints, and the block form's Q(i) matrices,
+naive_matrix_of, whose samples multiply MVs over Q(i) where cl8.tensoriso
+multiplies int entries with the product kernel. The numeric layer's oracle is
+numpy: it recomputes cl8.pauli's exact Z[i] samples in float64, as the numeric
+layer did before it was exact, and keeps the old numpy twistor formulas.
 """
 
 import random
@@ -31,7 +35,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from cl8.algebra import MV, GaussianRational, anticommute_mask
+from cl8.algebra import MV, GaussianRational, Signature, anticommute_mask
 from cl8.linalg import SpanBasis, gf2_echelon, gf2_reduce
 from cl8.tensoriso import ProductAlgebra
 
@@ -200,6 +204,15 @@ def _new_to_span(products):
     return [x for x in products if x and basis.add(x.terms)]
 
 
+def naive_idempotent(data):
+    """f = prod (1 + e_T)/2 over data's generators, by MV products in Fractions."""
+    half = Fraction(1, 2)
+    f = MV.scalar(data.sig, 1)
+    for mask in data.generators:
+        f = f * (MV.scalar(data.sig, half) + MV.blade(data.sig, mask, half))
+    return f
+
+
 def naive_corner_reps(f, sig):
     """The spanning set of f * Cl * f from f * e_A * f over all 2^n blades,
     in (grade, mask) order, keeping each product that is new to the span."""
@@ -241,7 +254,7 @@ def pairwise_anticommute(xs) -> bool:
 
 
 def naive_central_split_ok(alpha):
-    """central_split's ok by MV products: lambda+-^2 = lambda+-,
+    """algebra._splits_center's rule by MV products: lambda+-^2 = lambda+-,
     lambda+ lambda- = 0, and alpha e_i = e_i alpha for every generator."""
     sig = alpha.sig
     one = MV.scalar(sig, 1)
@@ -519,10 +532,24 @@ def naive_block_matrix(x, p, q):
             [entry(a[1], 1, a[2], 1), entry(a[0], 1, a[3], 1)]]
 
 
+def naive_matrix_of(form, x):
+    """The 2x2 block matrix of x, an MV of form.target, over the complexified
+    base Cl(p, q-1): each entry of form._entries, an int or Fraction term dict
+    over Cl(p, q-1) (x) Cl(0, 1), folded into Q(i) coefficients, the real part
+    on base blade b and the imaginary part on b | i."""
+    if x.sig != form.target:
+        raise ValueError("element is not in the target algebra")
+    base = Signature(form.target.p, form.target.q - 2, complexified=True)
+    i = 1 << form.m2
+    m = [MV(base, {b & ~i: GaussianRational(e.get(b & ~i, 0), e.get(b | i, 0)) for b in e})
+         for e in form._entries(x.terms)]
+    return [m[:2], m[2:]]
+
+
 def naive_block_sample(form, samples, seed):
     """form.sample_homomorphism the MV way: draw x and y as sums of 2 to 5 random
-    blades with coefficients in -3..3, then compare form.matrix_of(x * y) with the
-    2x2 product of form.matrix_of(x) and form.matrix_of(y), taken with Q(i) MV
+    blades with coefficients in -3..3, then compare naive_matrix_of(x * y) with the
+    2x2 product of naive_matrix_of(x) and naive_matrix_of(y), taken with Q(i) MV
     products."""
     rng = random.Random(seed)
     n = form.target.n
@@ -538,9 +565,9 @@ def naive_block_sample(form, samples, seed):
     for _ in range(samples):
         x = draw()
         y = draw()
-        a, b = form.matrix_of(x), form.matrix_of(y)
+        a, b = naive_matrix_of(form, x), naive_matrix_of(form, y)
         right = [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
-        if form.matrix_of(x * y) != right:
+        if naive_matrix_of(form, x * y) != right:
             failures += 1
     return {"passed": failures == 0, "checked": samples, "failures": failures}
 

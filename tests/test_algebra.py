@@ -12,15 +12,14 @@ from cl8.algebra import (
     MV,
     GaussianRational,
     Signature,
+    _splits_center,
     anticommute_mask,
     blade_product,
-    central_split,
+    blade_square,
     omega_square,
-    square_sign,
-    volume_element,
 )
 from cl8.classify import primitive_idempotent
-from cl8.tensoriso import ProductAlgebra, TensorMV
+from cl8.tensoriso import ProductAlgebra, TensorMV, _witness
 
 from naive import (
     all_blades,
@@ -31,6 +30,7 @@ from naive import (
     naive_commute,
     naive_gaussian_mul,
     naive_grade_involution,
+    naive_idempotent,
     naive_multivector_mul,
     naive_reversion,
     naive_tensor_product,
@@ -80,7 +80,7 @@ def test_omega_square_matches_oracle_and_periodicity(p, q):
     n = p + q
     full = tuple(range(1, n + 1))
     assert omega_square(sig) == naive_blade_square(full, p)
-    omega = volume_element(sig)
+    omega = MV.blade(sig, (1 << n) - 1)
     assert omega * omega == MV.scalar(sig, omega_square(sig))
     t = (p - q) % 8
     if n % 2 == 0:
@@ -92,7 +92,7 @@ def test_omega_square_matches_oracle_and_periodicity(p, q):
 @pytest.mark.parametrize("p,q", [(3, 0), (1, 2), (0, 3), (2, 3)])
 def test_volume_element_central_for_odd_n(p, q):
     sig = Signature(p, q)
-    omega = volume_element(sig)
+    omega = MV.blade(sig, (1 << (p + q)) - 1)
     for mask in range(1 << (p + q)):
         b = MV.blade(sig, mask)
         assert omega * b == b * omega
@@ -106,26 +106,21 @@ def test_volume_element_central_for_odd_n(p, q):
 ])
 def test_central_split(p, q, mask, ok):
     sig = Signature(p, q)
-    alpha = MV.blade(sig, mask)
-    lam_plus, lam_minus, split = central_split(alpha)
-    assert split is ok
-    one = MV.scalar(sig, 1)
-    assert lam_plus + lam_minus == one
-    assert lam_plus - lam_minus == alpha
+    assert _splits_center(mask, 0, sig) is ok
+    assert naive_central_split_ok(MV.blade(sig, mask)) is ok
 
 
-SPLIT_COEFFS = [1, -1, 2, Fraction(1, 2)]
-SPLIT_COEFFS_I = SPLIT_COEFFS + [GaussianRational(0, 1), GaussianRational(0, -1),
-                                 GaussianRational(1, 1)]
+# i^c for the phase c of a phased blade
+I_POWERS = (1, GaussianRational(0, 1), -1, GaussianRational(0, -1))
 
 
 def _assert_split_matches_oracle(sig, masks):
-    # central_split's mask test against the MV-product formula, for c e_m
-    coeffs = SPLIT_COEFFS_I if sig.complexified else SPLIT_COEFFS
+    # _splits_center's mask rule against the MV-product formula, for every
+    # phased blade i^c e_m the algebra holds (odd c only once complexified)
     for mask in masks:
-        for c in coeffs:
-            alpha = MV(sig, {mask: c})
-            assert central_split(alpha)[2] is naive_central_split_ok(alpha), (mask, c)
+        for c in range(0, 4, 1 if sig.complexified else 2):
+            alpha = MV(sig, {mask: I_POWERS[c]})
+            assert _splits_center(mask, c, sig) is naive_central_split_ok(alpha), (mask, c)
 
 
 @pytest.mark.parametrize("complexified", [False, True])
@@ -146,70 +141,19 @@ def test_central_split_matches_product_oracle_on_product_algebras(sigs, graded):
     _assert_split_matches_oracle(alg, range(1 << alg.n))
 
 
-def test_central_split_matches_product_oracle_on_sums():
-    # 0 and +-1; the 16 central involutions sum(s_ab (1 + a w1)(1 + b w2)/4) of
-    # a plain product of two odd factors with w^2 = +1, among them
-    # (1 + w1 + w2 - w1 w2)/2; 1 - 2f, an involution whose first term (the
-    # scalar) is central and whose others are not; and random sums
+def test_central_split_rule_with_a_flipped_beta_fails(monkeypatch):
+    # with beta(., m) read one bit off, the rule calls a non-central blade
+    # central (or the reverse) on some blade: the oracle sees it
     sig = Signature(2, 1)
-    for alpha, want in [(MV(sig, {}), False), (MV.scalar(sig, 1), True),
-                        (MV.scalar(sig, -1), True)]:
-        assert central_split(alpha)[2] is naive_central_split_ok(alpha) is want
-    alg = ProductAlgebra([Signature(2, 1), Signature(1, 0)])
-    one, w1, w2 = TensorMV(alg, {0: 1}), TensorMV(alg, {0b0111: 1}), TensorMV(alg, {0b1000: 1})
-    parts = [(one + w1 * a) * (one + w2 * b) * Fraction(1, 4) for a in (1, -1) for b in (1, -1)]
-    alphas = []
-    for signs in itertools.product((1, -1), repeat=4):
-        alpha = TensorMV(alg, {})
-        for s, part in zip(signs, parts):
-            alpha = alpha + part * s
-        alphas.append(alpha)
-    half = Fraction(1, 2)
-    assert TensorMV(alg, {0: half, 0b0111: half, 0b1000: half, 0b1111: -half}) in alphas
-    for alpha in alphas:
-        assert central_split(alpha)[2] is naive_central_split_ok(alpha) is True
-    data = primitive_idempotent(2, 2)
-    reflection = MV.scalar(data.sig, 1) - data.f * 2
-    assert data.k == 2 and next(iter(reflection.terms)) == 0
-    assert reflection * reflection == MV.scalar(data.sig, 1)
-    assert central_split(reflection)[2] is naive_central_split_ok(reflection) is False
-    rng = random.Random(23)
-    for sig in [Signature(p, q, c) for p, q in [(1, 0), (0, 3), (2, 1), (1, 3), (3, 2)]
-                for c in (False, True)]:
-        coeffs = SPLIT_COEFFS_I if sig.complexified else SPLIT_COEFFS
-        full = (1 << sig.n) - 1
-        for _ in range(40):
-            masks = rng.sample(range(1 << sig.n), rng.randint(2, min(4, 1 << sig.n)))
-            if rng.random() < 0.5:
-                masks = [0, full]
-            alpha = MV(sig, {m: rng.choice(coeffs) for m in masks})
-            assert central_split(alpha)[2] is naive_central_split_ok(alpha), alpha.terms
-
-
-def test_central_split_of_one_blade_forms_no_mv_product(monkeypatch):
-    # a one-blade alpha is decided by Q(m) and beta(., m) alone
-    mul, calls = MV.__mul__, []
-
-    def counting(self, other):
-        if isinstance(other, MV):
-            calls.append(other)
-        return mul(self, other)
-
-    monkeypatch.setattr(MV, "__mul__", counting)
-    alg = ProductAlgebra([Signature(2, 1), Signature(1, 0)])
-    alphas = [TensorMV(alg, {0b0111: 1}), TensorMV(alg, {0b1000: -1})]
-    for sig in [Signature(1, 0), Signature(0, 3), Signature(2, 3, True), Signature(8, 7)]:
-        alphas += [volume_element(sig), MV.generator(sig, 1), MV.scalar(sig, 2)]
-    oks = [central_split(alpha)[2] for alpha in alphas]
-    assert calls == []
-    monkeypatch.undo()
-    assert oks == [naive_central_split_ok(alpha) for alpha in alphas]
-    assert oks.count(True) == 6
+    want = [naive_central_split_ok(MV.blade(sig, m)) for m in range(1 << sig.n)]
+    assert [_splits_center(m, 0, sig) for m in range(1 << sig.n)] == want
+    monkeypatch.setattr(algebra, "anticommute_mask", lambda b, sig: anticommute_mask(b, sig) ^ 1)
+    assert [_splits_center(m, 0, sig) for m in range(1 << sig.n)] != want
 
 
 def test_volume_element_anticommutes_with_vectors_for_even_n():
     sig = Signature(1, 3)
-    omega = volume_element(sig)
+    omega = MV.blade(sig, 0b1111)
     for i in range(1, 5):
         e = MV.generator(sig, i)
         assert omega * e == -(e * omega)
@@ -569,9 +513,9 @@ def test_closed_form_square_matches_product_and_koszul(n):
 @pytest.mark.parametrize("pa", SIGN_MASK_ALGEBRAS[-6:], ids=_algebra_id)
 def test_blade_square_with_cuts_reads_f(pa):
     # in a plain product generators of different blocks commute (cuts != 0),
-    # so the one-block grade count is wrong on some mask; blade_square, and
-    # square_sign through it, take the F rule there. A graded product is one
-    # block, and the count holds
+    # so the one-block grade count is wrong on some mask; blade_square takes
+    # the F rule there, as the MV product does. A graded product is one block,
+    # and the count holds
     def one_block(m, sig):
         g = m.bit_count()
         return -1 if (g * (g - 1) // 2 + (m & sig.minus_mask).bit_count()) & 1 else 1
@@ -580,8 +524,8 @@ def test_blade_square_with_cuts_reads_f(pa):
     assert bool(pa.cuts) != pa.graded
     assert bool(_square_defects(one_block, pa)) == bool(pa.cuts)
     one = TensorMV(pa, {0: 1})
-    assert [square_sign(TensorMV(pa, {m: -1}), one) for m in range(1 << pa.n)] == [
-        blade_product(m, m, pa)[0] for m in range(1 << pa.n)]
+    assert [_square_sign_by_product(TensorMV(pa, {m: -1}), one) for m in range(1 << pa.n)] == [
+        blade_square(m, pa) for m in range(1 << pa.n)]
 
 
 def _random_mv(rng, sig, size):
@@ -778,77 +722,71 @@ def _square_sign_by_product(x, one):
     return 1 if sq == one else -1 if sq == -one else 0
 
 
+def _phased_square(mask, c, alg):
+    """The square of the phased blade (mask, c) as a generator-map witness reads it."""
+    return _witness([(mask, c)], alg, (1, 0), None).squares[0]
+
+
 def _square_sign_cases():
-    """(descriptor, coefficients, ones): every blade of the descriptor times each
-    coefficient is squared against each one, a scalar, f or a foreign unit."""
-    i = GaussianRational(0, 1)
+    """(descriptor, idempotent): every phased blade of the descriptor is squared, or,
+    with an idempotent, every blade e_A times f is squared against f."""
     for n in range(6):
         for p in range(n + 1):
             sig = Signature(p, n - p)
-            ones = [MV.scalar(sig, 1), MV.scalar(sig, -1), MV.scalar(sig, 4), MV.zero(sig),
-                    MV.scalar(Signature(p, n - p, True), 1), MV.scalar(Signature(p, n - p + 1), 1)]
-            yield pytest.param(sig, (1, -1, 2, Fraction(1, 2)), ones, id=f"Cl({p},{n - p})")
+            yield pytest.param(sig, None, id=f"Cl({p},{n - p})")
             if n <= 4:
-                csig = Signature(p, n - p, True)
-                yield pytest.param(csig, (1, -1, i, -i, 2, Fraction(1, 2)), [
-                    MV.scalar(csig, 1), MV.scalar(csig, -1), MV.scalar(sig, 1)],
-                    id=f"C-Cl({p},{n - p})")
+                yield pytest.param(Signature(p, n - p, True), None, id=f"C-Cl({p},{n - p})")
     for factors in (((1, 1), (0, 2)), ((2, 1), (1, 1)), ((2, 0, True), (2, 0, True))):
         sigs = [Signature(*f) for f in factors]
         for graded in (False, True):
-            pa = ProductAlgebra(sigs, graded)
-            other = ProductAlgebra(sigs, not graded)
-            coeffs = (1, -1, 2, Fraction(1, 2)) + ((i, -i) if pa.complexified else (3,))
-            yield pytest.param(pa, coeffs, [
-                pa.scalar(1), pa.scalar(-1), MV.scalar(pa, 1), other.scalar(1)],
-                id=f"{'graded' if graded else 'plain'}{factors}")
+            yield pytest.param(ProductAlgebra(sigs, graded), None,
+                               id=f"{'graded' if graded else 'plain'}{factors}")
     for p, q in ((0, 2), (2, 2), (1, 3), (3, 1), (0, 5)):
-        f = primitive_idempotent(p, q).f
-        yield pytest.param(f.sig, (1, -1, Fraction(1, 4)), [f, -f], id=f"f-Cl({p},{q})")
+        data = primitive_idempotent(p, q)
+        yield pytest.param(data.sig, data, id=f"f-Cl({p},{q})")
 
 
-@pytest.mark.parametrize("sig,coeffs,ones", list(_square_sign_cases()))
-def test_one_blade_square_sign_matches_the_product(sig, coeffs, ones, monkeypatch):
-    # a one-blade image c e_m squares to c^2 Q(m), read off its mask; it must
-    # agree with x * x compared against +-one as MVs, and form no product
-    cls = TensorMV if isinstance(sig, ProductAlgebra) else MV
-    xs = [cls(sig, {m: c}) for m in range(1 << sig.n) for c in coeffs]
-    multi = [cls(sig, {0: 1, m: c}) for m in range(1, 1 << sig.n, 3) for c in coeffs]
-    want = [[_square_sign_by_product(x, one) for one in ones] for x in xs]
-    want_multi = [[_square_sign_by_product(x, one) for one in ones] for x in multi]
-    assert any(v for row in want for v in row) or all(len(one.terms) > 1 for one in ones)
-    assert [[square_sign(x, one) for one in ones] for x in multi] == want_multi
-
-    def no_product(*args):
-        raise AssertionError("a one-blade square formed a product")
-
-    monkeypatch.setattr(algebra, "_product_terms", no_product)
-    assert [[square_sign(x, one) for one in ones] for x in xs] == want
+@pytest.mark.parametrize("alg,idem", list(_square_sign_cases()))
+def test_one_blade_square_sign_matches_the_product(alg, idem):
+    # a phased blade i^c e_m squares to (-1)^c Q(m), read off its mask by the
+    # witness; a corner unit e_A f squares to Q(A) f when e_A commutes with f's
+    # generators, and to 0 otherwise. Both must agree with MV products
+    cls = TensorMV if isinstance(alg, ProductAlgebra) else MV
+    masks = range(1 << alg.n)
+    if idem is None:
+        one = cls(alg, {0: 1})
+        phases = range(0, 4, 1 if alg.complexified else 2)
+        want = [_square_sign_by_product(cls(alg, {m: I_POWERS[c]}), one)
+                for m in masks for c in phases]
+        assert [_phased_square(m, c, alg) for m in masks for c in phases] == want
+    else:
+        f = naive_idempotent(idem)
+        betas = [anticommute_mask(g, alg) for g in idem.generators]
+        want = [_square_sign_by_product(MV.blade(alg, m) * f, f) for m in masks]
+        assert [0 if any((m & b).bit_count() & 1 for b in betas) else blade_square(m, alg)
+                for m in masks] == want
+    assert 1 in want  # the scalar, at least
 
 
 def test_unit_blade_square_is_read_without_a_coefficient_product(monkeypatch):
-    # +-e_m against the unit scalar squares to Q(m) and i e_m to -Q(m); the
-    # first is decided with no coefficient product at all
-    i = GaussianRational(0, 1)
-    units, imaginary = [], []
+    # +-e_m squares to Q(m) and +-i e_m to -Q(m); the witness reads both off
+    # the mask with no coefficient product at all
+    cases = []
     for sig in (Signature(2, 3), Signature(2, 3, True),
                 ProductAlgebra((Signature(1, 1), Signature(0, 2, True))),
                 ProductAlgebra((Signature(1, 1), Signature(2, 0)), graded=True)):
         cls = TensorMV if isinstance(sig, ProductAlgebra) else MV
         one = cls(sig, {0: 1})
         for m in range(1 << sig.n):
-            q = blade_product(m, m, sig)[0]
-            units += [(cls(sig, {m: c}), one, q) for c in (1, -1)]
-            if sig.complexified:
-                imaginary.append((cls(sig, {m: i}), one, -q))
-    cases = units + imaginary
-    assert {q for *_, q in cases} == {1, -1} and len(imaginary) == 32 + 16
-    assert [_square_sign_by_product(x, one) for x, one, _ in cases] == [q for *_, q in cases]
-    assert [square_sign(x, one) for x, one, _ in imaginary] == [q for *_, q in imaginary]
+            for c in range(0, 4, 1 if sig.complexified else 2):
+                x = cls(sig, {m: I_POWERS[c]})
+                cases.append((sig, m, c, _square_sign_by_product(x, one)))
+    assert {q for *_, q in cases} == {1, -1}
+    assert sum(c & 1 for _, _, c, _ in cases) == 2 * (32 + 16)
 
     def no_mul(*args):
         raise AssertionError("a unit coefficient was squared")
 
     monkeypatch.setattr(Fraction, "__mul__", no_mul)
     monkeypatch.setattr(GaussianRational, "__mul__", no_mul)
-    assert [square_sign(x, one) for x, one, _ in units] == [q for *_, q in units]
+    assert [_phased_square(m, c, sig) for sig, m, c, _ in cases] == [q for *_, q in cases]

@@ -5,9 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cl8.algebra import (
-    MV, Signature, central_split, omega_square, square_sign, volume_element,
-)
+from cl8.algebra import MV, Signature, _splits_center, omega_square
 from cl8.classify import (
     MAX_IDEMPOTENT_N,
     _certify_corner,
@@ -25,9 +23,11 @@ from naive import (
     indices_of,
     naive_commute,
     naive_corner_reps,
+    naive_central_split_ok,
     naive_cosets,
     naive_grade_involution,
     naive_group_order,
+    naive_idempotent,
     naive_idempotent_generators,
     naive_left_ideal_reps,
     naive_multivector_mul,
@@ -157,9 +157,8 @@ def test_idempotent_generator_masks(pq, gens):
 @pytest.mark.parametrize("p", range(8))
 @pytest.mark.parametrize("q", range(8))
 def test_idempotent_is_idempotent(p, q):
-    sig = Signature(p, q)
     data = primitive_idempotent(p, q)
-    f = data.f
+    f = MV(data.sig, dict(data.scaled_f)) * Fraction(1, 1 << data.k)
     assert f * f == f
     assert f
     # the grade-involution mirror is an idempotent too
@@ -217,6 +216,42 @@ def test_split_cells_are_the_r_r_and_h_h_cells():
     assert all((p - q) % 4 == 1 for p, q in SPLIT_CELLS)
 
 
+#: Every cell with odd n = p + q <= 15, split or not.
+ODD_CELLS = [(p, n - p) for n in range(1, 16, 2) for p in range(n + 1)]
+
+
+def _center_split_disagreements():
+    """The odd cells where the mask rule on omega, the doubled ring of
+    division_ring_of, and the MV oracle on (1 +- omega)/2 do not all agree."""
+    out = []
+    for p, q in ODD_CELLS:
+        sig, full = Signature(p, q), (1 << (p + q)) - 1
+        ok = naive_central_split_ok(MV.blade(sig, full))
+        if not (_splits_center(full, 0, sig) is ok is ("+" in division_ring_of(p, q)[1])
+                is ((p, q) in SPLIT_CELLS)):
+            out.append((p, q))
+    return out
+
+
+def test_center_split_rule_matches_product_oracle():
+    # on every SPLIT_CELLS cell the rule and the oracle say split, and on every
+    # other odd cell (omega^2 = -1) both say not
+    assert _center_split_disagreements() == []
+
+
+def test_center_split_rule_with_a_flipped_beta_fails(monkeypatch):
+    from cl8 import algebra
+
+    anticommute_mask = algebra.anticommute_mask
+    monkeypatch.setattr(algebra, "anticommute_mask",
+                        lambda b, sig: anticommute_mask(b, sig) ^ (b == (1 << sig.n) - 1))
+    division_ring_of.cache_clear()
+    try:
+        assert _center_split_disagreements() != []
+    finally:
+        division_ring_of.cache_clear()
+
+
 @pytest.mark.parametrize("p,q", SPLIT_CELLS)
 def test_split_membership_matches_product_oracle(p, q):
     # for f and for each idempotent on a prefix of f's generators, a term on
@@ -224,20 +259,21 @@ def test_split_membership_matches_product_oracle(p, q):
     # it and the other absorbs its mirror
     data = primitive_idempotent(p, q)
     sig, full = data.sig, (1 << (p + q)) - 1
-    lam_plus, lam_minus, ok = central_split(volume_element(sig))
-    assert ok
-    part = MV.scalar(sig, 1)
+    one, omega = MV.scalar(sig, 1), MV.blade(sig, full)
+    lam_plus, lam_minus = (one + omega) * Fraction(1, 2), (one - omega) * Fraction(1, 2)
+    assert naive_central_split_ok(omega)
+    part = one
     for mask in data.generators:
         assert (full in part.terms) is naive_opposite_components(part, lam_plus, lam_minus)
-        part = part * (MV.scalar(sig, 1) + MV.blade(sig, mask)) * Fraction(1, 2)
-    assert part == data.f
-    assert full in data.f.terms and naive_opposite_components(data.f, lam_plus, lam_minus)
+        part = part * (one + MV.blade(sig, mask)) * Fraction(1, 2)
+    assert part == naive_idempotent(data)
+    assert full in data.scaled_f and naive_opposite_components(part, lam_plus, lam_minus)
 
 
 @pytest.mark.parametrize("p,q", SPLIT_CELLS)
 def test_split_certificate_forms_no_mv_product(monkeypatch, p, q):
-    # once f is built, the split is decided on masks: central_split reads the
-    # one-blade omega, and f's component is a membership test
+    # once f is built, the split is decided on masks: _splits_center reads
+    # omega's mask, and f's component is a membership test
     data = primitive_idempotent(p, q)
     _cosets(data)
     division_ring_of.cache_clear()
@@ -256,7 +292,7 @@ def test_split_certificate_forms_no_mv_product(monkeypatch, p, q):
 def _split_refusals(monkeypatch, name, replace):
     """division_ring_of on every split cell with classify.<name> swapped for
     replace(the real one): the message of each refusal, or None where it
-    certified."""
+    certified. Without the swap every cell certifies."""
     from cl8 import classify
 
     monkeypatch.setattr(classify, name, replace(getattr(classify, name)))
@@ -282,9 +318,9 @@ def test_split_refuses_f_without_its_full_term(monkeypatch):
     def without_full(real):
         def idempotent(p, q):
             data = real(p, q)
-            terms = dict(data.f.terms)
+            terms = dict(data.scaled_f)
             del terms[(1 << (p + q)) - 1]
-            return data._replace(f=MV(data.sig, terms))
+            return data._replace(scaled_f=terms)
         return idempotent
 
     messages = _split_refusals(monkeypatch, "primitive_idempotent", without_full)
@@ -293,27 +329,41 @@ def test_split_refuses_f_without_its_full_term(monkeypatch):
 
 
 def test_split_refuses_a_center_that_does_not_split(monkeypatch):
-    messages = _split_refusals(monkeypatch, "central_split",
-                               lambda real: lambda alpha: (*real(alpha)[:2], False))
+    messages = _split_refusals(monkeypatch, "_splits_center",
+                               lambda real: lambda mask, c, sig: False)
     assert messages == [f"volume element does not split the center of Cl({p},{q})"
                         for p, q in SPLIT_CELLS]
+    assert _split_refusals(monkeypatch, "_splits_center", lambda real: real) == [
+        None] * len(SPLIT_CELLS)
 
 
 SIGS_TO_7 = [(p, n - p) for n in range(8) for p in range(n + 1)]
 
 
 def _corner_reps(data, masks=None):
-    """The corner reps e_A f of the given masks, by default `_cosets`' corner masks."""
+    """The corner reps e_A f of the given masks, by default `_cosets`' corner masks,
+    with the MV oracle's f."""
     masks = list(_cosets(data)[1]) if masks is None else masks
-    return [MV.blade(data.sig, a) * data.f for a in masks]
+    f = naive_idempotent(data)
+    return [MV.blade(data.sig, a) * f for a in masks]
 
 
 @pytest.mark.parametrize("p,q", SIGS_TO_7)
 def test_corner_and_ideal_reps_match_full_scan(p, q):
     data = primitive_idempotent(p, q)
-    sig = Signature(p, q)
-    assert _corner_reps(data) == naive_corner_reps(data.f, sig)
-    assert minimal_left_ideal(p, q)[0] == naive_left_ideal_reps(data.f, sig)
+    sig, f = Signature(p, q), naive_idempotent(data)
+    assert _corner_reps(data) == naive_corner_reps(f, sig)
+    assert [MV(sig, rep) for rep in minimal_left_ideal(p, q)[0]] == [
+        x * (1 << data.k) for x in naive_left_ideal_reps(f, sig)]
+
+
+@pytest.mark.parametrize("n", range(8, 11))
+def test_ideal_reps_match_full_scan_past_seven(n):
+    # the ideal half of the test above, on to p + q = 10
+    for p in range(n + 1):
+        data = primitive_idempotent(p, n - p)
+        assert [MV(data.sig, rep) for rep in minimal_left_ideal(p, n - p)[0]] == [
+            x * (1 << data.k) for x in naive_left_ideal_reps(naive_idempotent(data), data.sig)]
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -338,32 +388,38 @@ def test_coset_key_table_with_a_wrong_seed_fails(monkeypatch):
         _cosets.cache_clear()
 
 
-def _ideal_defects(p, q):
-    """The ideal masks A whose rep in minimal_left_ideal is not e_A f by the
-    index-list product of tests/naive.py, or has a coefficient other than
-    +-1/2^k, or more than two coefficient objects that are not f's."""
+def _ideal_defects(p, q, reps=None):
+    """The ideal masks A whose rep in minimal_left_ideal (or in reps) is not
+    2^k e_A f by the index-list product of tests/naive.py, taken with the
+    scaled f of primitive_idempotent, or has a coefficient other than int +-1."""
     data = primitive_idempotent(p, q)
-    unit = Fraction(1, 1 << data.k)
-    f = {indices_of(m): c for m, c in data.f.terms.items()}
-    shared = {id(c) for c in f.values()}
-    reps = minimal_left_ideal(p, q)[0]
+    f = {indices_of(m): c for m, c in data.scaled_f.items()}
+    reps = minimal_left_ideal(p, q)[0] if reps is None else reps
     return [mask for mask, rep in zip(_cosets(data)[0], reps)
-            if {indices_of(m): c for m, c in rep.terms.items()}
+            if {indices_of(m): c for m, c in rep.items()}
             != naive_multivector_mul({indices_of(mask): 1}, f, p)
-            or not set(rep.terms.values()) <= {unit, -unit}
-            or len({id(c) for c in rep.terms.values()} - shared) > 2]
+            or not all(type(c) is int and c in (1, -1) for c in rep.values())]
 
 
 @pytest.mark.parametrize("n", range(11))
 def test_ideal_reps_are_blade_times_f_on_two_shared_values(n):
-    # f's 2^k terms share its two values +-1/2^k, and each rep e_A f negates
-    # each of them at most once, not once per term
+    # each rep 2^k e_A f is f's int terms +-1 permuted with signs, and equals the
+    # MV oracle's e_A f scaled by 2^k
     for p in range(n + 1):
         data = primitive_idempotent(p, n - p)
-        assert len({id(c) for c in data.f.terms.values()}) <= 2
+        f = naive_idempotent(data)
         reps = minimal_left_ideal(p, n - p)[0]
-        assert reps == [MV.blade(data.sig, mask) * data.f for mask in _cosets(data)[0]]
+        assert [MV(data.sig, rep) for rep in reps] == [
+            MV.blade(data.sig, mask) * f * (1 << data.k) for mask in _cosets(data)[0]]
         assert _ideal_defects(p, n - p) == []
+
+
+def test_ideal_rep_with_one_flipped_term_fails():
+    reps = minimal_left_ideal(2, 5)[0]
+    bad = [dict(rep) for rep in reps]
+    mask = next(iter(bad[3]))
+    bad[3][mask] = -bad[3][mask]
+    assert _ideal_defects(2, 5, bad) == [_cosets(primitive_idempotent(2, 5))[0][3]]
 
 
 def test_ideal_reps_with_a_flipped_sign_fail(monkeypatch):
@@ -385,7 +441,8 @@ def test_corner_and_ideal_reps_are_independent(n):
         corner = _corner_reps(primitive_idempotent(p, n - p))
         ideal, dim = minimal_left_ideal(p, n - p)
         assert rank_of(x.terms for x in corner) == len(corner)
-        assert rank_of(x.terms for x in ideal) == len(ideal) == dim
+        exact = ({m: Fraction(c) for m, c in rep.items()} for rep in ideal)
+        assert rank_of(exact) == len(ideal) == dim
 
 
 def test_idempotent_refuses_dependent_generators(monkeypatch):
@@ -402,18 +459,33 @@ def test_idempotent_refuses_dependent_generators(monkeypatch):
         primitive_idempotent.cache_clear()
 
 
+def _scaled_f_defects(data):
+    """The masks where data.scaled_f is not 2^k times the MV oracle's f, the
+    product of (1 + e_T)/2 over the same generators in Fractions, or where its
+    term order differs, or where a coefficient is not an int."""
+    want = {m: c * (1 << data.k) for m, c in naive_idempotent(data).terms.items()}
+    got = data.scaled_f
+    wrong = {m for m in got.keys() | want.keys() if got.get(m) != want.get(m)}
+    wrong |= {m for m, c in got.items() if type(c) is not int}
+    if not wrong and list(got) != list(want):
+        wrong = set(got)
+    return sorted(wrong)
+
+
 @pytest.mark.parametrize("n", range(11))
 def test_idempotent_matches_fraction_construction(n):
-    # f is built as 2^k f in ints; the oracle is the product of (1 + e_T)/2
-    # over the same generators, in Fractions, term order included
-    half = Fraction(1, 2)
+    # f is built and kept as 2^k f in ints; the oracle is the product of
+    # (1 + e_T)/2 over the same generators, in Fractions, term order included
     for p in range(n + 1):
-        data = primitive_idempotent(p, n - p)
-        want = MV.scalar(data.sig, 1)
-        for mask in data.generators:
-            want = want * (MV.scalar(data.sig, half) + MV.blade(data.sig, mask, half))
-        assert list(data.f.terms.items()) == list(want.terms.items())
-        assert all(type(c) is Fraction for c in data.f.terms.values())
+        assert _scaled_f_defects(primitive_idempotent(p, n - p)) == [], (p, n - p)
+
+
+def test_scaled_f_with_one_flipped_sign_fails():
+    data = primitive_idempotent(3, 4)
+    terms = dict(data.scaled_f)
+    mask = list(terms)[-1]
+    terms[mask] = -terms[mask]
+    assert _scaled_f_defects(data._replace(scaled_f=terms)) == [mask]
 
 
 @pytest.mark.parametrize("p,q", [(3, 1), (2, 5), (4, 4)])
@@ -447,7 +519,7 @@ def test_corner_of_a_blade_is_zero_or_blade_times_f(data):
     p = data.draw(st.integers(min_value=0, max_value=n))
     mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     idem = primitive_idempotent(p, n - p)
-    f, e = idem.f, MV.blade(idem.sig, mask)
+    f, e = naive_idempotent(idem), MV.blade(idem.sig, mask)
     if all(naive_commute(indices_of(mask), indices_of(g), p) for g in idem.generators):
         assert f * e * f == e * f
     else:
@@ -522,9 +594,10 @@ def test_corner_certificate_matches_mv_relations(n):
     for p in range(n + 1):
         data = primitive_idempotent(p, n - p)
         for masks in _corner_mask_lists(data):
+            f = naive_idempotent(data)
             units = _corner_reps(data, masks)[1:]
             want = (len(masks) in (1, 2, 4)
-                    and all(square_sign(u, data.f) == -1 for u in units)
+                    and all(u * u == -f for u in units)
                     and pairwise_anticommute(units))
             assert _certifies(masks, data.sig) == want, (p, n - p, masks)
             seen.add(want)
@@ -580,9 +653,12 @@ def test_cached_idempotent_generators_are_immutable():
     ideal = minimal_left_ideal(1, 3)
     with pytest.raises(AttributeError):
         data.generators.append(6)
+    with pytest.raises(TypeError):
+        data.scaled_f[0] = 2
     with pytest.raises(AttributeError):
         _cosets(data)[1].append(6)
     assert primitive_idempotent(1, 3).generators == (0b0001,)
+    assert primitive_idempotent(1, 3).scaled_f == {0: 1, 0b0001: 1}
     assert list(_cosets(primitive_idempotent(1, 3))[1]) == corner
     assert minimal_left_ideal(1, 3) == ideal
 
@@ -595,9 +671,10 @@ def test_minimal_left_ideal(pq, dim):
     basis, d = minimal_left_ideal(*pq)
     assert d == dim
     assert len(basis) == dim
-    f = primitive_idempotent(*pq).f
+    data = primitive_idempotent(*pq)
+    f = naive_idempotent(data)
     for x in basis:
-        assert x * f == x
+        assert MV(data.sig, x) * f == MV(data.sig, x)
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from cl8 import periodicity
 from cl8.classify import algebra_type, primitive_idempotent, radon_hurwitz
 from cl8.periodicity import (
     MAX_BOARD_ORDER,
@@ -16,6 +17,7 @@ from cl8.periodicity import (
     clock_json,
     clock_text,
     fractal_dimension,
+    k,
     k_sequences,
     verify_theorem3,
 )
@@ -90,6 +92,25 @@ def test_chessboard_order_is_bounded():
     assert board.cell(board.size - 1, board.size - 1) == algebra_type(0, 0).ring
     with pytest.raises(ValueError, match="MAX_BOARD_ORDER"):
         Chessboard(6)
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "2"])
+@pytest.mark.parametrize("name,build", [
+    pytest.param("order", Chessboard, id="Chessboard"),
+    pytest.param("cycle index", bw_cycle, id="bw_cycle"),
+    pytest.param("q", k, id="k"),
+])
+def test_a_count_that_is_not_an_int_is_refused(monkeypatch, name, build, value):
+    # a bool is an int to Python, so Chessboard(True) would build an order-1
+    # board and k(True) would answer; every such count is refused before any
+    # table lookup
+    def no_work(*a, **kw):
+        raise AssertionError("work started before the type check")
+
+    monkeypatch.setattr(periodicity, "algebra_type", no_work)
+    monkeypatch.setattr(periodicity, "radon_hurwitz", no_work)
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {type(value).__name__}$"):
+        build(value)
 
 
 def test_fractal_dimension_value():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cl8 import algebra
-from cl8.algebra import MV, GaussianRational, Signature, volume_element
+from cl8 import algebra, reps
+from cl8.algebra import MV, GaussianRational, Signature
 from cl8.classify import algebra_type
 from cl8.reps import (
     MAX_CHAIN_SUM,
@@ -22,7 +22,7 @@ from cl8.reps import (
 )
 
 from figdata import FIG8, FIG9, WALK_CYCLE_1, WALK_CYCLE_2, WALK_CYCLE_8
-from naive import rank_of, stars_and_bars_degree
+from naive import naive_central_split_ok, rank_of, stars_and_bars_degree
 
 
 half = Fraction(1, 2)
@@ -133,10 +133,10 @@ def test_bw_rep_walk_structure():
 @pytest.mark.parametrize("q,dim", [(1, 1), (3, 4), (5, 16), (MAX_QUOTIENT_Q, 1 << 14)])
 def test_quotient_structure(q, dim):
     rep = quotient_structure(q)
-    assert rep["kernel_dim"] == dim
-    assert rep["quotient_dim"] == dim
-    assert rep["passed"] is True
-    lp, lm = rep["lambda_plus"], rep["lambda_minus"]
+    assert rep == {"kernel_dim": dim, "quotient_dim": dim, "passed": True}
+    # the oracle's central idempotents (1 +- alpha)/2 for the same alpha
+    sig = Signature(0, q, complexified=True)
+    lp, lm = _split_projectors(sig)
     assert lp * lp == lp
     assert lm * lm == lm
     assert not lp * lm
@@ -149,13 +149,38 @@ def test_quotient_structure_rejects_even():
         quotient_structure(4)
 
 
+def _alpha(sig):
+    """The volume element as an MV, times i when it squares to -1, with its
+    square read by algebra.omega_square as quotient_structure reads it."""
+    omega = MV.blade(sig, (1 << sig.n) - 1)
+    return omega if algebra.omega_square(sig) == 1 else omega * GaussianRational(0, 1)
+
+
+def _split_projectors(sig):
+    one, alpha = MV.scalar(sig, 1), _alpha(sig)
+    return (one + alpha) * half, (one - alpha) * half
+
+
 def _eliminated_kernel_dim(q):
-    """rank_of over the explicit vectors b - alpha*b, alpha read with
-    algebra.omega_square as quotient_structure reads it."""
+    """rank_of over the explicit vectors b - alpha*b."""
     sig = Signature(0, q, complexified=True)
-    omega = volume_element(sig)
-    alpha = omega if algebra.omega_square(sig) == 1 else omega * GaussianRational(0, 1)
+    alpha = _alpha(sig)
     return rank_of((MV.blade(sig, b) - alpha * MV.blade(sig, b)).terms for b in range(1 << q))
+
+
+@pytest.mark.parametrize("q", range(1, MAX_QUOTIENT_Q + 1, 2))
+def test_quotient_split_matches_product_oracle(q):
+    # the split read off alpha's mask and phase agrees with the MV-product
+    # check of (1 +- alpha)/2, and passed needs it
+    sig = Signature(0, q, complexified=True)
+    assert naive_central_split_ok(_alpha(sig)) is True
+    assert quotient_structure(q)["passed"] is True
+
+
+def test_quotient_structure_fails_when_the_center_does_not_split(monkeypatch):
+    monkeypatch.setattr(algebra, "_splits_center", lambda mask, c, sig: False)
+    rep = quotient_structure(5)
+    assert (rep["kernel_dim"], rep["passed"]) == (16, False)
 
 
 @pytest.mark.parametrize("wrong_sign", [False, True])
@@ -235,6 +260,24 @@ def test_rep_label_refuses_a_count_that_is_not_an_int(k, r):
     # every such count is refused before any label is built
     with pytest.raises(ValueError, match="k and r must be ints"):
         rep_label(k, r)
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "2"])
+@pytest.mark.parametrize("name,build", [
+    pytest.param("order", representation_block, id="representation_block"),
+    pytest.param("cycles", bw_rep_walk, id="bw_rep_walk"),
+])
+def test_a_count_that_is_not_an_int_is_refused(monkeypatch, name, build, value):
+    # representation_block(True) would build the order-1 grid and
+    # bw_rep_walk(2.0) failed inside range(); every such count is refused
+    # before any label or field tag is made
+    def no_work(*a, **kw):
+        raise AssertionError("work started before the type check")
+
+    monkeypatch.setattr(reps, "rep_label", no_work)
+    monkeypatch.setattr(reps, "rep_field", no_work)
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {type(value).__name__}$"):
+        build(value)
 
 
 def test_rep_label_size_is_bounded():

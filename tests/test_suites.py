@@ -31,19 +31,19 @@ def test_block_suite_refuses_zero_samples():
 def test_theorem3_brute_line_fails_on_a_non_primitive_idempotent(monkeypatch):
     # One generator dropped leaves f idempotent but not primitive, while .k
     # still holds the formula's value: the brute-force line must notice.
-    from fractions import Fraction
-
     from cl8 import classify, periodicity
-    from cl8.algebra import MV
     from cl8.classify import primitive_idempotent
+
+    from naive import indices_of, naive_multivector_mul
 
     def dropped(p, q):
         data = primitive_idempotent(p, q)
         gens = data.generators[:-1]
-        f = MV.scalar(data.sig, 1)
+        scaled = {(): 1}  # 2^(k-1) f over the kept generators, on index tuples
         for mask in gens:
-            f = f * (MV.scalar(data.sig, Fraction(1, 2)) + MV.blade(data.sig, mask, Fraction(1, 2)))
-        return data._replace(f=f, generators=gens)
+            scaled = naive_multivector_mul(scaled, {(): 1, indices_of(mask): 1}, p)
+        terms = {sum(1 << (i - 1) for i in idx): c for idx, c in scaled.items()}
+        return data._replace(scaled_f=terms, generators=gens)
 
     line = "idempotent search matches arithmetic k for q <= 9"
     assert f"PASS {line}" in suites.theorem3_suite(24)["lines"]
