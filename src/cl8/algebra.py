@@ -277,21 +277,10 @@ def _product_terms(left: dict, right: dict, sig) -> dict:
 
     A one-term left e_a times more terms reads each sign as popcount(b & G),
     G = beta(., a) ^ F(a) (F transposed, one mask per product); its masks a ^ b
-    are distinct, so nothing is accumulated or tested for zero, and ca = 1 is
-    not multiplied; each coefficient object is negated at most once."""
+    are distinct, so nothing is accumulated or tested for zero."""
     if len(left) == 1 and len(right) > 1:
         (a, ca), = left.items()
         g = anticommute_mask(a, sig) ^ _sign_flips(a, sig)
-        if ca == 1:
-            out, negs = {}, {}
-            for b, cb in right.items():
-                if (b & g).bit_count() & 1:
-                    nb = negs.get(id(cb))
-                    if nb is None:
-                        nb = negs[id(cb)] = -cb
-                    cb = nb
-                out[a ^ b] = cb
-            return out
         neg = -ca
         return {a ^ b: (neg if (b & g).bit_count() & 1 else ca) * cb for b, cb in right.items()}
     out = {}

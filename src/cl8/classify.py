@@ -29,7 +29,7 @@ from .algebra import (
     blades_anticommute, omega_square,
 )
 from .linalg import gf2_echelon, gf2_reduce
-from .table import algebra_type, radon_hurwitz
+from .table import algebra_type, check_count, radon_hurwitz
 
 __all__ = [
     "IdempotentData", "MAX_IDEMPOTENT_N", "algebra_type", "division_ring_of",
@@ -68,7 +68,8 @@ def _blade_order(n: int) -> tuple:
     return tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
 
 
-@lru_cache(maxsize=128)
+# typed, so True and 1.0 miss the entry of 1 and reach Signature's refusal
+@lru_cache(maxsize=128, typed=True)
 def primitive_idempotent(p: int, q: int) -> IdempotentData:
     """Greedy construction of f = prod (1 + e_T)/2 over k commuting blades.
 
@@ -82,9 +83,8 @@ def primitive_idempotent(p: int, q: int) -> IdempotentData:
     arithmetic and never call this.
     """
     sig = Signature(p, q)
-    n = p + q
-    if n > MAX_IDEMPOTENT_N:
-        raise ValueError(f"p + q = {n} exceeds MAX_IDEMPOTENT_N = {MAX_IDEMPOTENT_N}")
+    n = sig.n
+    check_count("p + q", n, 0, MAX_IDEMPOTENT_N, "MAX_IDEMPOTENT_N")
     k = q - radon_hurwitz(q - p)
     kept = []
     betas = []
@@ -180,7 +180,7 @@ def _certify_corner(masks, sig) -> tuple:
     return dim, ring
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def division_ring_of(p: int, q: int) -> tuple:
     """(dim of f*A*f, ring label), certified by exact computation.
 

@@ -7,7 +7,7 @@ takes args alone, refuses an input by raising ValueError, and otherwise
 returns (text, exit code) to `run`, the one writer, which prints the text
 once to stdout or `--output` and turns a ValueError or OSError into one
 `error:` line; `scripts/sweep_classification.py` returns through it too,
-with the same sweep bounds (`check_sweep`). `verify` checks its suite
+with the same sweep bounds (`sweep_cells`). `verify` checks its suite
 name against the registry `suites.SUITES` at parse time. `--seed` exists
 only on the sampled commands (`verify`, `spinor`, `qubit`) and `--samples`
 only on `spinor` and `qubit`. Output is deterministic for a fixed seed so
@@ -21,13 +21,14 @@ negative `--seed` are refused at parse time.
 A command loads only the library module it runs, imported by its handler:
 `classify` loads `table` alone, the mod-8 table with no algebra and no
 `fractions`; `idempotent` loads `classify` (with `algebra`, `linalg` and
-`table`); `chessboard`, `clock` and `cycle` load `periodicity`, which loads
-`table`; `rep`, `chain` and `block` load `reps` alone; `verify` loads
-`suites` and what its suite uses; `spinor`, `twistor`, `qubit` and,
-through its suite, `verify numeric` load `pauli`, which needs nothing
-outside the standard library. Importing this module loads no other cl8
-module, and neither `fractions` nor `json`: `verify` imports `suites` when
-it parses a suite name, and `json` is imported when a command prints JSON.
+`table`); `chessboard`, `clock` and `cycle` load `periodicity`; `rep`,
+`chain` and `block` load `reps`; `verify` loads `suites` and what its suite
+uses; `spinor`, `twistor`, `qubit` and, through its suite, `verify numeric`
+load `pauli`, which needs nothing outside the standard library. Each of
+these modules loads `table`, for its count check. Importing this module
+loads no other cl8 module, and neither `fractions` nor `json`: `verify`
+imports `suites` when it parses a suite name, and `json` is imported when a
+command prints JSON.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import math
 import sys
 
 __all__ = [
-    "CSV_COLUMNS", "MAX_SWEEP_CELLS", "MAX_SWEEP_N_SUM", "build_parser", "check_sweep",
-    "classify_record", "csv_row", "main", "run",
+    "CSV_COLUMNS", "MAX_SWEEP_CELLS", "MAX_SWEEP_N_SUM", "build_parser", "classify_record",
+    "csv_row", "main", "run", "sweep_cells",
 ]
 
 _CONFIG_KEYS = ("pmax", "qmax", "order", "seed", "samples", "r", "format", "output")
@@ -187,24 +188,21 @@ MAX_SWEEP_CELLS = 8 ** 6
 MAX_SWEEP_N_SUM = 2 ** 28
 
 
-def check_sweep(pmax: int, qmax: int) -> None:
-    """Refuse a sweep over 0..pmax x 0..qmax before its first record: a
-    negative bound, more than MAX_SWEEP_CELLS cells, a corner cell
-    (pmax, qmax) above MAX_CLASSIFY_N, or a sum of p + q over the grid
-    above MAX_SWEEP_N_SUM."""
-    from .table import MAX_CLASSIFY_N
+def sweep_cells(pmax: int, qmax: int):
+    """The cells (p, q) of 0..pmax x 0..qmax in row order, lazily, once the
+    sweep is checked: a negative bound, more than MAX_SWEEP_CELLS cells, a
+    corner cell (pmax, qmax) above MAX_CLASSIFY_N, or a sum of p + q over
+    the grid above MAX_SWEEP_N_SUM is refused before the first cell."""
+    from .table import MAX_CLASSIFY_N, check_count
 
-    if pmax < 0 or qmax < 0:
-        raise ValueError(f"--pmax and --qmax must be >= 0, got {pmax} and {qmax}")
+    check_count("pmax", pmax)
+    check_count("qmax", qmax)
     cells = (pmax + 1) * (qmax + 1)
-    if cells > MAX_SWEEP_CELLS:
-        raise ValueError(f"sweep of {cells} cells exceeds MAX_SWEEP_CELLS = {MAX_SWEEP_CELLS}")
-    if pmax + qmax > MAX_CLASSIFY_N:
-        raise ValueError(f"p + q = {pmax + qmax} exceeds MAX_CLASSIFY_N = {MAX_CLASSIFY_N}")
-    n_sum = cells * (pmax + qmax) // 2
-    if n_sum > MAX_SWEEP_N_SUM:
-        raise ValueError(f"sweep's sum of p + q, {n_sum}, exceeds "
-                         f"MAX_SWEEP_N_SUM = {MAX_SWEEP_N_SUM}")
+    check_count("cells", cells, 0, MAX_SWEEP_CELLS, "MAX_SWEEP_CELLS")
+    check_count("p + q", pmax + qmax, 0, MAX_CLASSIFY_N, "MAX_CLASSIFY_N")
+    check_count("sum of p + q", cells * (pmax + qmax) // 2, 0, MAX_SWEEP_N_SUM,
+                "MAX_SWEEP_N_SUM")
+    return ((p, q) for p in range(pmax + 1) for q in range(qmax + 1))
 
 
 def csv_row(rec: dict, columns) -> str:
@@ -224,14 +222,8 @@ def _cmd_classify(args):
         raise ValueError("classify takes p and q together, or neither for a sweep")
     from .table import algebra_type
 
-    if args.pq:
-        records = [classify_record(algebra_type(*args.pq))]
-    else:
-        check_sweep(args.pmax, args.qmax)
-        records = [
-            classify_record(algebra_type(p, q))
-            for p in range(args.pmax + 1) for q in range(args.qmax + 1)
-        ]
+    cells = [args.pq] if args.pq else sweep_cells(args.pmax, args.qmax)
+    records = [classify_record(algebra_type(p, q)) for p, q in cells]
     if args.format == "json":
         return _dumps(records[0] if args.pq else records), 0
     if args.format == "csv":

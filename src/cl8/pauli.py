@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 import random
 
+from .table import MAX_SAMPLES, check_count
+
 __all__ = [
     "MAX_SAMPLES", "bloch_roundtrip_check", "null_outer_defects", "sl2c_double_cover_check",
     "twistor_form_signature", "twistor_incidence", "twistor_norm",
@@ -66,9 +68,6 @@ def twistor_form_signature() -> tuple:
     return ((n + trace) // 2, (n - trace) // 2)
 
 
-#: Most samples a sampled check draws, checked before the first draw.
-MAX_SAMPLES = 100_000
-
 #: The exact checks draw the real and imaginary parts of Gaussian integers,
 #: and the integer four-vectors, from -_PART .. _PART.
 _PART = 3
@@ -77,14 +76,13 @@ _PART = 3
 def _worst(rng, samples: int, draw, defects) -> tuple:
     """The largest value of each of defects(draw(rng)) over samples draws.
 
-    samples is bounded before the first draw; rng is a random.Random,
-    advanced in place, or a seed.
+    samples, and a seed, are checked before the first draw; rng is a
+    random.Random, advanced in place, or a seed.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"samples = {samples} exceeds MAX_SAMPLES = {MAX_SAMPLES}")
-    rng = rng if isinstance(rng, random.Random) else random.Random(rng)
+    check_count("samples", samples, 1, MAX_SAMPLES, "MAX_SAMPLES")
+    if not isinstance(rng, random.Random):
+        check_count("seed", rng)
+        rng = random.Random(rng)
     worst = defects(draw(rng))
     for _ in range(samples - 1):
         worst = tuple(map(max, worst, defects(draw(rng))))

@@ -11,19 +11,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .table import algebra_type, radon_hurwitz
+from .table import algebra_type, check_count, radon_hurwitz
 
 __all__ = [
     "CLOCK_OCTET", "Chessboard", "MAX_BOARD_ORDER", "MAX_QMAX", "Transition", "board_json",
     "board_text", "bw_cycle", "clock_json", "clock_text", "fractal_dimension", "k",
     "k_sequences", "search_confirms_k", "verify_theorem3",
 ]
-
-
-def _refuse_non_int(name: str, value) -> None:
-    """Refuse a bool, a float or any other non-int count before any work."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
 
 
 class Transition(NamedTuple):
@@ -36,9 +30,7 @@ class Transition(NamedTuple):
 
 def bw_cycle(r: int) -> list:
     """The eight hour transitions of cycle r, from q = 8r to q = 8r + 8."""
-    _refuse_non_int("cycle index", r)
-    if r < 0:
-        raise ValueError("cycle index must be >= 0")
+    check_count("cycle index", r)
     out = []
     for h in range(1, 9):
         q_from = 8 * r + h - 1
@@ -65,17 +57,13 @@ class Chessboard:
     """
 
     def __init__(self, order: int):
-        _refuse_non_int("order", order)
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if order > MAX_BOARD_ORDER:
-            raise ValueError(f"order = {order} exceeds MAX_BOARD_ORDER = {MAX_BOARD_ORDER}")
+        check_count("order", order, 1, MAX_BOARD_ORDER, "MAX_BOARD_ORDER")
         self.order = order
         self.size = 8 ** order
 
     def record(self, p: int, q: int):
-        if not (0 <= p < self.size and 0 <= q < self.size):
-            raise ValueError(f"cell ({p}, {q}) outside board of size {self.size}")
+        check_count("p", p, 0, self.size - 1, "8^order - 1")
+        check_count("q", q, 0, self.size - 1, "8^order - 1")
         return algebra_type(p, q)
 
     def cell(self, p: int, q: int) -> str:
@@ -152,7 +140,7 @@ def clock_json() -> str:
 
 def k(q: int) -> int:
     """The idempotent exponent k(0, q) = q - r_q."""
-    _refuse_non_int("q", q)
+    check_count("q", q)
     return q - radon_hurwitz(q)
 
 
@@ -173,10 +161,7 @@ MAX_QMAX = 1024
 
 def k_sequences(q_max: int) -> list:
     """k over q = 0..8, then over each further full cycle 8r+1..8r+8 <= q_max."""
-    if q_max < 8:
-        raise ValueError("q_max must be >= 8 to cover the first cycle")
-    if q_max > MAX_QMAX:
-        raise ValueError(f"q_max = {q_max} exceeds MAX_QMAX = {MAX_QMAX}")
+    check_count("q_max", q_max, 8, MAX_QMAX, "MAX_QMAX")  # 8: the first cycle
     sequences = [tuple(k(q) for q in range(0, 9))]
     r = 1
     while 8 * r + 8 <= q_max:

@@ -17,6 +17,8 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
+from .table import check_count
+
 __all__ = [
     "MAX_BLOCK_ORDER", "MAX_CHAIN_SUM", "MAX_QUOTIENT_Q", "MAX_REP_SUM", "RepBlock",
     "RepLabel", "SpinChain", "block_json", "block_text", "bw_rep_walk", "chain_json",
@@ -48,16 +50,11 @@ def _echo(value) -> str:
     return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
 
 
-def _refuse_non_int(name: str, value) -> None:
-    """Refuse a bool, a float or any other non-int count before any work."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
-
-
 def _half_integer(value, name):
-    """value, or the rational its text names, as a multiple of 1/2. Text is
-    refused before Fraction would expand an exponent or meet a digit run over
-    int's parse limit (sys.get_int_max_str_digits); refusals echo _echo(value)."""
+    """value, or the rational its text names, as a multiple of 1/2. A bool is
+    refused, and text before Fraction would expand an exponent or meet a digit
+    run over int's parse limit (sys.get_int_max_str_digits); refusals echo
+    _echo(value)."""
     if isinstance(value, str):
         run = max(map(len, re.findall(r"\d+", value.replace("_", ""))), default=0)
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -65,8 +62,8 @@ def _half_integer(value, name):
             raise ValueError(f"{name} has {run} digits in a row, over the {limit}-digit "
                              f"limit of int parsing, got {name} = {_echo(value)}")
     try:
-        if isinstance(value, str) and "e" in value.lower():
-            raise ValueError("exponent notation")
+        if isinstance(value, bool) or isinstance(value, str) and "e" in value.lower():
+            raise ValueError("a bool or exponent notation")
         f = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"l and l_dot must be rationals like 3 or 1/2, "
@@ -95,12 +92,11 @@ MAX_REP_SUM = 2 * MAX_CHAIN_SUM
 
 
 def rep_label(k: int, r: int, quotient: bool = False, q: int | None = None) -> RepLabel:
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (k, r)):
-        raise ValueError(f"k and r must be ints, got k = {_echo(k)}, r = {_echo(r)}")
-    if k < 0 or r < 0:
-        raise ValueError("k and r must be nonnegative")
-    if k + r > MAX_REP_SUM:
-        raise ValueError(f"k + r = {k + r} exceeds MAX_REP_SUM = {MAX_REP_SUM}")
+    check_count("k", k)
+    check_count("r", r)
+    check_count("k + r", k + r, 0, MAX_REP_SUM, "MAX_REP_SUM")
+    if q is not None:
+        check_count("q", q)
     l = Fraction(k, 2)
     ld = Fraction(r, 2)
     return RepLabel(
@@ -121,9 +117,7 @@ def bw_rep_walk(cycles: int) -> list:
     Even steps give a fresh tau with l_dot = q/4; odd steps repeat the
     previous label with the quotient flag raised.
     """
-    _refuse_non_int("cycles", cycles)
-    if cycles < 1:
-        raise ValueError("cycles must be at least 1")
+    check_count("cycles", cycles, 1)
     walk = []
     for q in range(8 * cycles):
         if q % 2 == 0:
@@ -152,10 +146,9 @@ def quotient_structure(q: int) -> dict:
     c_b c_(b^full) = 1, that is when omega^2 sign[b] sign[b^full] = 1, as
     i^(2c) = omega^2.
     """
+    check_count("q", q, 1, MAX_QUOTIENT_Q, "MAX_QUOTIENT_Q")
     if q % 2 == 0:
         raise ValueError("q must be odd")
-    if q > MAX_QUOTIENT_Q:
-        raise ValueError(f"q = {q} exceeds MAX_QUOTIENT_Q = {MAX_QUOTIENT_Q}")
     from .algebra import Signature, _splits_center, blade_product, omega_square
 
     sig = Signature(0, q, complexified=True)
@@ -199,11 +192,7 @@ MAX_BLOCK_ORDER = 3
 
 
 def representation_block(order: int) -> RepBlock:
-    _refuse_non_int("order", order)
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if order > MAX_BLOCK_ORDER:
-        raise ValueError(f"order {order} exceeds MAX_BLOCK_ORDER = {MAX_BLOCK_ORDER}")
+    check_count("order", order, 1, MAX_BLOCK_ORDER, "MAX_BLOCK_ORDER")
     bound = 2 * 8 ** (order - 1)
     half = Fraction(1, 2)
     nodes = {}

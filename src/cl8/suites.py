@@ -42,10 +42,19 @@ def _suite(name: str, checks: list) -> dict:
     }
 
 
-def classification_suite(max_n: int = 7) -> dict:
+# the sweep sizes: p + q of the classification and even-subalgebra cells and of
+# each graded tensor factor, and the Cl(1,3) block form's sample count
+_CLASSIFICATION_MAX_N = 7
+_CHEVALLEY_MAX_N = 2
+_EVEN_ISO_MAX_N = 6
+_BLOCK_SAMPLES = 100
+
+
+def classification_suite() -> dict:
     from .classify import algebra_type, division_ring_of
 
     checks = []
+    max_n = _CLASSIFICATION_MAX_N
     for p in range(max_n + 1):
         for q in range(max_n + 1 - p):
             dim, ring = division_ring_of(p, q)
@@ -102,9 +111,10 @@ def cycles_suite() -> dict:
     return _suite("brauer_wall_cycles", checks)
 
 
-def chevalley_suite(max_n: int = 2) -> dict:
+def chevalley_suite() -> dict:
     from .tensoriso import graded_tensor_check
 
+    max_n = _CHEVALLEY_MAX_N
     sigs = [(p, q) for p in range(max_n + 1) for q in range(max_n + 1 - p)]
     checks = []
     bad = []
@@ -138,9 +148,10 @@ def karoubi_suite() -> dict:
     return _suite("karoubi", checks)
 
 
-def even_iso_suite(max_n: int = 6) -> dict:
+def even_iso_suite() -> dict:
     from .tensoriso import even_iso_check, even_iso_target
 
+    max_n = _EVEN_ISO_MAX_N
     checks = []
     for source, target in [((1, 3), (3, 0)), ((4, 1), (1, 3)), ((2, 4), (4, 1))]:
         rep = even_iso_check(*source)
@@ -181,9 +192,10 @@ def phi_psi_suite() -> dict:
     return _suite("phi_psi", checks)
 
 
-def block_suite(seed: int = 0, samples: int = 100) -> dict:
+def block_suite(seed: int = 0) -> dict:
     from .tensoriso import BlockForm
 
+    samples = _BLOCK_SAMPLES
     checks = []
     form = BlockForm(1, 2)
     rep = form.sample_homomorphism(samples=samples, seed=seed)
@@ -277,6 +289,12 @@ SUITES = {
 
 
 def run_all(seed: int = 0, qmax: int = 24) -> list:
+    """Every suite, with seed and qmax checked before the first one runs."""
+    from .periodicity import MAX_QMAX
+    from .table import check_count
+
+    check_count("seed", seed)
+    check_count("q_max", qmax, 8, MAX_QMAX, "MAX_QMAX")
     return [build(seed, qmax) for build in SUITES.values()]
 
 

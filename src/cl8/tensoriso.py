@@ -40,10 +40,11 @@ from .algebra import (
     omega_square,
 )
 from .linalg import gf2_echelon
+from .table import MAX_SAMPLES, check_count
 
 __all__ = [
-    "BlockForm", "ChainLink", "ChainReport", "GeneratorMap", "MAX_BLOCK_SAMPLES",
-    "MAX_WITNESS_N", "PhiPsiReport", "ProductAlgebra", "TensorMV", "complex_tensor_check",
+    "BlockForm", "ChainLink", "ChainReport", "GeneratorMap", "MAX_WITNESS_N",
+    "PhiPsiReport", "ProductAlgebra", "TensorMV", "complex_tensor_check",
     "even_iso_check", "even_iso_target", "generator_map_json", "graded_tensor_check",
     "karoubi_check", "phi_psi_factorization", "spin24_chain",
 ]
@@ -183,11 +184,6 @@ def _witness(raw, alg, target, construction, source=None) -> GeneratorMap:
 MAX_WITNESS_N = 256
 
 
-def _check_witness_n(n):
-    if n > MAX_WITNESS_N:
-        raise ValueError(f"{n} generators exceed MAX_WITNESS_N = {MAX_WITNESS_N}")
-
-
 def _product_witness(sigs, graded, target, construction, twist=0) -> GeneratorMap:
     """Certify the generators of a tensor product of sigs as generators of Cl(target).
 
@@ -206,7 +202,7 @@ def _product_witness(sigs, graded, target, construction, twist=0) -> GeneratorMa
 def graded_tensor_check(pq_a, pq_b) -> GeneratorMap:
     """Cl(p,q) graded-tensor Cl(p',q') realizes Cl(p+p', q+q')."""
     (pa, qa), (pb, qb) = pq_a, pq_b
-    _check_witness_n(pa + qa + pb + qb)
+    check_count("generators", pa + qa + pb + qb, 0, MAX_WITNESS_N, "MAX_WITNESS_N")
     sigs = (Signature(pa, qa), Signature(pb, qb))
     return _product_witness(sigs, True, (pa + pb, qa + qb), "graded")
 
@@ -219,7 +215,7 @@ def karoubi_check(pq_a, pq_b) -> GeneratorMap:
     second signature, -1 swaps p' and q'.
     """
     (pa, qa), (pb, qb) = pq_a, pq_b
-    _check_witness_n(pa + qa + pb + qb)
+    check_count("generators", pa + qa + pb + qb, 0, MAX_WITNESS_N, "MAX_WITNESS_N")
     sig_a, sig_b = Signature(pa, qa), Signature(pb, qb)
     if sig_a.n % 2 != 0:
         raise ValueError("first factor must have an even number of generators")
@@ -235,11 +231,8 @@ def complex_tensor_check(m: int) -> GeneratorMap:
     earlier factor, so all 2m images square to +1 and anticommute across
     factors.
     """
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError(f"m must be an int, got {m!r}")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    _check_witness_n(2 * m)
+    check_count("m", m, 1)
+    check_count("generators", 2 * m, 0, MAX_WITNESS_N, "MAX_WITNESS_N")
     factors = (Signature(2, 0, complexified=True),) * m
     return _product_witness(factors, False, (2 * m, 0), "complex", twist=1)
 
@@ -250,6 +243,8 @@ def complex_tensor_check(m: int) -> GeneratorMap:
 
 
 def even_iso_target(p: int, q: int) -> tuple:
+    check_count("p", p)
+    check_count("q", q)
     if p >= 1 and p != q:
         return (q, p - 1)
     return (p, q - 1)
@@ -265,10 +260,9 @@ def even_iso_check(p: int, q: int) -> GeneratorMap:
     (target Cl(p, q-1)), and for q = 0 the plus e_n flips them (Cl(0, p-1)).
     `_witness` still checks the squares, the anticommutation and the rank.
     """
+    target = even_iso_target(p, q)  # checks p and q
     n = p + q
-    if n < 1:
-        raise ValueError("need at least one generator")
-    _check_witness_n(n)
+    check_count("generators", n, 1, MAX_WITNESS_N, "MAX_WITNESS_N")
     sig = Signature(p, q)
     if 0 < p != q > 0:
         construction, pin, others = "B", 1, range(2, n + 1)
@@ -276,7 +270,7 @@ def even_iso_check(p: int, q: int) -> GeneratorMap:
         construction, pin, others = "A", 1 << (n - 1), range(1, n)
     # the sign s = +-1 is the phase i^(1 - s)
     raw = [(m, 1 - s) for s, m in (blade_product(1 << (i - 1), pin, sig) for i in others)]
-    return _witness(raw, sig, even_iso_target(p, q), construction, source=(p, q))
+    return _witness(raw, sig, target, construction, source=(p, q))
 
 
 # --------------------------------------------------------------------------
@@ -325,7 +319,7 @@ def phi_psi_factorization(target, base) -> PhiPsiReport:
     (-1,-1), pseudo (+1,+1), or anti (mixed).
     """
     p, q = target
-    _check_witness_n(p + q)
+    check_count("generators", p + q, 0, MAX_WITNESS_N, "MAX_WITNESS_N")
     sig, base_sig = Signature(p, q), Signature(*base)  # validated before any shift
     if base_sig.n % 2 != 0:
         raise ValueError("m not integral: base needs an even number of generators")
@@ -353,12 +347,6 @@ def phi_psi_factorization(target, base) -> PhiPsiReport:
     )
 
 
-# the most samples sample_homomorphism draws, checked before the first; pauli.MAX_SAMPLES
-# copied, not imported, so this module loads no numeric layer. 2,000 samples on Cl(1,3)
-# take 0.07-0.08 s (Python 3.11, one core of a 2-vCPU VM)
-MAX_BLOCK_SAMPLES = 100_000
-
-
 class BlockForm:
     """2x2 matrix picture of Cl(p, q+1) over the complexified Cl(p, q-1).
 
@@ -378,8 +366,8 @@ class BlockForm:
                   ((1, 1, 1), (2, 1, 1)), ((0, 1, -1), (3, 1, 1)))
 
     def __init__(self, p: int, q: int):
-        if q < 1:
-            raise ValueError("q must be at least 1")
+        check_count("p", p)
+        check_count("q", q, 1)
         if (p + q) % 2 == 0:
             raise ValueError("m not integral: p + q must be odd")
         split = phi_psi_factorization((p, q + 1), (p, q - 1))  # refuses n > MAX_WITNESS_N
@@ -410,10 +398,8 @@ class BlockForm:
 
     def sample_homomorphism(self, samples: int = 100, seed: int = 0) -> dict:
         """M(xy) = M(x) M(y) on random int elements x, y, both sides in int terms."""
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
-        if samples > MAX_BLOCK_SAMPLES:
-            raise ValueError(f"samples = {samples} exceeds MAX_BLOCK_SAMPLES = {MAX_BLOCK_SAMPLES}")
+        check_count("samples", samples, 1, MAX_SAMPLES, "MAX_SAMPLES")
+        check_count("seed", seed)
         rng = random.Random(seed)
         n, target, plane = self.target.n, self.target, self._plane
         failures = 0

@@ -14,7 +14,7 @@ import pytest
 
 from cl8 import cli
 from cl8.classify import algebra_type
-from cl8.cli import MAX_SWEEP_CELLS, build_parser, check_sweep, main
+from cl8.cli import MAX_SWEEP_CELLS, build_parser, main, sweep_cells
 from cl8.periodicity import clock_json, clock_text
 from cl8.suites import SUITES, render_report, run_all
 from cl8.table import MAX_CLASSIFY_N
@@ -496,25 +496,27 @@ def test_table_import_loads_no_other_cl8_module():
 
 CLASSIFY_MODULES = {"cl8.classify", "cl8.algebra", "cl8.linalg", "cl8.table"}
 PERIODICITY_MODULES = {"cl8.periodicity", "cl8.table"}
+PAULI_MODULES = {"cl8.pauli", "cl8.table"}
+REPS_MODULES = {"cl8.reps", "cl8.table"}
 
 # The cl8 modules each command loads, as the cli docstring lists them: one
 # argv per subcommand, and four for verify.
 COMMAND_MODULES = {
     ("classify", "1", "3"): {"cl8.table"},
     ("verify", "cycles"): {"cl8.suites", *PERIODICITY_MODULES},
-    ("qubit", "--samples", "1"): {"cl8.pauli"},
-    ("spinor", "--samples", "1"): {"cl8.pauli"},
-    ("twistor",): {"cl8.pauli"},
-    ("verify", "numeric"): {"cl8.suites", "cl8.pauli"},
+    ("qubit", "--samples", "1"): PAULI_MODULES,
+    ("spinor", "--samples", "1"): PAULI_MODULES,
+    ("twistor",): PAULI_MODULES,
+    ("verify", "numeric"): {"cl8.suites", *PAULI_MODULES},
     ("verify", "all"): {"cl8.suites", "cl8.tensoriso", "cl8.reps", "cl8.pauli",
                         *PERIODICITY_MODULES, *CLASSIFY_MODULES},
     ("idempotent", "1", "3"): CLASSIFY_MODULES,
     ("chessboard",): PERIODICITY_MODULES,
     ("clock",): PERIODICITY_MODULES,
     ("cycle",): PERIODICITY_MODULES,
-    ("rep", "1", "2"): {"cl8.reps"},
-    ("chain", "0", "3"): {"cl8.reps"},
-    ("block",): {"cl8.reps"},
+    ("rep", "1", "2"): REPS_MODULES,
+    ("chain", "0", "3"): REPS_MODULES,
+    ("block",): REPS_MODULES,
     ("verify", "radon"): {"cl8.suites", "cl8.table"},
 }
 
@@ -650,15 +652,15 @@ def test_chain_and_block_sizes_are_bounded(argv, bound, refusals):
 def test_classify_sweep_at_the_bound_is_accepted():
     # the check alone: a 512 x 512 sweep is not built here
     assert (511 + 1) * (511 + 1) == MAX_SWEEP_CELLS == 8 ** 6
-    check_sweep(511, 511)
-    check_sweep(0, 16384)
+    sweep_cells(511, 511)
+    sweep_cells(0, 16384)
     # (0, MAX_CLASSIFY_N) fits the cell and corner bounds but prints 65,537
     # ranks of up to 9,865 digits: its sum of p + q is over MAX_SWEEP_N_SUM
     for pmax, qmax in [(512, 511), (-1, 0), (0, -1), (MAX_SWEEP_CELLS, 0),
                        (0, MAX_CLASSIFY_N + 1), (0, MAX_CLASSIFY_N), (0, 32768),
                        (3, 65532)]:
         with pytest.raises(ValueError):
-            check_sweep(pmax, qmax)
+            sweep_cells(pmax, qmax)
 
 
 def test_theorem3_at_the_bound_still_runs(capsys):

@@ -150,6 +150,21 @@ def test_k_sequences_size_is_bounded():
         verify_theorem3(100000000)
 
 
+def test_verify_theorem3_refuses_a_float_q_max():
+    # verify_theorem3(24.0) failed inside range() with a bare TypeError
+    with pytest.raises(ValueError, match="^q_max must be an int, got float$"):
+        verify_theorem3(24.0)
+
+
+def test_chessboard_cell_is_checked_before_its_range():
+    # Chessboard(1).record("1", 0) compared "1" with 0 and raised a bare TypeError
+    board = Chessboard(1)
+    with pytest.raises(ValueError, match="^p must be an int, got str$"):
+        board.record("1", 0)
+    with pytest.raises(ValueError, match=r"^q = 8 exceeds 8\^order - 1 = 7$"):
+        board.cell(0, 8)
+
+
 def test_theorem3_shift_law():
     report = verify_theorem3(64)
     assert report["passed"] is True

@@ -258,7 +258,7 @@ def test_representation_block_order_two_contains_published_labels():
 def test_rep_label_refuses_a_count_that_is_not_an_int(k, r):
     # a bool is an int to Python, so rep_label(True, 0) would label l = 1/2;
     # every such count is refused before any label is built
-    with pytest.raises(ValueError, match="k and r must be ints"):
+    with pytest.raises(ValueError, match=r"^[kr] must be an int, got "):
         rep_label(k, r)
 
 
@@ -278,6 +278,13 @@ def test_a_count_that_is_not_an_int_is_refused(monkeypatch, name, build, value):
     monkeypatch.setattr(reps, "rep_field", no_work)
     with pytest.raises(ValueError, match=f"^{name} must be an int, got {type(value).__name__}$"):
         build(value)
+
+
+@pytest.mark.parametrize("l, l_dot", [(True, 1), (0, False)])
+def test_spin_chain_refuses_a_bool(l, l_dot):
+    # Fraction(True) is 1, so spin_chain(True, 1) built the singlet at (1, 1)
+    with pytest.raises(ValueError, match="rationals like 3 or 1/2, got l"):
+        spin_chain(l, l_dot)
 
 
 def test_rep_label_size_is_bounded():

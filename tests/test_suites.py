@@ -11,21 +11,16 @@ def test_suite_with_no_checks_fails():
     assert rep["lines"] == ["FAIL nothing checked"]
 
 
-@pytest.mark.parametrize("build", [
-    lambda: suites.classification_suite(max_n=-1),
-    lambda: suites.even_iso_suite(max_n=0),
-    lambda: suites.chevalley_suite(max_n=-1),
+@pytest.mark.parametrize("build, size, zero", [
+    (suites.classification_suite, "_CLASSIFICATION_MAX_N", -1),
+    (suites.even_iso_suite, "_EVEN_ISO_MAX_N", 0),
+    (suites.chevalley_suite, "_CHEVALLEY_MAX_N", -1),
 ], ids=["classification", "even_iso", "chevalley"])
-def test_sweep_over_zero_cases_fails(build):
+def test_sweep_over_zero_cases_fails(monkeypatch, build, size, zero):
+    monkeypatch.setattr(suites, size, zero)
     rep = build()
     assert rep["passed"] is False
     assert any(line.startswith("FAIL") for line in rep["lines"])
-
-
-def test_block_suite_refuses_zero_samples():
-    # "0 sampled products" must not print as a PASS
-    with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
-        suites.block_suite(samples=0)
 
 
 def test_theorem3_brute_line_fails_on_a_non_primitive_idempotent(monkeypatch):

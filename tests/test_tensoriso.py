@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cl8 import tensoriso
 from cl8.algebra import MV, GaussianRational, Signature
+from cl8.table import MAX_SAMPLES
 from cl8.tensoriso import (
     MAX_WITNESS_N,
     BlockForm,
@@ -532,8 +533,8 @@ def test_block_sampler_bounds_samples_before_the_first_draw(monkeypatch):
 
     form = BlockForm(1, 2)
     monkeypatch.setattr(BlockForm, "_random_element", no_draw)
-    limit = tensoriso.MAX_BLOCK_SAMPLES
-    with pytest.raises(ValueError, match=f"samples = {limit + 1} exceeds MAX_BLOCK_SAMPLES = {limit}"):
+    limit = MAX_SAMPLES
+    with pytest.raises(ValueError, match=f"samples = {limit + 1} exceeds MAX_SAMPLES = {limit}"):
         form.sample_homomorphism(samples=limit + 1)
     with pytest.raises(AssertionError, match="a sample was drawn"):
         form.sample_homomorphism(samples=limit)
@@ -676,7 +677,7 @@ def test_witness_builders_refuse_too_many_generators(monkeypatch, build, args):
         raise AssertionError("work started before the size check")
 
     monkeypatch.setattr(tensoriso, "Signature", no_work)
-    with pytest.raises(ValueError, match=f"exceed MAX_WITNESS_N = {MAX_WITNESS_N}"):
+    with pytest.raises(ValueError, match=f"exceeds MAX_WITNESS_N = {MAX_WITNESS_N}"):
         build(*args)
 
 
